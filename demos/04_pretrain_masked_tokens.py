@@ -3,8 +3,7 @@
 Every masked space-group attribute is a function of the visible ones,
 so the encoder can learn the crystallographic grammar to high accuracy:
 crystal system from space-group number, point group from symbol, and
-so on. Runs a short training here; see the acceptance suite for the
-full 300-epoch run.
+so on. Runs a short training here; raise ``epochs`` for a longer run.
 """
 
 from crysgram.datasets import kb_corpus
@@ -27,4 +26,3 @@ overall, per_position = masked_position_accuracy(
 print(f"\nmasked-recovery accuracy after {config.epochs} epochs: "
       f"point group {per_position[4]:.1%}, "
       f"crystal system {per_position[5]:.1%}")
-print("(the acceptance suite trains to 300 epochs and reaches > 95%)")

@@ -18,7 +18,7 @@ from . import __version__
 from .errors import CrysgramError
 from .grammar import lookup_space_group, parse_formula
 from .nn.export import export_attention
-from .objectives import encode_batch
+from .objectives import TargetScaler, encode_batch
 from .porosity import (
     GridSpec,
     accessible_void_fraction,
@@ -34,8 +34,10 @@ from .tokens import (
 )
 from .training import (
     TrainConfig,
+    encode_corpus,
     evaluate,
     finetune,
+    format_predictions,
     load_pretrained,
     prepare_corpus,
     pretrain,
@@ -250,48 +252,42 @@ def _load_eval_bundle(args):
     vocab = TokenVocabulary.load(vocab_path)
     state, header = load_pretrained(args.checkpoint, vocab=vocab)
     extra = header.get("extra", {})
-    from .objectives import TargetScaler
-
     scaler = None
     if "target_scaler" in extra:
         scaler = TargetScaler.from_dict(extra["target_scaler"])
     records = _load_records(args.data)
     corpus = prepare_corpus(records, vocab, _element_table(args))
-    return state, vocab, scaler, corpus
+    return state, scaler, corpus
 
 
-def cmd_evaluate(args):
-    state, vocab, scaler, corpus = _load_eval_bundle(args)
+def _predictions(args):
+    """(MAE, predictions) of a finetuned checkpoint; writes --out if given."""
+    state, scaler, corpus = _load_eval_bundle(args)
     if scaler is None:
         raise CrysgramError("checkpoint carries no target scaler; "
                             "run finetune first")
     mae, predictions = evaluate(state, corpus, scaler)
     if args.out:
         write_predictions(predictions, args.out)
+    return mae, predictions
+
+
+def cmd_evaluate(args):
+    mae, predictions = _predictions(args)
     emit(json.dumps({"mae": mae, "n_records": len(predictions)},
                     indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_predict(args):
-    state, vocab, scaler, corpus = _load_eval_bundle(args)
-    if scaler is None:
-        raise CrysgramError("checkpoint carries no target scaler; "
-                            "run finetune first")
-    _, predictions = evaluate(state, corpus, scaler)
-    if args.out:
-        write_predictions(predictions, args.out)
-    else:
-        lines = ["id,target,prediction"]
-        for record_id, target, pred in predictions:
-            target_text = "" if target is None else repr(float(target))
-            lines.append(f"{record_id},{target_text},{repr(float(pred))}")
-        emit("\n".join(lines))
+    _, predictions = _predictions(args)
+    if not args.out:
+        emit(format_predictions(predictions))
     return EXIT_OK
 
 
 def cmd_export(args):
-    state, vocab, scaler, corpus = _load_eval_bundle(args)
+    state, _, corpus = _load_eval_bundle(args)
     if args.what == "attention":
         index = 0
         if args.record_id:
@@ -311,18 +307,13 @@ def cmd_export(args):
         emit(json.dumps(document, sort_keys=True), args.out)
         return EXIT_OK
 
-    # cls embeddings: one hidden row per record
-    rows = []
-    for start in range(0, len(corpus), 64):
-        indices = np.arange(start, min(start + 64, len(corpus)))
-        batch = corpus.batch(indices)
-        _, cls, _ = encode_batch(state, batch.sequences,
-                                 batch.formula_matrices, mode="eval")
-        rows.append(np.asarray(cls.data, dtype=np.float64))
-    matrix = np.concatenate(rows, axis=0)
-    lines = []
-    for record_id, row in zip(corpus.ids, matrix):
-        lines.append(record_id + "," + ",".join(repr(float(v)) for v in row))
+    # cls embeddings: one hidden row per record. The encoder runs through
+    # this module's encode_batch, which the traced benchmark run wraps.
+    lines = [record_id + "," + ",".join(repr(float(v)) for v in row)
+             for batch, cls in encode_corpus(state, corpus,
+                                             encode=encode_batch)
+             for record_id, row in zip(batch.ids, np.asarray(
+                 cls.data, dtype=np.float64))]
     emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -371,9 +362,6 @@ def _add_train_flags(parser):
     parser.add_argument("--element-embeddings", dest="element_embeddings",
                         help="element embedding file (default: deterministic "
                         "surrogate table)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count for batch preparation (training "
-                        "steps stay sequential for determinism)")
 
 
 def build_parser():
@@ -446,8 +434,6 @@ def build_parser():
         p.add_argument("--vocab")
         p.add_argument("--out", help="predictions file")
         p.add_argument("--element-embeddings", dest="element_embeddings")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.set_defaults(fn=fn)
 
     p = commands.add_parser("export",
@@ -463,8 +449,6 @@ def build_parser():
                    "default: all layers)")
     p.add_argument("--out")
     p.add_argument("--element-embeddings", dest="element_embeddings")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_export)
 
     return parser

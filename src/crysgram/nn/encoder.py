@@ -55,7 +55,7 @@ class EncoderConfig:
 
 
 def desk_config(vocab_size, **overrides):
-    """Small preset used by tests and acceptance runs."""
+    """Small preset used by tests and demos."""
     base = dict(vocab_size=vocab_size, n_layers=2, n_heads=4, d_model=64,
                 max_seq_len=64)
     base.update(overrides)
@@ -159,20 +159,20 @@ class AttentionMap:
     def n_layers(self):
         return len(self.layers)
 
-    def head_weights(self, layer, head):
-        return self.layers[layer][head]
-
     def cls_attention(self, layer):
         """Per-head attention from [CLS] to every position: (n_heads, L)."""
         return self.layers[layer][:, 0, :]
 
 
-def scaled_dot_attention(q, k, v, mask=None):
+def scaled_dot_attention(q, k, v, mask=None, dropout_rate=0.0, rng=None,
+                         train=False):
     """Row-softmax(q kT / sqrt(d_k)) v with optional key masking.
 
-    ``mask`` holds 1/True for attendable keys. A row left with no
-    attendable key raises DegenerateMaskError rather than returning an
-    arbitrary distribution.
+    ``mask`` holds 1/True for attendable keys and broadcasts against the
+    score rows. A row left with no attendable key raises
+    DegenerateMaskError rather than returning an arbitrary distribution.
+    In training, dropout at ``dropout_rate`` applies to the weights before
+    they multiply ``v``. Returns (output, weights before dropout).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
@@ -188,7 +188,8 @@ def scaled_dot_attention(q, k, v, mask=None):
         fill = np.where(valid, 0.0, MASK_FILL).astype(scores.dtype)
         scores = scores + fill
     weights = softmax(scores, axis=-1)
-    return matmul(weights, v), weights
+    applied = dropout(weights, dropout_rate, rng, train)
+    return matmul(applied, v), weights
 
 
 def multi_head_attention(x, layer_params, mask=None, n_heads=1,
@@ -209,16 +210,11 @@ def multi_head_attention(x, layer_params, mask=None, n_heads=1,
         h = matmul(x, layer_params[f"{name}.w"]) + layer_params[f"{name}.b"]
         return h.reshape(B, L, n_heads, d_head).transpose(0, 2, 1, 3)
 
-    q, k, v = project("q"), project("k"), project("v")
-    scores = matmul(q, k.swap_last2()) * (1.0 / math.sqrt(d_head))
     if mask is not None:
-        valid = np.asarray(mask).astype(bool).reshape(B, 1, 1, L)
-        if not valid.any(axis=-1).all():
-            raise DegenerateMaskError("attention row with every key masked")
-        scores = scores + np.where(valid, 0.0, MASK_FILL).astype(scores.dtype)
-    weights = softmax(scores, axis=-1)
-    applied = dropout(weights, attention_dropout, rng, mode == "train")
-    context = matmul(applied, v)
+        mask = np.asarray(mask).reshape(B, 1, 1, L)
+    context, weights = scaled_dot_attention(
+        project("q"), project("k"), project("v"), mask,
+        attention_dropout, rng, mode == "train")
     context = context.transpose(0, 2, 1, 3).reshape(B, L, d)
     out = matmul(context, layer_params["o.w"]) + layer_params["o.b"]
     if single:

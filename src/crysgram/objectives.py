@@ -1,6 +1,7 @@
 """Pretraining objectives (masked tokens, lattice-parameter regression,
 their combination) and the finetuning regression head."""
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,17 +76,19 @@ def apply_masking(seq, ratio=0.25, rng=None):
         rng = np.random.default_rng(np.random.PCG64(seed))
     count = round(ratio * N_SG_TOKENS)
     count = max(count, 1)
-    chosen = np.sort(rng.choice(np.array(SG_POSITIONS), size=count,
-                                replace=False))
+    chosen = tuple(int(p) for p in np.sort(
+        rng.choice(np.array(SG_POSITIONS), size=count, replace=False)))
+    masked, original = _masked_copy(seq, chosen)
+    return masked, MaskingPlan(chosen, original, ratio, seed)
+
+
+def _masked_copy(seq, positions):
+    """``seq`` with [MASK] at ``positions``, plus the ids it replaced."""
     ids = list(seq.ids)
-    original = tuple(ids[p] for p in chosen)
-    for p in chosen:
+    original = tuple(ids[p] for p in positions)
+    for p in positions:
         ids[p] = MASK_ID
-    masked = type(seq)(tuple(ids), seq.categories, seq.attention_mask,
-                       seq.token_labels, seq.n_info, seq.provenance,
-                       seq.formula_elements)
-    return masked, MaskingPlan(tuple(int(p) for p in chosen), original,
-                               ratio, seed)
+    return dataclasses.replace(seq, ids=tuple(ids)), original
 
 
 def mask_batch(sequences, ratio, seed):
@@ -355,14 +358,8 @@ def masked_position_accuracy(state, sequences, formula_matrices, positions,
         mats = formula_matrices[start:start + batch_size]
         masked, plans = [], []
         for seq in chunk:
-            ids = list(seq.ids)
-            original = tuple(ids[p] for p in positions)
-            for p in positions:
-                ids[p] = MASK_ID
-            masked.append(type(seq)(
-                tuple(ids), seq.categories, seq.attention_mask,
-                seq.token_labels, seq.n_info, seq.provenance,
-                seq.formula_elements))
+            m, original = _masked_copy(seq, positions)
+            masked.append(m)
             plans.append(MaskingPlan(tuple(positions), original, 0.0))
         hidden, _, _ = encode_batch(state, masked, mats, mode="eval")
         logits, labels = mlm_logits(state, hidden, plans)

@@ -105,10 +105,6 @@ class EmbeddedInput:
     token_labels: tuple = ()
     provenance: object = None
 
-    @property
-    def numpy(self):
-        return np.asarray(self.matrix.data)
-
 
 def assemble_batch(sequences, formula_matrices, token_embedding,
                    formula_projection_w, formula_projection_b,

@@ -86,13 +86,6 @@ class TokenSequence:
         start = 1 + N_SG_TOKENS + self.n_info
         return tuple(range(start, start + N_FORMULA_SLOTS))
 
-    def replaced(self, position, token_id):
-        ids = list(self.ids)
-        ids[position] = token_id
-        return TokenSequence(tuple(ids), self.categories, self.attention_mask,
-                             self.token_labels, self.n_info, self.provenance,
-                             self.formula_elements)
-
 
 def sequence_length(n_info):
     return 1 + N_SG_TOKENS + n_info + N_FORMULA_SLOTS

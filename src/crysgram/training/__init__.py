@@ -8,8 +8,10 @@ from .loop import (
     RunManifest,
     TrainConfig,
     derive_seed,
+    encode_corpus,
     evaluate,
     finetune,
+    format_predictions,
     load_pretrained,
     predict_lattice,
     prepare_corpus,
@@ -22,8 +24,8 @@ from .schedule import ScheduleSpec, lr_at
 
 __all__ = [
     "CONFIG_VERSION", "FinetuneResult", "PreparedCorpus", "PretrainResult",
-    "RunManifest", "TrainConfig", "derive_seed", "evaluate", "finetune",
-    "load_pretrained", "predict_lattice", "prepare_corpus", "pretrain",
-    "write_metrics", "write_predictions",
+    "RunManifest", "TrainConfig", "derive_seed", "encode_corpus", "evaluate",
+    "finetune", "format_predictions", "load_pretrained", "predict_lattice",
+    "prepare_corpus", "pretrain", "write_metrics", "write_predictions",
     "DECAY_EXEMPT_SUFFIXES", "AdamW", "ScheduleSpec", "lr_at",
 ]

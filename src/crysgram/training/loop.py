@@ -192,17 +192,107 @@ def write_metrics(rows, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _epoch_batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+def _manifest(config, records, metrics, start, checkpoints=()):
+    return RunManifest(
+        config=json.loads(config.to_json()),
+        seed=config.seed,
+        dataset_checksum=dataset_checksum(records),
+        metrics=metrics,
+        checkpoints=list(checkpoints),
+        wall_clock_seconds=time.perf_counter() - start,
+    )
 
 
-def _train_step(state, optimizer, objective_fn, lr):
-    state.zero_grads()
-    loss, stats = objective_fn()
-    loss.backward()
-    optimizer.step(lr)
-    return float(loss.data), stats
+def _vocab_sha256(vocab):
+    return hashlib.sha256(vocab.to_text().encode("utf-8")).hexdigest()
+
+
+def _write_run(out_dir, manifest, vocab, state=None, extra=None,
+               global_step=0, predictions=None):
+    """Write a run's artifacts to ``out_dir``; returns the checkpoint path.
+
+    Always writes ``vocab.txt``, ``metrics.csv`` (the manifest's rows) and
+    ``manifest.json``. With a state, also ``checkpoint.ckpt`` whose header
+    ``extra`` gains the objective, the info layout and the vocabulary
+    hash; with predictions, also ``predictions.csv``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab.save(out / "vocab.txt")
+    checkpoint = None
+    if state is not None:
+        checkpoint = str(out / "checkpoint.ckpt")
+        extra = dict(extra or {}, objective=manifest.config["objective"],
+                     info_layout=list(vocab.info_layout),
+                     vocab_sha256=_vocab_sha256(vocab))
+        save_state(state, checkpoint, global_step=global_step,
+                   rng_seed=manifest.seed, extra=extra)
+        manifest.checkpoints.append(checkpoint)
+    write_metrics(manifest.metrics, out / "metrics.csv")
+    if predictions:
+        write_predictions(predictions, out / "predictions.csv")
+    manifest.save(out / "manifest.json")
+    return checkpoint
+
+
+def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
+         scaler=None, log=None):
+    """The training loop shared by pretraining and finetuning.
+
+    ``step(batch, global_step, rng)`` returns the batch loss Tensor and a
+    dict of statistics averaged into the epoch row; ``rng`` drives
+    dropout. ``seed_labels`` name the (shuffle, dropout) seed families.
+    With a validation corpus each epoch row gains ``val_mae``; with
+    ``early_stopping_patience`` above 0 the loop stops after that many
+    epochs without improvement and returns the best state. Returns
+    (state, epoch rows, optimizer steps taken).
+    """
+    shuffle_label, drop_label = seed_labels
+    patience = config.early_stopping_patience
+    optimizer = AdamW(state, config.learning_rate, config.weight_decay)
+    steps_per_epoch = max(1, math.ceil(len(corpus) / config.batch_size))
+    schedule = ScheduleSpec(total_steps=max(1, config.epochs * steps_per_epoch),
+                            base_rate=config.learning_rate,
+                            warmup_fraction=config.warmup_fraction)
+    rows = []
+    best_state, best_mae, best_epoch = None, math.inf, -1
+    global_step = 0
+    for epoch in range(config.epochs):
+        order = np.random.default_rng(np.random.PCG64(
+            derive_seed(config.seed, shuffle_label, epoch))).permutation(
+                len(corpus))
+        losses, stats = [], {}
+        for start in range(0, len(corpus), config.batch_size):
+            batch = corpus.batch(order[start:start + config.batch_size])
+            rng = np.random.default_rng(np.random.PCG64(
+                derive_seed(config.seed, drop_label, global_step)))
+            state.zero_grads()
+            loss, step_stats = step(batch, global_step, rng)
+            loss.backward()
+            optimizer.step(lr_at(global_step, schedule))
+            losses.append(float(loss.data))
+            for key, value in step_stats.items():
+                stats.setdefault(key, []).append(value)
+            global_step += 1
+        row = {"epoch": epoch, "loss": float(np.mean(losses))}
+        row.update((key, float(np.mean(values)))
+                   for key, values in stats.items())
+        if val_corpus is not None:
+            row["val_mae"], _ = evaluate(state, val_corpus, scaler)
+            if row["val_mae"] < best_mae:
+                best_mae, best_epoch = row["val_mae"], epoch
+                if patience:
+                    best_state = state.clone()
+        rows.append(row)
+        if log:
+            log(f"epoch {epoch}: " + " ".join(
+                f"{k}={v:.6g}" for k, v in row.items() if k != "epoch"))
+        if (patience and val_corpus is not None
+                and epoch - best_epoch >= patience):
+            if log:
+                log(f"early stop at epoch {epoch} (best {best_mae:.6g})")
+            break
+    return (state if best_state is None else best_state), rows, global_step
 
 
 @dataclass
@@ -242,76 +332,46 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
         scaler = lpp_scaler(corpus.lattice_targets)
 
     state = EncoderState(config.encoder_config(vocab.size), seed=config.seed)
-    optimizer = AdamW(state, config.learning_rate, config.weight_decay)
-    steps_per_epoch = max(1, math.ceil(len(corpus) / config.batch_size))
-    total_steps = max(1, config.epochs * steps_per_epoch)
-    schedule = ScheduleSpec(total_steps=total_steps,
-                            base_rate=config.learning_rate,
-                            warmup_fraction=config.warmup_fraction)
+
+    def step(batch, global_step, rng):
+        mask_seed = derive_seed(config.seed, "mask", global_step)
+        if config.objective == "lpp":
+            return lpp_objective(state, batch, scaler, rng=rng)
+        if config.objective == "mlm":
+            loss, stats = mlm_objective(state, batch, config.masking_ratio,
+                                        seed=mask_seed, rng=rng)
+            del stats["n_masked"]
+            return loss, stats
+        return combined_objective(
+            state, batch, scaler, ratio=config.masking_ratio,
+            lam=config.lambda_mlm, seed=mask_seed, rng=rng)
 
     start = time.perf_counter()
-    metrics = []
-    global_step = 0
-    for epoch in range(config.epochs):
-        rng_epoch = np.random.default_rng(
-            np.random.PCG64(derive_seed(config.seed, "shuffle", epoch)))
-        epoch_losses, epoch_stats = [], []
-        for batch_idx, indices in enumerate(
-                _epoch_batches(len(corpus), config.batch_size, rng_epoch)):
-            batch = corpus.batch(indices)
-            mask_seed = derive_seed(config.seed, "mask", global_step)
-            drop_rng = np.random.default_rng(
-                np.random.PCG64(derive_seed(config.seed, "drop", global_step)))
-            lr = lr_at(global_step, schedule)
-
-            if config.objective == "mlm":
-                fn = lambda: mlm_objective(state, batch, config.masking_ratio,
-                                           seed=mask_seed, rng=drop_rng)
-            elif config.objective == "lpp":
-                fn = lambda: lpp_objective(state, batch, scaler, rng=drop_rng)
-            else:
-                fn = lambda: combined_objective(
-                    state, batch, scaler, ratio=config.masking_ratio,
-                    lam=config.lambda_mlm, seed=mask_seed, rng=drop_rng)
-            loss, stats = _train_step(state, optimizer, fn, lr)
-            epoch_losses.append(loss)
-            epoch_stats.append(stats)
-            global_step += 1
-        row = {"epoch": epoch, "loss": float(np.mean(epoch_losses))}
-        for key in epoch_stats[0]:
-            if key != "n_masked":
-                row[key] = float(np.mean([s[key] for s in epoch_stats]))
-        metrics.append(row)
-        if log:
-            log(f"epoch {epoch}: " + " ".join(
-                f"{k}={v:.6g}" for k, v in row.items() if k != "epoch"))
-
-    manifest = RunManifest(
-        config=json.loads(config.to_json()),
-        seed=config.seed,
-        dataset_checksum=dataset_checksum(records),
-        metrics=metrics,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    state, metrics, steps = _fit(state, corpus, config, step,
+                                 ("shuffle", "drop"), log=log)
+    manifest = _manifest(config, records, metrics, start)
     result = PretrainResult(state=state, vocab=vocab, scaler=scaler,
                             metrics=metrics, manifest=manifest)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        extra = {"objective": config.objective,
-                 "info_layout": list(vocab.info_layout)}
-        if scaler is not None:
-            extra["lpp_scaler"] = scaler.to_dict()
-        vocab.save(out / "vocab.txt")
-        extra["vocab_sha256"] = hashlib.sha256(
-            vocab.to_text().encode("utf-8")).hexdigest()
-        save_state(state, out / "checkpoint.ckpt", global_step=global_step,
-                   rng_seed=config.seed, extra=extra)
-        result.checkpoint_path = str(out / "checkpoint.ckpt")
-        manifest.checkpoints.append(result.checkpoint_path)
-        write_metrics(metrics, out / "metrics.csv")
-        manifest.save(out / "manifest.json")
+        extra = {} if scaler is None else {"lpp_scaler": scaler.to_dict()}
+        result.checkpoint_path = _write_run(out_dir, manifest, vocab, state,
+                                            extra, global_step=steps)
     return result
+
+
+def encode_corpus(state, corpus, batch_size=64, encode=None):
+    """Eval-mode [CLS] vectors of a prepared corpus, one batch at a time.
+
+    Yields (Batch, cls Tensor) pairs in corpus order. ``encode`` replaces
+    ``encode_batch`` as the function that runs the encoder.
+    """
+    encode = encode or encode_batch
+    for start in range(0, len(corpus), batch_size):
+        batch = corpus.batch(np.arange(start,
+                                       min(start + batch_size, len(corpus))))
+        _, cls, _ = encode(state, batch.sequences, batch.formula_matrices,
+                           mode="eval")
+        yield batch, cls
 
 
 def evaluate(state, corpus, scaler, batch_size=64):
@@ -321,34 +381,24 @@ def evaluate(state, corpus, scaler, batch_size=64):
     if scaler is None:
         raise ConfigError("evaluation requires the fitted target scaler")
     predictions = []
-    for start in range(0, len(corpus), batch_size):
-        indices = np.arange(start, min(start + batch_size, len(corpus)))
-        batch = corpus.batch(indices)
-        _, cls, _ = encode_batch(state, batch.sequences,
-                                 batch.formula_matrices, mode="eval")
+    for batch, cls in encode_corpus(state, corpus, batch_size):
         pred_std = finetune_head(cls, state, mode="eval").data.reshape(-1)
         pred_nat = scaler.inverse(pred_std.astype(np.float64))
-        for j, record_id in enumerate(batch.ids):
-            target = None if batch.targets is None else float(batch.targets[j])
-            predictions.append((record_id, target, float(pred_nat[j])))
-    targets = [t for _, t, _ in predictions if t is not None]
+        targets = ([None] * len(batch.ids) if batch.targets is None
+                   else batch.targets.tolist())
+        predictions.extend(zip(batch.ids, targets, pred_nat.tolist()))
     mae = None
-    if len(targets) == len(predictions) and targets:
+    if predictions and all(t is not None for _, t, _ in predictions):
         mae = float(np.mean([abs(t - p) for _, t, p in predictions]))
     return mae, predictions
 
 
 def predict_lattice(state, corpus, scaler, batch_size=64):
     """Natural-unit (n, 6) lattice predictions for a prepared corpus."""
-    rows = []
-    for start in range(0, len(corpus), batch_size):
-        indices = np.arange(start, min(start + batch_size, len(corpus)))
-        batch = corpus.batch(indices)
-        _, cls, _ = encode_batch(state, batch.sequences,
-                                 batch.formula_matrices, mode="eval")
-        pred_std = lpp_head(cls, state, mode="eval").data
-        rows.append(scaler.inverse(pred_std.astype(np.float64)))
-    return np.concatenate(rows, axis=0)
+    return np.concatenate([
+        scaler.inverse(lpp_head(cls, state, mode="eval").data
+                       .astype(np.float64))
+        for _, cls in encode_corpus(state, corpus, batch_size)], axis=0)
 
 
 @dataclass
@@ -381,53 +431,34 @@ class FinetuneResult:
         return float(np.mean(maes)), float(np.std(maes))
 
 
-def _train_regression(train_corpus, val_corpus, config, init_state, scaler,
-                      log=None):
-    """Inner finetuning loop; returns (state, per-epoch metric rows)."""
+def _finetune_split(records, train_recs, val_recs, test_recs, config,
+                    init_state, vocab, table, out_dir, log):
+    """Train on one split, test it, and write its run when ``out_dir``.
+
+    Returns (state, scaler, manifest, test MAE, test predictions); the
+    manifest's metrics are the epoch rows.
+    """
+    start = time.perf_counter()
+    scaler = TargetScaler.fit([r.target for r in train_recs])
+    train_corpus = prepare_corpus(train_recs, vocab, table)
+    val_corpus = prepare_corpus(val_recs, vocab, table) if val_recs else None
+    test_corpus = prepare_corpus(test_recs, vocab, table)
     state = init_state.clone()
-    optimizer = AdamW(state, config.learning_rate, config.weight_decay)
-    steps_per_epoch = max(1, math.ceil(len(train_corpus) / config.batch_size))
-    total_steps = max(1, config.epochs * steps_per_epoch)
-    schedule = ScheduleSpec(total_steps=total_steps,
-                            base_rate=config.learning_rate,
-                            warmup_fraction=config.warmup_fraction)
-    metrics = []
-    best = (None, math.inf, -1)  # (state, val mae, epoch)
-    global_step = 0
-    for epoch in range(config.epochs):
-        rng_epoch = np.random.default_rng(
-            np.random.PCG64(derive_seed(config.seed, "ft-shuffle", epoch)))
-        losses = []
-        for indices in _epoch_batches(len(train_corpus), config.batch_size,
-                                      rng_epoch):
-            batch = train_corpus.batch(indices)
-            drop_rng = np.random.default_rng(np.random.PCG64(
-                derive_seed(config.seed, "ft-drop", global_step)))
-            fn = lambda: regression_objective(state, batch, scaler,
-                                              rng=drop_rng)
-            loss, _ = _train_step(state, optimizer, fn,
-                                  lr_at(global_step, schedule))
-            losses.append(loss)
-            global_step += 1
-        row = {"epoch": epoch, "loss": float(np.mean(losses))}
-        if val_corpus is not None and len(val_corpus):
-            val_mae, _ = evaluate(state, val_corpus, scaler)
-            row["val_mae"] = val_mae
-            if val_mae < best[1]:
-                best = (state.clone(), val_mae, epoch)
-            elif (config.early_stopping_patience
-                  and epoch - best[2] >= config.early_stopping_patience):
-                metrics.append(row)
-                if log:
-                    log(f"early stop at epoch {epoch} (best {best[1]:.6g})")
-                return best[0], metrics
-        metrics.append(row)
-        if log:
-            log(f"epoch {epoch}: " + " ".join(
-                f"{k}={v:.6g}" for k, v in row.items() if k != "epoch"))
-    if config.early_stopping_patience and best[0] is not None:
-        return best[0], metrics
-    return state, metrics
+
+    def step(batch, global_step, rng):
+        loss, _ = regression_objective(state, batch, scaler, rng=rng)
+        return loss, {}
+
+    state, metrics, _ = _fit(state, train_corpus, config, step,
+                             ("ft-shuffle", "ft-drop"), val_corpus, scaler,
+                             log)
+    test_mae, predictions = evaluate(state, test_corpus, scaler)
+    manifest = _manifest(config, records, metrics, start)
+    if out_dir is not None:
+        _write_run(out_dir, manifest, vocab, state,
+                   {"target_scaler": scaler.to_dict()},
+                   predictions=predictions)
+    return state, scaler, manifest, test_mae, predictions
 
 
 def finetune(records, config, init_state=None, vocab=None, table=None,
@@ -435,7 +466,9 @@ def finetune(records, config, init_state=None, vocab=None, table=None,
     """Property-regression finetuning under the configured split protocol.
 
     ``init_state`` carries pretrained weights; None trains from scratch.
-    k-fold splits return per-fold MAEs plus mean and standard deviation.
+    It is cloned, never modified. k-fold splits return per-fold MAEs plus
+    mean and standard deviation; with ``out_dir`` each fold's run goes to
+    ``out_dir/fold<k>/`` and the top level holds the fold-MAE metrics.
     """
     if config.objective != "regression":
         raise ConfigError("finetune runs the 'regression' objective")
@@ -447,85 +480,56 @@ def finetune(records, config, init_state=None, vocab=None, table=None,
     table = table or ElementEmbeddingTable.deterministic()
     spec = SplitSpec.parse(config.split, seed=config.seed)
 
-    encoder_cfg = config.encoder_config(vocab.size)
     if init_state is None:
-        init_state = EncoderState(encoder_cfg, seed=config.seed)
+        init_state = EncoderState(config.encoder_config(vocab.size),
+                                  seed=config.seed)
     elif init_state.config.vocab_size != vocab.size:
         raise ConfigError(
             f"checkpoint vocab size {init_state.config.vocab_size} != "
             f"vocabulary size {vocab.size}")
 
-    start = time.perf_counter()
-    result = FinetuneResult(state=None, vocab=vocab, scaler=None,
-                            metrics=[], manifest=None)
-
+    parts = split_records(records, spec)
+    out = None if out_dir is None else Path(out_dir)
     if spec.kind == "kfold":
-        parts = split_records(records, spec)
-        for fold_idx, (train_recs, test_recs) in enumerate(parts.folds):
-            scaler = TargetScaler.fit([r.target for r in train_recs])
-            train_corpus = prepare_corpus(train_recs, vocab, table)
-            test_corpus = prepare_corpus(test_recs, vocab, table)
-            state, metrics = _train_regression(
-                train_corpus, None, config, init_state, scaler, log=log)
-            mae, predictions = evaluate(state, test_corpus, scaler)
-            result.fold_results.append(FoldResult(fold_idx, mae, predictions))
-            result.metrics.append({"fold": fold_idx, "test_mae": mae})
+        start = time.perf_counter()
+        result = FinetuneResult(state=None, vocab=vocab, scaler=None,
+                                metrics=[], manifest=None)
+        checkpoints = []
+        for k, (train_recs, test_recs) in enumerate(parts.folds):
+            _, _, fold_manifest, mae, predictions = _finetune_split(
+                records, train_recs, (), test_recs, config, init_state,
+                vocab, table, None if out is None else out / f"fold{k}", log)
+            checkpoints += fold_manifest.checkpoints
+            result.fold_results.append(FoldResult(k, mae, predictions))
+            result.metrics.append({"fold": k, "test_mae": mae})
             if log:
-                log(f"fold {fold_idx}: test MAE {mae:.6g}")
-        result.state = init_state
+                log(f"fold {k}: test MAE {mae:.6g}")
         result.test_mae = result.fold_summary[0]
-    else:
-        parts = split_records(records, spec)
-        train_recs, val_recs, test_recs = parts.train, parts.val, parts.test
-        scaler = TargetScaler.fit([r.target for r in train_recs])
-        result.scaler = scaler
-        train_corpus = prepare_corpus(train_recs, vocab, table)
-        val_corpus = prepare_corpus(val_recs, vocab, table) if val_recs else None
-        test_corpus = prepare_corpus(test_recs, vocab, table)
-        state, metrics = _train_regression(train_corpus, val_corpus, config,
-                                           init_state, scaler, log=log)
-        result.state = state
-        result.metrics = metrics
-        result.test_mae, result.predictions = evaluate(state, test_corpus,
-                                                       scaler)
+        result.manifest = _manifest(config, records, result.metrics, start,
+                                    checkpoints)
+        if out is not None:
+            _write_run(out, result.manifest, vocab)
+        return result
 
-    manifest = RunManifest(
-        config=json.loads(config.to_json()),
-        seed=config.seed,
-        dataset_checksum=dataset_checksum(records),
-        metrics=result.metrics,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
-    result.manifest = manifest
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        extra = {"objective": "regression",
-                 "info_layout": list(vocab.info_layout),
-                 "vocab_sha256": hashlib.sha256(
-                     vocab.to_text().encode("utf-8")).hexdigest()}
-        if result.scaler is not None:
-            extra["target_scaler"] = result.scaler.to_dict()
-        vocab.save(out / "vocab.txt")
-        if result.state is not None:
-            save_state(result.state, out / "checkpoint.ckpt",
-                       rng_seed=config.seed, extra=extra)
-            result.manifest.checkpoints.append(str(out / "checkpoint.ckpt"))
-        write_metrics(
-            [m for m in result.metrics], out / "metrics.csv")
-        if result.predictions:
-            write_predictions(result.predictions, out / "predictions.csv")
-        manifest.save(out / "manifest.json")
-    return result
+    state, scaler, manifest, test_mae, predictions = _finetune_split(
+        records, parts.train, parts.val, parts.test, config, init_state,
+        vocab, table, out, log)
+    return FinetuneResult(state=state, vocab=vocab, scaler=scaler,
+                          metrics=manifest.metrics, manifest=manifest,
+                          test_mae=test_mae, predictions=predictions)
 
 
-def write_predictions(predictions, path):
+def format_predictions(predictions):
+    """``id,target,prediction`` CSV text, one line per record."""
     lines = ["id,target,prediction"]
     for record_id, target, pred in predictions:
         target_text = "" if target is None else repr(float(target))
         lines.append(f"{record_id},{target_text},{repr(float(pred))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_predictions(predictions, path):
+    Path(path).write_text(format_predictions(predictions), encoding="utf-8")
 
 
 def load_pretrained(path, vocab=None):
@@ -539,7 +543,7 @@ def load_pretrained(path, vocab=None):
                 f"tokens, got {vocab.size}")
         stored = extra.get("vocab_sha256")
         if stored:
-            actual = hashlib.sha256(vocab.to_text().encode("utf-8")).hexdigest()
+            actual = _vocab_sha256(vocab)
             if stored != actual:
                 raise CheckpointError(
                     "checkpoint was trained with a different vocabulary "

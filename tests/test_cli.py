@@ -195,6 +195,44 @@ class TestTrainingCommands:
         assert code == 2
 
 
+class TestRunRoundTrip:
+    @pytest.mark.parametrize("split, run_dir", [("ratio:0.8,0.2", "."),
+                                                ("kfold5", "fold0")])
+    def test_finetune_output_loads_in_every_reader(self, capsys, tmp_path,
+                                                   regression_csv, split,
+                                                   run_dir):
+        out = tmp_path / "ft"
+        code, _, err = run(capsys, "finetune", "--data", regression_csv,
+                           "--out", str(out), "--split", split,
+                           "--epochs", "1")
+        assert code == 0, err
+        checkpoint = str(out / run_dir / "checkpoint.ckpt")
+        for command in (["predict"], ["evaluate"],
+                        ["export", "cls-embeddings"]):
+            code, stdout, err = run(capsys, *command, "--checkpoint",
+                                    checkpoint, "--data", regression_csv)
+            assert code == 0, f"{command}: {err}"
+            assert stdout
+
+    def test_kfold_writes_one_run_per_fold(self, capsys, tmp_path,
+                                           regression_csv):
+        out = tmp_path / "cv"
+        code, _, _ = run(capsys, "finetune", "--data", regression_csv,
+                         "--out", str(out), "--split", "kfold5",
+                         "--epochs", "1")
+        assert code == 0
+        assert not (out / "checkpoint.ckpt").exists()
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "fold,test_mae" and len(lines) == 6
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checkpoints"] == [
+            str(out / f"fold{k}" / "checkpoint.ckpt") for k in range(5)]
+        for k in range(5):
+            for name in ("checkpoint.ckpt", "vocab.txt", "metrics.csv",
+                         "predictions.csv", "manifest.json"):
+                assert (out / f"fold{k}" / name).exists()
+
+
 class TestExport:
     def test_attention_export_shapes(self, capsys, finetuned, regression_csv,
                                      tmp_path):

@@ -127,6 +127,29 @@ class TestFinetune:
         with pytest.raises(ConfigError):
             finetune(records, fast_config(objective="regression"), table=TABLE)
 
+    def test_identical_seeds_byte_identical_artifacts(self, tmp_path):
+        config = fast_config(objective="regression", epochs=4, seed=9,
+                             split="ratio:0.6,0.2,0.2",
+                             early_stopping_patience=2)
+        for name in ("a", "b"):
+            finetune(self.RECORDS, config, table=TABLE,
+                     out_dir=tmp_path / name)
+        for artifact in ("checkpoint.ckpt", "metrics.csv", "predictions.csv"):
+            assert (tmp_path / "a" / artifact).read_bytes() == \
+                (tmp_path / "b" / artifact).read_bytes(), artifact
+
+    def test_init_state_is_not_modified(self):
+        config = fast_config(objective="regression", epochs=1,
+                             split="ratio:0.8,0.2")
+        vocab = build_vocabulary(datasets=self.RECORDS)
+        init = EncoderState(config.encoder_config(vocab.size), seed=1)
+        before = {name: p.data.copy() for name, p in init.named_parameters()}
+        result = finetune(self.RECORDS, config, init_state=init, vocab=vocab,
+                          table=TABLE)
+        assert result.state is not init
+        for name, p in init.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_early_stopping_restores_best(self):
         config = fast_config(objective="regression", epochs=30,
                              split="ratio:0.6,0.2,0.2",
