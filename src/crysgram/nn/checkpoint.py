@@ -1,8 +1,10 @@
-"""Versioned checkpoint files: JSON header + flat little-endian float32 blob.
+"""Versioned checkpoint files: JSON header + flat little-endian blob.
 
 Header carries the config, a parameter manifest (names, shapes, offsets),
-the global step, the RNG seed, and the SHA-256 of the blob. Saving a
-loaded state reproduces the file byte for byte.
+the global step, the RNG seed, and the SHA-256 of the blob. Format 2
+writes the blob in the config's dtype and records it as ``dtype``;
+format 1 files (always float32) still load. Saving a loaded state
+reproduces the file byte for byte.
 """
 
 import hashlib
@@ -16,16 +18,18 @@ from ..errors import CheckpointError
 from .encoder import EncoderConfig, EncoderState
 
 MAGIC = b"CGCK0001"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+V1_DTYPE = "<f4"  # format 1 wrote every blob as little-endian float32
 
 
 def save_state(state, path, global_step=0, rng_seed=0, extra=None):
     """Write an EncoderState to `path`; returns the blob's SHA-256 hex."""
+    blob_dtype = state.config.np_dtype.newbyteorder("<").str
     chunks = []
     manifest = []
     offset = 0
     for name, param in state.named_parameters():
-        raw = np.ascontiguousarray(param.data, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(param.data, dtype=blob_dtype).tobytes()
         manifest.append({"name": name, "shape": list(param.data.shape),
                          "offset": offset, "size": param.data.size})
         chunks.append(raw)
@@ -35,6 +39,7 @@ def save_state(state, path, global_step=0, rng_seed=0, extra=None):
     header = {
         "format_version": FORMAT_VERSION,
         "config": state.config.to_dict(),
+        "dtype": blob_dtype,
         "global_step": int(global_step),
         "rng_seed": int(rng_seed),
         "blob_sha256": digest,
@@ -52,28 +57,29 @@ def save_state(state, path, global_step=0, rng_seed=0, extra=None):
     return digest
 
 
+def _read_header(fh, path):
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
+    (header_len,) = struct.unpack("<Q", fh.read(8))
+    return json.loads(fh.read(header_len).decode("utf-8"))
+
+
 def read_header(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        return json.loads(fh.read(header_len).decode("utf-8"))
+        return _read_header(fh, path)
 
 
 def load_state(path):
     """Read a checkpoint; returns (state, header dict)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = _read_header(fh, path)
         blob = fh.read()
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')}")
+    version = header.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    blob_dtype = np.dtype(V1_DTYPE if version == 1 else header["dtype"])
     digest = hashlib.sha256(blob).hexdigest()
     if digest != header["blob_sha256"]:
         raise CheckpointError(f"{path}: blob checksum mismatch")
@@ -89,10 +95,11 @@ def load_state(path):
         name, shape = entry["name"], tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        raw = blob[start:start + 4 * count]
-        if len(raw) != 4 * count:
+        nbytes = blob_dtype.itemsize * count
+        raw = blob[start:start + nbytes]
+        if len(raw) != nbytes:
             raise CheckpointError(f"{path}: truncated blob at {name}")
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        data = np.frombuffer(raw, dtype=blob_dtype).reshape(shape)
         state.params[name] = Tensor.parameter(
             data.astype(config.np_dtype), name)
     return state, header

@@ -1,17 +1,21 @@
 """Grid-point porosity: void fraction and probe-accessible void fraction.
 
-A regular grid of cell-centered points covers the unit cell. Points
-within any atom's van der Waals sphere (minimum-image over the 27
-neighboring cells) are occupied; the void fraction is the unoccupied
-share. A point is probe-admissible when every atom is at least
-r_vdw + r_probe away; admissible points connect by face adjacency under
+A regular grid of cell-centered points covers the unit cell. One
+clearance field holds, for each grid point, the minimum over every
+periodic image of every atom of (distance - r_vdw). Each atom is
+stamped over its bounding box on the fractional grid, whose half-width
+along lattice direction i is (r_vdw + r_probe) / w_i for the
+perpendicular slab width w_i; box indices wrap modulo the grid, so
+every periodic image counts however far an atom reaches past the cell.
+A point is occupied when its clearance is negative, and probe-admissible
+when its clearance is at least r_probe; the void fraction is the
+unoccupied share. Admissible points connect by face adjacency under
 periodic wrap, and components that wrap around a lattice direction are
 accessible (when none wraps, the largest component counts).
 """
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -101,12 +105,7 @@ class PeriodicStructure:
 
     def min_cell_width(self):
         """Smallest perpendicular distance between opposite cell faces."""
-        widths = []
-        for i in range(3):
-            others = [self.lattice[j] for j in range(3) if j != i]
-            normal = np.cross(others[0], others[1])
-            widths.append(abs(self.lattice[i] @ normal) / np.linalg.norm(normal))
-        return min(widths)
+        return float(_perpendicular_widths(self.lattice).min())
 
 
 def load_structure(path):
@@ -158,6 +157,9 @@ class PorosityResult:
     n_accessible: int
     r_probe: float
     grid_dims: tuple
+    # flood-fill facts; None when no flood fill ran
+    n_components: int = None  # periodic components of admissible points
+    percolates: bool = None  # some component wraps a lattice direction
 
     def __post_init__(self):
         if not 0.0 <= self.phi_acc <= self.phi_void <= 100.0:
@@ -174,20 +176,9 @@ class PorosityResult:
             "n_accessible": self.n_accessible,
             "r_probe_angstrom": self.r_probe,
             "grid_dims": list(self.grid_dims),
+            "n_components": self.n_components,
+            "percolates": self.percolates,
         }
-
-
-def _grid_fractional(dims):
-    """Cell-centered fractional offsets (i + 1/2) / n along each axis."""
-    axes = [(np.arange(n) + 0.5) / n for n in dims]
-    fx, fy, fz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([fx.ravel(), fy.ravel(), fz.ravel()], axis=1)
-
-
-_NEIGHBOR_SHIFTS = np.array([(i, j, k)
-                             for i in (-1, 0, 1)
-                             for j in (-1, 0, 1)
-                             for k in (-1, 0, 1)], dtype=np.float64)
 
 
 def _perpendicular_widths(lattice):
@@ -199,31 +190,39 @@ def _perpendicular_widths(lattice):
     return widths
 
 
-def _within_any_sphere(points_cart, structure, radii, chunk=262144):
-    """Boolean per grid point: within `radii[site]` of some periodic image.
+_STAMP_POINTS = 1 << 18  # distances held at once, so huge reaches stay small
 
-    Images whose sphere cannot intersect the unit cell (slab-distance
-    bound per axis) are pruned before the distance passes.
+
+def _clearance_field(structure, dims, radii, pad):
+    """min over atom images of (distance - radius) on the `dims` grid.
+
+    Each atom is stamped over the grid points within radius + pad of
+    its slab bounds; points no stamp reaches keep +inf (their clearance
+    is at least `pad`). A box longer than the cell wraps onto some indices
+    more than once, and ``np.minimum.at`` keeps the nearest image. The
+    work per atom grows with (reach / slab width) cubed.
     """
-    n = points_cart.shape[0]
-    hit = np.zeros(n, dtype=bool)
+    field = np.full(dims, np.inf)
+    n = np.asarray(dims)
     widths = _perpendicular_widths(structure.lattice)
-    site_images = []
-    for (element, frac), radius in zip(structure.sites, radii):
-        shifted = frac + _NEIGHBOR_SHIFTS
-        slab_dist = np.maximum(np.maximum(-shifted, shifted - 1.0), 0.0) * widths
-        keep = (slab_dist < radius).all(axis=1)
-        images = shifted[keep] @ structure.lattice
-        site_images.append((images, radius * radius))
-    for start in range(0, n, chunk):
-        block = points_cart[start:start + chunk]
-        acc = np.zeros(block.shape[0], dtype=bool)
-        for images, r2 in site_images:
-            for image in images:
-                d2 = np.einsum("ij,ij->i", block - image, block - image)
-                acc |= d2 < r2
-        hit[start:start + chunk] = acc
-    return hit
+    for (_, frac), radius in zip(structure.sites, radii):
+        center = frac * n - 0.5  # in grid-index units
+        half = (radius + pad) / widths * n
+        axes = [np.arange(lo, hi + 1) for lo, hi in
+                zip(np.ceil(center - half).astype(np.int64),
+                    np.floor(center + half).astype(np.int64))]
+        # Cartesian offset from the atom along each lattice row
+        rows = [((idx + 0.5) / m - f)[:, None] * row for idx, m, f, row
+                in zip(axes, dims, frac, structure.lattice)]
+        wrapped = [idx % m for idx, m in zip(axes, dims)]
+        step = max(1, _STAMP_POINTS // max(1, len(axes[1]) * len(axes[2])))
+        for start in range(0, len(axes[0]), step):
+            delta = rows[0][start:start + step, None, None] \
+                + rows[1][None, :, None] + rows[2][None, None, :]
+            distance = np.sqrt(np.einsum("ijkl,ijkl->ijk", delta, delta))
+            index = np.ix_(wrapped[0][start:start + step], *wrapped[1:])
+            np.minimum.at(field, index, distance - radius)
+    return field
 
 
 class _OffsetUnionFind:
@@ -273,13 +272,14 @@ class _OffsetUnionFind:
 
 
 def _accessible_count(admissible, dims):
-    """Accessible points among admissible ones under periodic flood fill."""
+    """(accessible points, periodic components, whether any percolates)
+    among admissible points under periodic flood fill."""
     grid = admissible.reshape(dims)
     if not grid.any():
-        return 0
+        return 0, 0, False
     labels, n_labels = ndimage.label(grid)  # 6-connectivity
     if n_labels == 0:
-        return 0
+        return 0, 0, False
     uf = _OffsetUnionFind(n_labels)
 
     for axis in range(3):
@@ -305,35 +305,27 @@ def _accessible_count(admissible, dims):
             or uf.percolates[root]
     percolating = [r for r, flag in root_percolates.items() if flag]
     if percolating:
-        return sum(root_counts[r] for r in percolating)
-    return max(root_counts.values())
+        return (sum(root_counts[r] for r in percolating), len(root_counts),
+                True)
+    return max(root_counts.values()), len(root_counts), False
 
 
-def _prepare(structure, grid, r_probe, radius_table):
+def _clearance(structure, grid, pad, radius_table):
+    """(grid dims, clearance field exact below `pad`, unoccupied count)."""
     dims = grid.dims(structure)
     radii = [structure.radius_of(element, radius_table)
              for element, _ in structure.sites]
-    if radii:
-        reach = max(radii) + max(r_probe, 0.0)
-        if reach >= 0.5 * structure.min_cell_width():
-            warnings.warn(
-                "atom reach exceeds half the minimal cell width; the "
-                "27-cell minimum-image search may undercount overlaps",
-                stacklevel=3)
-    points = _grid_fractional(dims) @ structure.lattice
-    return dims, radii, points
+    clearance = _clearance_field(structure, dims, radii, pad)
+    return dims, clearance, int(np.count_nonzero(clearance >= 0.0))
 
 
 def void_fraction(structure, grid=None, radius_table=None):
     """Unoccupied share of grid points, in percent."""
-    grid = grid or GridSpec()
-    dims, radii, points = _prepare(structure, grid, 0.0, radius_table)
-    occupied = _within_any_sphere(points, structure, radii)
-    n_total = points.shape[0]
-    n_unoccupied = int(n_total - occupied.sum())
-    phi_void = 100.0 * n_unoccupied / n_total
+    dims, clearance, n_unoccupied = _clearance(
+        structure, grid or GridSpec(), 0.0, radius_table)
+    phi_void = 100.0 * n_unoccupied / clearance.size
     return PorosityResult(phi_void=phi_void, phi_acc=0.0,
-                          n_unoccupied=n_unoccupied, n_total=n_total,
+                          n_unoccupied=n_unoccupied, n_total=clearance.size,
                           n_accessible=0, r_probe=0.0, grid_dims=dims)
 
 
@@ -342,30 +334,27 @@ def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
     """Void fraction plus the probe-accessible fraction.
 
     With ``flood_fill`` disabled the accessible count is simply the
-    probe-admissible count (pure overlap criterion).
+    probe-admissible count (pure overlap criterion), and the result
+    carries no component facts.
     """
     if r_probe < 0:
         raise PorosityError(f"probe radius must be >= 0, got {r_probe}")
-    grid = grid or GridSpec()
-    dims, radii, points = _prepare(structure, grid, r_probe, radius_table)
-    n_total = points.shape[0]
-
-    occupied = _within_any_sphere(points, structure, radii)
-    n_unoccupied = int(n_total - occupied.sum())
-    phi_void = 100.0 * n_unoccupied / n_total
-
-    blocked = _within_any_sphere(points, structure,
-                                 [r + r_probe for r in radii])
-    admissible = ~blocked
+    dims, clearance, n_unoccupied = _clearance(
+        structure, grid or GridSpec(), r_probe, radius_table)
+    n_total = clearance.size
+    admissible = clearance >= r_probe
+    n_components = percolates = None
     if flood_fill:
-        n_accessible = _accessible_count(admissible, dims)
+        n_accessible, n_components, percolates = _accessible_count(
+            admissible, dims)
     else:
-        n_accessible = int(admissible.sum())
-    phi_acc = 100.0 * n_accessible / n_total
-    return PorosityResult(phi_void=phi_void, phi_acc=phi_acc,
+        n_accessible = int(np.count_nonzero(admissible))
+    return PorosityResult(phi_void=100.0 * n_unoccupied / n_total,
+                          phi_acc=100.0 * n_accessible / n_total,
                           n_unoccupied=n_unoccupied, n_total=n_total,
                           n_accessible=n_accessible, r_probe=r_probe,
-                          grid_dims=dims)
+                          grid_dims=dims, n_components=n_components,
+                          percolates=percolates)
 
 
 def porosity_tokens(result, binning):

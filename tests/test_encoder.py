@@ -180,6 +180,58 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_state(path)
 
+    def test_float64_state_roundtrips_bit_exactly(self, tmp_path):
+        config = desk_config(vocab_size=13, d_model=16, n_layers=1,
+                             dtype="float64")
+        state = EncoderState(config, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_state(state, path)
+        loaded, header = load_state(path)
+        assert header["format_version"] == 2
+        assert header["dtype"] == "<f8"
+        for name, p in state.named_parameters():
+            assert loaded[name].data.dtype == np.float64
+            assert loaded[name].data.tobytes() == p.data.tobytes()
+
+    def test_format_1_file_still_loads(self, tmp_path):
+        # format 1: magic, header length, JSON header without "dtype",
+        # then every parameter as little-endian float32
+        import hashlib
+        import struct
+
+        config = desk_config(vocab_size=13, d_model=16, n_layers=1,
+                             dtype="float64")
+        state = EncoderState(config, seed=6)
+        blob, manifest = b"", []
+        for name, p in state.named_parameters():
+            manifest.append({"name": name, "shape": list(p.data.shape),
+                             "offset": len(blob), "size": p.data.size})
+            blob += p.data.astype("<f4").tobytes()
+        header = json.dumps({
+            "format_version": 1, "config": config.to_dict(),
+            "global_step": 4, "rng_seed": 6, "parameters": manifest,
+            "blob_sha256": hashlib.sha256(blob).hexdigest()}).encode()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"CGCK0001" + struct.pack("<Q", len(header))
+                         + header + blob)
+        loaded, header = load_state(path)
+        assert header["format_version"] == 1
+        assert header["global_step"] == 4
+        for name, p in state.named_parameters():
+            assert loaded[name].data.dtype == np.float64
+            np.testing.assert_array_equal(
+                loaded[name].data, p.data.astype(np.float32))
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        config = desk_config(vocab_size=13, d_model=16, n_layers=1)
+        path = tmp_path / "model.ckpt"
+        save_state(EncoderState(config, seed=1), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"format_version":2',
+                                     b'"format_version":3'))
+        with pytest.raises(CheckpointError, match="format version 3"):
+            load_state(path)
+
 
 class TestAttentionExport:
     def make_map(self):

@@ -1,10 +1,14 @@
-"""Grid-point porosity: analytic sphere oracles, accessibility fixtures,
-and monotonicity/convergence properties."""
+"""Grid-point porosity: analytic sphere oracles, a brute-force image
+search oracle, accessibility fixtures, and monotonicity/convergence
+properties."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, note, seed, settings
+from hypothesis import strategies as st
 
 from crysgram.errors import PorosityError
 from crysgram.porosity import (
@@ -18,6 +22,7 @@ from crysgram.porosity import (
     structure_informatics,
     void_fraction,
 )
+from crysgram.porosity.gpa import _accessible_count, _perpendicular_widths
 from crysgram.tokens import InformaticsBinning
 
 
@@ -29,6 +34,112 @@ def single_sphere(a=10.0, radius=2.0, center=(0.5, 0.5, 0.5)):
 
 def sphere_volume_fraction(radius, a):
     return (4.0 * math.pi / 3.0) * radius ** 3 / a ** 3
+
+
+CAGE_CELL, CAGE_CENTER, CAGE_HALF_WIDTH = 16.0, 8.0, 4.0
+
+
+def sealed_cage():
+    """Cubic cage of atoms on a 2 A surface grid at |x-c|_inf = 4 around
+    the center c of a 16 A cell (r_vdW = 2); with probe 1.2 its central
+    pocket is admissible but sealed."""
+    a, c = CAGE_CELL, np.full(3, CAGE_CENTER)
+    coords = (-4, -2, 0, 2, 4)
+    sites = [("X", (c + np.array([x, y, z])) / a)
+             for x in coords for y in coords for z in coords
+             if max(abs(x), abs(y), abs(z)) == CAGE_HALF_WIDTH]
+    cage = PeriodicStructure(lattice=np.eye(3) * a, sites=sites,
+                             radius_overrides={"X": 2.0})
+    return cage
+
+
+# -- brute-force oracle ----------------------------------------------------------
+#
+# The image search crysgram used before the clearance field: every grid
+# point against every periodic image of every atom whose sphere can reach
+# the cell. `shells` bounds |shift| per lattice direction; (1, 1, 1) is
+# the old 27-cell search, exact while reach stays below half the minimal
+# cell width. `ties` marks points within 1e-9 A of a sphere surface,
+# where the oracle's d^2 < r^2 and the field's d - r < 0 may round apart.
+
+BOUNDARY_TOL = 1e-9
+
+
+def _within_any_sphere(points_cart, structure, radii, shells):
+    shifts = np.array(list(itertools.product(
+        *(range(-k, k + 1) for k in shells))), dtype=np.float64)
+    widths = _perpendicular_widths(structure.lattice)
+    hit = np.zeros(points_cart.shape[0], dtype=bool)
+    ties = np.zeros(points_cart.shape[0], dtype=bool)
+    for (_, frac), radius in zip(structure.sites, radii):
+        shifted = frac + shifts
+        slab_dist = np.maximum(np.maximum(-shifted, shifted - 1.0), 0.0) \
+            * widths
+        for image in shifted[(slab_dist < radius).all(axis=1)] \
+                @ structure.lattice:
+            d2 = np.einsum("ij,ij->i", points_cart - image,
+                           points_cart - image)
+            hit |= d2 < radius * radius
+            ties |= np.abs(np.sqrt(d2) - radius) < BOUNDARY_TOL
+    return hit, ties
+
+
+def brute_force(structure, grid, r_probe, shells=(1, 1, 1)):
+    """(n_unoccupied, admissible mask on the grid, any boundary ties)."""
+    dims = grid.dims(structure)
+    axes = [(np.arange(n) + 0.5) / n for n in dims]
+    frac = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    points = frac.reshape(-1, 3) @ structure.lattice
+    radii = [structure.radius_of(e) for e, _ in structure.sites]
+    occupied, ties_occ = _within_any_sphere(points, structure, radii, shells)
+    blocked, ties_blk = _within_any_sphere(
+        points, structure, [r + r_probe for r in radii], shells)
+    return (int((~occupied).sum()), (~blocked).reshape(dims),
+            bool(ties_occ.any() or ties_blk.any()))
+
+
+def slab_shells(structure, reach):
+    """Image shells that cover every image within `reach` of the cell."""
+    widths = _perpendicular_widths(structure.lattice)
+    return tuple(math.ceil(reach / w) + 1 for w in widths)
+
+
+def lattice_from_parameters(a, b, c, alpha, beta, gamma):
+    ca, cb, cg = (math.cos(math.radians(x)) for x in (alpha, beta, gamma))
+    sg = math.sin(math.radians(gamma))
+    cy = (ca - cb * cg) / sg
+    cz2 = 1.0 - cb * cb - cy * cy
+    if cz2 <= 0.05:
+        return None  # angles that close no cell (or nearly flat ones)
+    return np.array([[a, 0.0, 0.0], [b * cg, b * sg, 0.0],
+                     [c * cb, c * cy, c * math.sqrt(cz2)]])
+
+
+def skewed_cell(radius):
+    """One atom in a cell whose second vector nearly equals twice the
+    first, so the shift (-2, 1, 0) holds near images."""
+    lattice = np.array([[4.0, 0.0, 0.0], [8.2, 1.8, 0.0], [0.0, 0.0, 4.0]])
+    return PeriodicStructure(lattice=lattice,
+                             sites=[("X", np.array([0.2, 0.3, 0.4]))],
+                             radius_overrides={"X": radius})
+
+
+@st.composite
+def periodic_cells(draw):
+    """Orthogonal or oblique cells with 1-12 sites of assorted radii."""
+    lengths = [draw(st.floats(4.0, 9.0)) for _ in range(3)]
+    angles = [90.0] * 3
+    if draw(st.booleans()):
+        angles = [draw(st.floats(60.0, 120.0)) for _ in range(3)]
+    lattice = lattice_from_parameters(*lengths, *angles)
+    assume(lattice is not None)
+    n_sites = draw(st.integers(1, 12))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    sites = [(f"E{i}", np.array([draw(unit) for _ in range(3)]))
+             for i in range(n_sites)]
+    radii = {f"E{i}": draw(st.floats(0.3, 2.0)) for i in range(n_sites)}
+    return PeriodicStructure(lattice=lattice, sites=sites,
+                             radius_overrides=radii)
 
 
 class TestVoidFraction:
@@ -94,16 +205,9 @@ class TestAccessibleVoidFraction:
                                      r_probe=-0.1)
 
     def test_enclosed_pocket_is_excluded(self):
-        # cubic cage of atoms on a 2 A surface grid at |x-c|_inf = 4
-        # (r_vdW = 2, probe 1.2): the central pocket is admissible but
-        # sealed, so flood fill drops it while raw admissibility keeps it
-        a, c = 16.0, np.array([8.0, 8.0, 8.0])
-        coords = (-4, -2, 0, 2, 4)
-        sites = [("X", (c + np.array([x, y, z])) / a)
-                 for x in coords for y in coords for z in coords
-                 if max(abs(x), abs(y), abs(z)) == 4]
-        cage = PeriodicStructure(lattice=np.eye(3) * a, sites=sites,
-                                 radius_overrides={"X": 2.0})
+        # the cage's central pocket is admissible but sealed, so flood
+        # fill drops it while raw admissibility keeps it
+        cage = sealed_cage()
         sealed = accessible_void_fraction(cage, GridSpec(3), r_probe=1.2)
         raw = accessible_void_fraction(cage, GridSpec(3), r_probe=1.2,
                                        flood_fill=False)
@@ -112,6 +216,37 @@ class TestAccessibleVoidFraction:
         # the pocket itself is non-empty: center is 4.0 A from the cage,
         # beyond the 3.2 A clearance
         assert raw.n_accessible > sealed.n_accessible
+
+    def test_flood_fill_facts_on_sealed_pocket(self):
+        cage = sealed_cage()
+        grid = GridSpec(3)
+        sealed = accessible_void_fraction(cage, grid, r_probe=1.2)
+        raw = accessible_void_fraction(cage, grid, r_probe=1.2,
+                                       flood_fill=False)
+        # the outer void wraps the cell; the pocket is a second component
+        assert sealed.percolates is True
+        assert sealed.n_components > 1
+        # exactly the admissible points inside the cage are dropped
+        _, admissible, _ = brute_force(cage, grid, 1.2)
+        dims = grid.dims(cage)
+        axes = [(np.arange(n) + 0.5) / n for n in dims]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"),
+                          axis=-1).reshape(-1, 3) @ cage.lattice
+        in_pocket = np.abs(points - CAGE_CENTER).max(axis=1) \
+            < CAGE_HALF_WIDTH
+        n_pocket = int((admissible.ravel() & in_pocket).sum())
+        assert n_pocket > 0
+        assert sealed.n_accessible == raw.n_accessible - n_pocket
+        payload = sealed.to_dict()
+        assert payload["n_components"] == sealed.n_components
+        assert payload["percolates"] is True
+        # without flood fill no component facts exist
+        assert raw.n_components is None and raw.percolates is None
+
+    def test_fully_blocked_cell_has_no_components(self):
+        s = single_sphere(a=6.0, radius=2.0)
+        r = accessible_void_fraction(s, GridSpec(3), r_probe=10.0)
+        assert (r.n_accessible, r.n_components, r.percolates) == (0, 0, False)
 
     def test_acc_bounded_by_void_on_random_structures(self):
         rng = np.random.default_rng(17)
@@ -122,12 +257,59 @@ class TestAccessibleVoidFraction:
             sites = [(elements[rng.integers(len(elements))], rng.random(3))
                      for _ in range(n_sites)]
             s = PeriodicStructure(lattice=np.eye(3) * a, sites=sites)
-            with np.errstate(all="ignore"):
-                import warnings as _warnings
-                with _warnings.catch_warnings():
-                    _warnings.simplefilter("ignore")
-                    r = accessible_void_fraction(s, GridSpec(3), r_probe=1.2)
+            r = accessible_void_fraction(s, GridSpec(3), r_probe=1.2)
             assert r.phi_acc <= r.phi_void
+
+
+class TestAgainstBruteForce:
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(structure=periodic_cells(), r_probe=st.floats(0.0, 1.2),
+           rho=st.floats(1.5, 3.0))
+    def test_counts_equal_27_cell_search(self, structure, r_probe, rho):
+        reach = max(structure.radius_of(e) for e, _ in structure.sites) \
+            + r_probe
+        assume(reach < 0.5 * structure.min_cell_width())
+        grid = GridSpec(rho)
+        n_unoccupied, admissible, ties = brute_force(structure, grid,
+                                                     r_probe)
+        # Examples with a grid point within 1e-9 A of a sphere surface
+        # are excluded: there the two distance computations may round to
+        # opposite sides. No other example is skipped.
+        note(f"boundary ties: {ties}")
+        assume(not ties)
+        result = accessible_void_fraction(structure, grid, r_probe=r_probe)
+        expected = _accessible_count(admissible, grid.dims(structure))
+        assert result.n_unoccupied == n_unoccupied
+        assert result.n_accessible == expected[0]
+        assert (result.n_components, result.percolates) == expected[1:]
+
+    @pytest.mark.parametrize("radius,r_probe", [
+        (1.2, 0.3),  # the 27-cell search misses images here
+        (2.6, 0.4),  # sphere wider than the cell: stamps wrap twice
+    ])
+    def test_reach_beyond_half_width_counts_every_image(self, radius,
+                                                        r_probe):
+        structure = skewed_cell(radius)
+        assert radius + r_probe > 0.5 * structure.min_cell_width()
+        grid = GridSpec(3.0)
+        shells = slab_shells(structure, radius + r_probe)
+        n_unoccupied, admissible, ties = brute_force(structure, grid,
+                                                     r_probe, shells)
+        assert not ties
+        result = accessible_void_fraction(structure, grid, r_probe=r_probe,
+                                          flood_fill=False)
+        assert result.n_unoccupied == n_unoccupied
+        assert result.n_accessible == int(admissible.sum())
+
+    def test_skewed_cell_defeats_27_cell_search(self):
+        # the fixture above is a real undercount case for the old search
+        structure = skewed_cell(1.2)
+        grid = GridSpec(3.0)
+        wide = brute_force(structure, grid, 0.3, slab_shells(structure, 1.5))
+        old = brute_force(structure, grid, 0.3)
+        assert old[0] > wide[0]
+        assert old[1].sum() > wide[1].sum()
 
 
 class TestProperties:
