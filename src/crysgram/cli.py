@@ -2,7 +2,8 @@
 
 Subcommands: lookup, parse-formula, tokenize, porosity, pretrain,
 finetune, evaluate, predict, export. Exit codes: 0 success, 1 usage
-error, 2 validation/config error, 3 runtime failure. Logs go to stderr;
+error, 2 validation/config error, 3 runtime failure (including a
+non-finite loss or gradient in training). Logs go to stderr;
 data goes to stdout or --out files.
 """
 
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CrysgramError
+from .errors import CrysgramError, NonFiniteError
+from .files import atomic_write
 from .grammar import lookup_space_group, parse_formula
 from .nn.export import export_attention
 from .objectives import TargetScaler, encode_batch
@@ -61,11 +63,12 @@ def log(message):
 
 
 def emit(text, out=None):
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n",
-                             encoding="utf-8")
+        with atomic_write(out) as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 # -- simple commands --------------------------------------------------------
@@ -463,6 +466,9 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return args.fn(args)
+    except NonFiniteError as exc:
+        log(f"runtime failure: {exc}")
+        return EXIT_RUNTIME
     except (CrysgramError, FileNotFoundError, json.JSONDecodeError,
             ValueError) as exc:
         log(f"error: {exc}")

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError
-from .grammar import CrystalSystem, crystal_system_of, parse_formula
+from .grammar import (
+    CrystalSystem,
+    FormulaComposition,
+    crystal_system_of,
+    parse_formula,
+)
 from .objectives import LatticeParameters
 from .tokens import InformaticsFields
 
@@ -44,9 +49,17 @@ class CrystalRecord:
     lattice: LatticeParameters = None
     target: float = None
     target_unit: str = ""
+    # parsed ``formula``; kept in step with it by __setattr__
+    composition: FormulaComposition = field(init=False, repr=False,
+                                            compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "formula":
+            # raises on malformed formulas, leaving the record unchanged
+            object.__setattr__(self, "composition", parse_formula(value))
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        parse_formula(self.formula)  # raises on malformed formulas
         if not isinstance(self.spacegroup, int) or not 1 <= self.spacegroup <= 230:
             raise DatasetError(
                 f"record {self.id!r}: space group {self.spacegroup!r} "

@@ -41,5 +41,9 @@ class ConfigError(CrysgramError):
     """Invalid run configuration."""
 
 
+class NonFiniteError(CrysgramError):
+    """Training step whose loss or a parameter gradient is NaN or infinite."""
+
+
 class PorosityError(CrysgramError):
     """Invalid structure or grid settings for the porosity calculator."""

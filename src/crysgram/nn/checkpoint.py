@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError
+from ..files import atomic_write
 from .encoder import EncoderConfig, EncoderState
 
 MAGIC = b"CGCK0001"
@@ -49,7 +50,7 @@ def save_state(state, path, global_step=0, rng_seed=0, extra=None):
         header["extra"] = extra
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)

@@ -228,14 +228,36 @@ def _layer_view(state, index):
             if name.startswith(prefix)}
 
 
+class _PaddedDraws:
+    """Generator view that draws dropout uniforms at the padded length.
+
+    ``shapes`` maps each trimmed draw shape to the padded shape it came
+    from; such a draw takes the padded shape from the generator and keeps
+    its leading corner, so a trimmed batch gets the same dropout masks,
+    and leaves the generator in the same state, as the padded batch.
+    """
+
+    def __init__(self, rng, shapes):
+        self._rng = rng
+        self._shapes = shapes
+
+    def random(self, shape):
+        padded = self._shapes.get(tuple(shape))
+        if padded is None:
+            return self._rng.random(shape)
+        return self._rng.random(padded)[tuple(slice(0, n) for n in shape)]
+
+
 def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
-                    record_attention=True):
+                    record_attention=True, *, _padded_len=None):
     """Run the full encoder stack.
 
     ``embedded`` is an EmbeddedInput (or any object with ``matrix`` and
     ``attention_mask``). Returns (hidden, cls, AttentionMap) where hidden
     is (B, L, d_model) (or (L, d_model) for a single sample) and cls is
-    the hidden row at position 0.
+    the hidden row at position 0. ``_padded_len`` is internal: the
+    length the input had before its unattended trailing columns were cut
+    (see ``objectives.encode_batch``); training dropout draws at it.
     """
     config = config or state.config
     if mode not in ("train", "eval"):
@@ -258,6 +280,11 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
         token_labels=list(getattr(embedded, "token_labels", []) or []),
         attention_mask=mask.copy())
     train = mode == "train"
+    B, L, d = x.shape
+    if train and _padded_len is not None and _padded_len != L:
+        H, P = config.n_heads, _padded_len
+        rng = _PaddedDraws(rng, {(B, L, d): (B, P, d),
+                                 (B, H, L, L): (B, H, P, P)})
     for i in range(config.n_layers):
         layer = _layer_view(state, i)
         attn_params = {k[len("attn."):]: v for k, v in layer.items()

@@ -195,14 +195,30 @@ class Batch:
 
 def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
                  record_attention=False):
-    """Assemble embeddings and run the encoder; returns (hidden, cls, attn)."""
+    """Assemble embeddings and run the encoder; returns (hidden, cls, attn).
+
+    The encoder sees the batch only up to its last attended column:
+    trailing [PAD] slots that no row attends to cannot change an attended
+    row, so they are cut and ``hidden`` is (B, w, d_model) with w <= L.
+    Training dropout still draws at the padded length, so a seed gives the
+    masks of the untrimmed batch. Recorded attention keeps the full width,
+    since its maps are laid out against every token label.
+    """
     embedded = assemble_batch(
         sequences, formula_matrices,
         state["embed.token"], state["embed.formula.w"],
         state["embed.formula.b"], state["embed.position"])
+    padded = embedded.attention_mask.shape[1]
+    attended = np.flatnonzero(embedded.attention_mask.any(axis=0))
+    width = (padded if record_attention or not attended.size
+             else int(attended[-1]) + 1)
+    if width < padded:
+        embedded = dataclasses.replace(
+            embedded, matrix=embedded.matrix[:, :width],
+            attention_mask=embedded.attention_mask[:, :width])
     hidden, cls, attn = encoder_forward(
         embedded, state, state.config, mode=mode, rng=rng,
-        record_attention=record_attention)
+        record_attention=record_attention, _padded_len=padded)
     return hidden, cls, attn
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import VocabularyError
+from ..files import atomic_write
 from ..grammar import EMPTY_SLOT, SYMBOLS, all_space_groups
 
 CLS, MASK, PAD, EMPTY, UNK = "[CLS]", "[MASK]", "[PAD]", "[EMPTY]", "[UNK]"
@@ -205,7 +206,7 @@ class TokenVocabulary:
         return cls(tokens_by_category, layout, binning)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_text())
 
     @classmethod

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError
-from ..grammar import parse_formula
+from ..errors import CheckpointError, ConfigError, NonFiniteError
+from ..files import atomic_write
 from ..nn.checkpoint import load_state, save_state
 from ..nn.encoder import EncoderConfig, EncoderState, desk_config, paper_config
 from ..objectives import (
@@ -140,7 +140,7 @@ def prepare_corpus(records, vocab, table):
     sequences, matrices, ids = [], [], []
     lattices, targets = [], []
     for record in records:
-        comp = parse_formula(record.formula)
+        comp = record.composition
         sequences.append(tokenize_crystal(record.spacegroup, comp,
                                           record.informatics, vocab,
                                           provenance=record.id))
@@ -176,20 +176,25 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
     def save(self, path):
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        _write_text(path, self.to_json() + "\n")
+
+
+def _write_text(path, text):
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def write_metrics(rows, path):
     """One delimiter-separated line per epoch."""
     if not rows:
-        Path(path).write_text("", encoding="utf-8")
+        _write_text(path, "")
         return
     columns = list(rows[0].keys())
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
                               else str(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _manifest(config, records, metrics, start, checkpoints=()):
@@ -235,6 +240,20 @@ def _write_run(out_dir, manifest, vocab, state=None, extra=None,
     return checkpoint
 
 
+def _check_finite(loss, state, epoch, global_step):
+    """Raise NonFiniteError if the loss or any parameter gradient is not
+    finite, naming the step and the first offending parameter."""
+    value = float(loss.data)
+    bad = next((name for name, p in state.named_parameters()
+                if not np.isfinite(p.grad).all()), None)
+    if math.isfinite(value) and bad is None:
+        return
+    raise NonFiniteError(
+        f"non-finite training step at epoch {epoch}, global step "
+        f"{global_step}: loss {value!r}, first non-finite gradient "
+        f"{'none' if bad is None else bad}")
+
+
 def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
          scaler=None, log=None):
     """The training loop shared by pretraining and finetuning.
@@ -244,8 +263,9 @@ def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
     dropout. ``seed_labels`` name the (shuffle, dropout) seed families.
     With a validation corpus each epoch row gains ``val_mae``; with
     ``early_stopping_patience`` above 0 the loop stops after that many
-    epochs without improvement and returns the best state. Returns
-    (state, epoch rows, optimizer steps taken).
+    epochs without improvement and returns the best state. A non-finite
+    loss or gradient raises NonFiniteError before the optimizer step.
+    Returns (state, epoch rows, optimizer steps taken).
     """
     shuffle_label, drop_label = seed_labels
     patience = config.early_stopping_patience
@@ -269,6 +289,7 @@ def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
             state.zero_grads()
             loss, step_stats = step(batch, global_step, rng)
             loss.backward()
+            _check_finite(loss, state, epoch, global_step)
             optimizer.step(lr_at(global_step, schedule))
             losses.append(float(loss.data))
             for key, value in step_stats.items():
@@ -529,7 +550,7 @@ def format_predictions(predictions):
 
 
 def write_predictions(predictions, path):
-    Path(path).write_text(format_predictions(predictions), encoding="utf-8")
+    _write_text(path, format_predictions(predictions))
 
 
 def load_pretrained(path, vocab=None):

@@ -233,6 +233,21 @@ class TestRunRoundTrip:
                 assert (out / f"fold{k}" / name).exists()
 
 
+class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_finetune_exits_3(self, capsys, tmp_path,
+                                          regression_csv):
+        out = tmp_path / "ft"
+        code, _, err = run(capsys, "finetune", "--data", regression_csv,
+                           "--out", str(out), "--split", "ratio:0.8,0.2",
+                           "--epochs", "3", "--batch-size", "8",
+                           "--lr", "1e30")
+        assert code == 3
+        assert "non-finite training step at epoch 0, global step" in err
+        assert "first non-finite gradient" in err
+        assert not (out / "checkpoint.ckpt").exists()
+
+
 class TestExport:
     def test_attention_export_shapes(self, capsys, finetuned, regression_csv,
                                      tmp_path):

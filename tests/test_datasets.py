@@ -1,5 +1,7 @@
 """Dataset loading, splitting, synthetic corpora, and dedup utilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,12 @@ from crysgram.datasets import (
     split,
     write_dataset,
 )
-from crysgram.errors import DatasetError
-from crysgram.grammar import crystal_system_of, lattice_constraints
+from crysgram.errors import DatasetError, FormulaError
+from crysgram.grammar import (
+    crystal_system_of,
+    lattice_constraints,
+    parse_formula,
+)
 from crysgram.objectives import LatticeParameters
 from crysgram.tokens import InformaticsFields
 
@@ -97,6 +103,30 @@ class TestLoading:
         path.write_text("")
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+
+class TestRecordComposition:
+    def test_composition_is_the_parsed_formula(self):
+        record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)
+        assert record.composition == parse_formula("Fe2O3")
+
+    def test_replace_reparses(self):
+        record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)
+        other = dataclasses.replace(record, formula="NaCl")
+        assert other.composition == parse_formula("NaCl")
+        assert record.composition == parse_formula("Fe2O3")
+
+    def test_assignment_reparses(self):
+        record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)
+        record.formula = "CaTiO3"
+        assert record.composition == parse_formula("CaTiO3")
+
+    def test_bad_assignment_leaves_record_unchanged(self):
+        record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)
+        with pytest.raises(FormulaError):
+            record.formula = "Xx2"
+        assert record.formula == "Fe2O3"
+        assert record.composition == parse_formula("Fe2O3")
 
 
 class TestSplit:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crysgram.errors import ConfigError
 from crysgram.grammar import parse_formula
-from crysgram.nn import EncoderState, Tensor, desk_config
+from crysgram.nn import EncoderState, Tensor, desk_config, encoder_forward
 from crysgram.objectives import (
     Batch,
     LatticeParameters,
@@ -25,6 +25,7 @@ from crysgram.objectives import (
     lpp_scaler,
     mae_loss,
     mask_batch,
+    mlm_logits,
     mlm_loss,
     mlm_objective,
 )
@@ -35,6 +36,8 @@ from crysgram.tokens import (
     embed_formula,
     tokenize_crystal,
 )
+from crysgram.tokens.embedding import assemble_batch
+from crysgram.tokens.tokenizer import N_SG_TOKENS
 
 VOCAB = build_vocabulary()
 TABLE = ElementEmbeddingTable.deterministic(dimension=16, seed=2)
@@ -374,3 +377,92 @@ class TestObjectives:
             np.testing.assert_allclose(
                 combined[name], only_lpp[name] + only_mlm[name],
                 atol=1e-10, err_msg=name)
+
+
+TWENTY_ELEMENTS = "HLiBeBCNOFNaMgAlSiPSClKCaScTiV"
+SHORT_ROWS = ((225, "NaCl"), (14, "Fe2O3"), (62, "LiFePO4"), (227, "Si"),
+              (221, "CaTiO3"))
+
+
+class TestTrimmedEncoder:
+    """encode_batch against the untrimmed assemble_batch + encoder_forward."""
+
+    BATCHES = {"short": SHORT_ROWS,
+               "one-full-row": SHORT_ROWS + ((1, TWENTY_ELEMENTS),)}
+
+    @staticmethod
+    def state():
+        config = desk_config(VOCAB.size, d_model=16, n_heads=2, n_layers=2,
+                             d_formula=TABLE.dimension + 1, dtype="float64",
+                             attention_dropout=0.1, hidden_dropout=0.1,
+                             head_dropout=0.1)
+        return EncoderState(config, seed=5)
+
+    @staticmethod
+    def untrimmed(state, seqs, mats, mode, rng):
+        embedded = assemble_batch(
+            seqs, mats, state["embed.token"], state["embed.formula.w"],
+            state["embed.formula.b"], state["embed.position"])
+        hidden, cls, _ = encoder_forward(embedded, state, mode=mode, rng=rng,
+                                         record_attention=False)
+        return hidden, cls
+
+    @staticmethod
+    def loss(state, hidden, cls, plans, real, rng):
+        """Masked-token loss + head on [CLS] + every real hidden row."""
+        logits, labels = mlm_logits(state, hidden, plans)
+        pred = lpp_head(cls, state, mode="train", rng=rng)
+        rows = hidden[np.nonzero(real)]
+        return mlm_loss(logits, labels) + (pred * pred).mean() \
+            + (rows * rows).mean()
+
+    def inputs(self, name):
+        batch = make_batch(self.BATCHES[name], lattice=False)
+        masked, plans = mask_batch(batch.sequences, 0.25, seed=2)
+        mask = np.array([s.attention_mask for s in masked], dtype=bool)
+        return masked, batch.formula_matrices, plans, mask
+
+    def test_short_batch_is_trimmed_full_row_is_not(self):
+        state = self.state()
+        short, mats, _, mask = self.inputs("short")
+        hidden, _, _ = encode_batch(state, short, mats)
+        assert hidden.shape[1] == 1 + N_SG_TOKENS + 4 < mask.shape[1]
+        full, mats, _, mask = self.inputs("one-full-row")
+        hidden, _, _ = encode_batch(state, full, mats)
+        assert hidden.shape[1] == mask.shape[1]
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_eval_cls_equals_untrimmed(self, name):
+        state = self.state()
+        seqs, mats, _, _ = self.inputs(name)
+        _, cls, _ = encode_batch(state, seqs, mats, mode="eval")
+        _, ref = self.untrimmed(state, seqs, mats, "eval", None)
+        np.testing.assert_allclose(cls.data, ref.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_train_rows_loss_and_gradients_equal_untrimmed(self, name):
+        seqs, mats, plans, mask = self.inputs(name)
+        results = []
+        for trimmed in (True, False):
+            state = self.state()
+            state.zero_grads()
+            rng = np.random.default_rng(9)
+            if trimmed:
+                hidden, cls, _ = encode_batch(state, seqs, mats, mode="train",
+                                              rng=rng)
+            else:
+                hidden, cls = self.untrimmed(state, seqs, mats, "train", rng)
+            real = mask[:, :hidden.shape[1]]
+            loss = self.loss(state, hidden, cls, plans, real, rng)
+            loss.backward()
+            results.append((hidden.data[real], loss.item(), rng.random(),
+                            {n: p.grad.copy()
+                             for n, p in state.named_parameters()}))
+        (rows, loss, after, grads), (ref_rows, ref_loss, ref_after,
+                                     ref_grads) = results
+        np.testing.assert_allclose(rows, ref_rows, rtol=1e-12)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        assert after == ref_after  # the same uniforms were drawn
+        for param, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[param], rtol=0,
+                                       atol=1e-10, err_msg=param)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crysgram.datasets import generate_synthetic_corpus, kb_corpus
-from crysgram.errors import CheckpointError, ConfigError
+from crysgram.errors import CheckpointError, ConfigError, NonFiniteError
 from crysgram.nn import EncoderState, load_state
 from crysgram.tokens import ElementEmbeddingTable, build_vocabulary
 from crysgram.training import (
@@ -202,3 +202,26 @@ class TestEvaluate:
         with pytest.raises(CheckpointError):
             load_pretrained(tmp_path / "ft" / "checkpoint.ckpt",
                             vocab=other_vocab)
+
+
+class TestNonFiniteGuard:
+    """A learning rate of 1e30 overflows float32 activations within steps."""
+
+    RECORDS = generate_synthetic_corpus(40, seed=3, task="regression")
+    MESSAGE = (r"non-finite training step at epoch 0, global step [1-9]: "
+               r"loss nan, first non-finite gradient embed\.token")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finetune_raises_naming_step_and_parameter(self, tmp_path):
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e30,
+                             seed=1, split="ratio:0.8,0.2")
+        with pytest.raises(NonFiniteError, match=self.MESSAGE):
+            finetune(self.RECORDS, config, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pretrain_raises(self):
+        config = fast_config(objective="mlm", epochs=3, batch_size=8,
+                             learning_rate=1e30, seed=1)
+        with pytest.raises(NonFiniteError, match=r"global step [1-9]: "):
+            pretrain(self.RECORDS, config)
