@@ -388,27 +388,22 @@ def generate_synthetic_corpus(n, seed=0, task="lpp"):
         formula = "".join(
             s if c == 1 else f"{s}{int(c)}"
             for s, c in zip(symbols, counts))
-        comp = parse_formula(formula)
+        # built first so the formula is parsed once, by the record
+        record = CrystalRecord(id=f"syn-{task}-{seed}-{i:05d}",
+                               formula=formula, spacegroup=sg)
+        comp = record.composition
         system = crystal_system_of(sg)
 
         mean_z = sum(ATOMIC_NUMBER[s] * f for s, f in comp.items())
         scale = 3.0 + 0.06 * mean_z
-        lattice = _draw_lattice(system, rng, scale)
+        record.lattice = _draw_lattice(system, rng, scale)
 
-        target = None
         if task == "regression":
             noise = float(rng.uniform(-0.01, 0.01)) * target_range
-            target = (system.index
-                      + 2.0 * _shannon_entropy(comp.fractions) + noise)
-
-        records.append(CrystalRecord(
-            id=f"syn-{task}-{seed}-{i:05d}",
-            formula=formula,
-            spacegroup=sg,
-            lattice=lattice,
-            target=target,
-            target_unit=REGRESSION_TARGET_UNIT if target is not None else "",
-        ))
+            record.target = (system.index
+                             + 2.0 * _shannon_entropy(comp.fractions) + noise)
+            record.target_unit = REGRESSION_TARGET_UNIT
+        records.append(record)
     return records
 
 

@@ -199,10 +199,14 @@ class Tensor:
 
     def __getitem__(self, index):
         out = _node(self.data[index], (self,))
+        basic = _is_basic_index(index)
 
         def backward(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, index, g)
+            if basic:
+                full[index] = g  # a basic index never repeats an element
+            else:
+                np.add.at(full, index, g)
             self._accumulate(full)
         out._backward = backward
         return out
@@ -258,6 +262,15 @@ class Tensor:
         return out
 
 
+def _is_basic_index(index):
+    """True for an index of slices, ints, None and Ellipsis only."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis
+               or (isinstance(item, (slice, int, np.integer))
+                   and not isinstance(item, bool))
+               for item in items)
+
+
 def _node(data, parents):
     tracked = tuple(p for p in parents
                     if p.requires_grad or p._parents or p._backward is not None)
@@ -271,8 +284,14 @@ def as_tensor(value):
 
 
 def matmul(a, b):
-    """Matrix product with numpy broadcasting over leading batch axes."""
+    """Matrix product with numpy broadcasting over leading batch axes.
+
+    A weight product, a 2-D ``b`` under a left operand with leading axes,
+    runs as one GEMM over all rows of ``a`` (see ``_row_matmul``).
+    """
     a, b = as_tensor(a), as_tensor(b)
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        return _row_matmul(a, b)
     out = _node(np.matmul(a.data, b.data), (a, b))
 
     def backward(g):
@@ -282,6 +301,27 @@ def matmul(a, b):
         if b.requires_grad or b._parents:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape))
+    out._backward = backward
+    return out
+
+
+def _row_matmul(a, b):
+    """(..., k) @ (k, n) as one (rows, k) @ (k, n) product.
+
+    The weight gradient is a single (k, n) product over all rows, not one
+    per leading index summed afterwards. The closure keeps ``a`` itself and
+    reshapes its data again at backward time, so the graph holds no copy.
+    """
+    k, n = b.data.shape
+    lead = a.data.shape[:-1]
+    out = _node((a.data.reshape(-1, k) @ b.data).reshape(lead + (n,)), (a, b))
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        if a.requires_grad or a._parents:
+            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad or b._parents:
+            b._accumulate(a.data.reshape(-1, k).T @ g2)
     out._backward = backward
     return out
 

@@ -57,8 +57,12 @@ class AdamW:
             v += (1.0 - self.beta2) * g * g
             if self.weight_decay and not self.is_exempt(name):
                 p.data *= 1.0 - lr * self.weight_decay
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
-                p.data.dtype, copy=False)
+            # lr * m_hat / (sqrt(v_hat) + eps), in place in two temporaries
+            update = m / bc1
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update *= lr
+            update /= denom
+            p.data -= update.astype(p.data.dtype, copy=False)
             p.grad = None

@@ -231,6 +231,27 @@ class TestSyntheticCorpus:
             base = crystal_system_of(r.spacegroup).index + 2.0 * entropy
             assert abs(r.target - base) <= 0.01 * (6.0 + 2.0 * math.log(20.0))
 
+    @pytest.mark.parametrize("n,seed,task,digest", [
+        (64, 7, "regression",
+         "99d169e409d040805c9c45aef92c3af49beea6adb89d64eb31bd7fb4d82e07b6"),
+        (64, 3, "lpp",
+         "c1d10e234ab7c3b373cc6dfdb11a53318486d8d74163f8814b2f0228565c7a11"),
+    ])
+    def test_corpus_is_pinned(self, n, seed, task, digest):
+        records = generate_synthetic_corpus(n, seed=seed, task=task)
+        assert dataset_checksum(records) == digest
+
+    def test_each_formula_parsed_once(self, monkeypatch):
+        import crysgram.datasets as datasets
+        calls = []
+
+        def counting(formula):
+            calls.append(formula)
+            return parse_formula(formula)
+        monkeypatch.setattr(datasets, "parse_formula", counting)
+        records = generate_synthetic_corpus(20, seed=4, task="regression")
+        assert calls == [r.formula for r in records]
+
     def test_validator_confirms_generator(self):
         for record in generate_synthetic_corpus(100, seed=9, task="lpp"):
             assert record.validation_warnings() == []

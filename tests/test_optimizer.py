@@ -88,6 +88,52 @@ class TestAdamW:
             optimizer.step()  # gradients were cleared by the first step
 
 
+def reference_adamw(params, grads, steps, lr, decay, exempt,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook AdamW expression, one temporary per operation."""
+    params = {n: p.copy() for n, p in params.items()}
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t in range(1, steps + 1):
+        bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for n, p in params.items():
+            g = grads[t - 1][n]
+            m[n] *= beta1
+            m[n] += (1.0 - beta1) * g
+            v[n] *= beta2
+            v[n] += (1.0 - beta2) * g * g
+            if not exempt(n):
+                p *= 1.0 - lr * decay
+            m_hat = m[n] / bc1
+            v_hat = v[n] / bc2
+            p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
+                p.dtype, copy=False)
+    return params, m, v
+
+
+class TestAdamWInPlace:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_three_steps_bitwise_equal_to_reference(self, dtype):
+        state = EncoderState(desk_config(vocab_size=7, d_model=8, n_heads=2,
+                                         n_layers=1, dtype=dtype), seed=0)
+        rng = np.random.default_rng(21)
+        grads = [{n: rng.normal(size=p.data.shape).astype(dtype)
+                  for n, p in state.named_parameters()} for _ in range(3)]
+        start = {n: p.data.copy() for n, p in state.named_parameters()}
+        optimizer = AdamW(state, base_lr=0.03, weight_decay=0.1)
+        for step_grads in grads:
+            for n, p in state.named_parameters():
+                p.grad = step_grads[n].copy()
+            optimizer.step()
+        params, m, v = reference_adamw(start, grads, 3, 0.03, 0.1,
+                                       optimizer.is_exempt)
+        for n, p in state.named_parameters():
+            assert p.data.dtype == np.dtype(dtype)
+            assert p.data.tobytes() == params[n].tobytes(), n
+            assert optimizer.m[n].tobytes() == m[n].tobytes(), n
+            assert optimizer.v[n].tobytes() == v[n].tobytes(), n
+
+
 class TestSchedule:
     SPEC = ScheduleSpec(total_steps=200, base_rate=2e-3, warmup_fraction=0.05)
 

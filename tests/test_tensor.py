@@ -93,6 +93,73 @@ class TestMatmulGrads:
         check_grads(lambda: matmul(a, b).sum(), [a, b])
 
 
+def per_sample_matmul(a, w):
+    """(..., k) @ (k, n) as one np.matmul per leading index."""
+    lead = a.shape[:-1]
+    rows = a.reshape(-1, *a.shape[-2:])
+    out = np.stack([np.matmul(r, w) for r in rows])
+    return out.reshape(*lead[:-1], *out.shape[-2:])
+
+
+class TestRowGemm:
+    """Weight products (leading axes @ 2-D) against a per-sample loop."""
+
+    @staticmethod
+    def operands(name):
+        rng = np.random.default_rng(11)
+        if name == "3d":
+            return rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6))
+        if name == "4d":
+            return rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 6))
+        if name == "noncontiguous-lhs":
+            # a transposed (B, k, L) buffer viewed as (B, L, k)
+            return (rng.normal(size=(3, 4, 5)).transpose(0, 2, 1),
+                    rng.normal(size=(4, 6)))
+        raise KeyError(name)
+
+    @pytest.mark.parametrize("name", ["3d", "4d", "noncontiguous-lhs"])
+    def test_forward_and_gradients_match_per_sample_loop(self, name):
+        a_data, w_data = self.operands(name)
+        a = Tensor(a_data, requires_grad=True)
+        assert a.data.flags.c_contiguous == (name != "noncontiguous-lhs")
+        w = Tensor.parameter(w_data, "w")
+        out = matmul(a, w)
+        g = np.random.default_rng(12).normal(size=out.shape)
+        out.backward(g)
+        np.testing.assert_allclose(out.data, per_sample_matmul(a_data, w_data),
+                                   rtol=1e-12)
+        ref_ga = per_sample_matmul(g, w_data.T)
+        ref_gw = sum(np.matmul(r.T, gr) for r, gr in zip(
+            a_data.reshape(-1, *a_data.shape[-2:]),
+            g.reshape(-1, *g.shape[-2:])))
+        np.testing.assert_allclose(a.grad, ref_ga, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, ref_gw, rtol=1e-12)
+
+    def test_transposed_view_weight(self):
+        # tied logits: hidden rows against the token table's transpose
+        rng = np.random.default_rng(13)
+        x_data = rng.normal(size=(2, 5, 4))
+        table = Tensor.parameter(rng.normal(size=(7, 4)), "table")
+        x = Tensor.parameter(x_data, "x")
+        out = matmul(x, table.swap_last2())
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        np.testing.assert_allclose(
+            out.data, per_sample_matmul(x_data, table.data.T), rtol=1e-12)
+        ref_gt = sum(np.matmul(gr.T, r) for r, gr in zip(x_data, g))
+        np.testing.assert_allclose(table.grad, ref_gt, rtol=1e-12)
+        np.testing.assert_allclose(
+            x.grad, per_sample_matmul(g, table.data), rtol=1e-12)
+
+    @pytest.mark.parametrize("a_dtype,w_dtype", [
+        (np.float64, np.float32), (np.float32, np.float64),
+        (np.float32, np.float32)])
+    def test_dtype_promotes_like_numpy(self, a_dtype, w_dtype):
+        a = np.ones((2, 3, 4), dtype=a_dtype)
+        w = np.ones((4, 5), dtype=w_dtype)
+        assert matmul(Tensor(a), Tensor(w)).dtype == np.matmul(a, w).dtype
+
+
 class TestShapeOpGrads:
     def test_reshape_transpose(self):
         a = Tensor.parameter(RNG.normal(size=(2, 3, 4)), "a")
@@ -107,6 +174,24 @@ class TestShapeOpGrads:
         a = Tensor.parameter(RNG.normal(size=(4, 5)), "a")
         idx = (np.array([0, 2, 2]), np.array([1, 3, 3]))
         check_grads(lambda: a[idx].sum(), [a])
+
+    def test_repeated_fancy_index_accumulates(self):
+        a = Tensor.parameter(np.zeros((3, 2)), "a")
+        a[np.array([1, 1, 2, 1])].sum().backward()
+        np.testing.assert_array_equal(a.grad, [[0, 0], [3, 3], [1, 1]])
+
+    @pytest.mark.parametrize("index", [
+        np.s_[:, 0, :], np.s_[0:3], np.s_[..., 1:, None], np.s_[1, ::-2],
+        np.s_[np.int64(1)]])
+    def test_basic_index_backward_equals_add_at(self, index):
+        data = RNG.normal(size=(4, 5, 3))
+        a = Tensor.parameter(data, "a")
+        out = a[index]
+        g = RNG.normal(size=out.shape)
+        out.backward(g)
+        ref = np.zeros_like(data)
+        np.add.at(ref, index, g)
+        assert a.grad.tobytes() == ref.tobytes()
 
     def test_gather_rows(self):
         table = Tensor.parameter(RNG.normal(size=(6, 3)), "t")
