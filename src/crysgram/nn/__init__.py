@@ -24,6 +24,7 @@ from .tensor import (
     gather_rows,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     silu,
@@ -38,5 +39,5 @@ __all__ = [
     "deserialize_attention", "export_attention", "export_cls_rows",
     "serialize_attention",
     "Tensor", "as_tensor", "dropout", "gather_rows", "gelu", "layer_norm",
-    "log_softmax", "matmul", "silu", "softmax",
+    "linear", "log_softmax", "matmul", "silu", "softmax",
 ]

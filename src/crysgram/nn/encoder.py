@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import DegenerateMaskError
-from .tensor import Tensor, as_tensor, dropout, gelu, layer_norm, matmul, softmax
+from .tensor import (Tensor, as_tensor, dropout, gelu, layer_norm, linear,
+                     matmul, softmax)
 
 MASK_FILL = -1e30
 
@@ -207,7 +208,7 @@ def multi_head_attention(x, layer_params, mask=None, n_heads=1,
     d_head = d // n_heads
 
     def project(name):
-        h = matmul(x, layer_params[f"{name}.w"]) + layer_params[f"{name}.b"]
+        h = linear(x, layer_params[f"{name}.w"], layer_params[f"{name}.b"])
         return h.reshape(B, L, n_heads, d_head).transpose(0, 2, 1, 3)
 
     if mask is not None:
@@ -216,7 +217,7 @@ def multi_head_attention(x, layer_params, mask=None, n_heads=1,
         project("q"), project("k"), project("v"), mask,
         attention_dropout, rng, mode == "train")
     context = context.transpose(0, 2, 1, 3).reshape(B, L, d)
-    out = matmul(context, layer_params["o.w"]) + layer_params["o.b"]
+    out = linear(context, layer_params["o.w"], layer_params["o.b"])
     if single:
         out = out.reshape(L, d)
     return out, weights
@@ -296,8 +297,8 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
             attn_map.layers.append(np.array(weights.data, dtype=np.float64))
         x = layer_norm(x + dropout(a, config.hidden_dropout, rng, train),
                        layer["norm1.gain"], layer["norm1.bias"])
-        h = matmul(x, layer["ffn.fc1.w"]) + layer["ffn.fc1.b"]
-        h = matmul(gelu(h), layer["ffn.fc2.w"]) + layer["ffn.fc2.b"]
+        h = linear(x, layer["ffn.fc1.w"], layer["ffn.fc1.b"])
+        h = linear(gelu(h), layer["ffn.fc2.w"], layer["ffn.fc2.b"])
         x = layer_norm(x + dropout(h, config.hidden_dropout, rng, train),
                        layer["norm2.gain"], layer["norm2.bias"])
 

@@ -7,11 +7,13 @@ fixed order, so forward and backward are deterministic for a given
 platform and dtype.
 """
 
+import math
+
 import numpy as np
 from scipy.special import erf as _erf
 
-__all__ = ["Tensor", "as_tensor", "matmul", "gather_rows", "dropout",
-           "softmax", "log_softmax", "layer_norm", "gelu", "silu"]
+__all__ = ["Tensor", "as_tensor", "matmul", "linear", "gather_rows",
+           "dropout", "softmax", "log_softmax", "layer_norm", "gelu", "silu"]
 
 
 def _unbroadcast(grad, shape):
@@ -30,7 +32,8 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents",
+                 "_borrowed")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
@@ -39,6 +42,7 @@ class Tensor:
         self.name = name
         self._backward = None
         self._parents = ()
+        self._borrowed = False  # grad is an array another node may hold
 
     # -- construction -----------------------------------------------------
 
@@ -47,9 +51,6 @@ class Tensor:
         t = Tensor(np.asarray(data), requires_grad=True, name=name)
         t.grad = np.zeros_like(t.data)
         return t
-
-    def detach(self):
-        return Tensor(self.data)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -73,9 +74,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     def _accumulate(self, grad):
+        """Add ``grad`` to this node's gradient, in the node's dtype.
+
+        The first array to arrive becomes the gradient itself, cast only
+        if its dtype differs. It may be shared with another node, so the
+        next arrival adds out of place and never writes into it. A
+        gradient array the node owns (that sum, or the zeros a parameter
+        starts a step with) takes later arrivals in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
+            self._borrowed = True
+        elif self._borrowed:
+            self.grad = np.asarray(self.grad + grad, dtype=self.data.dtype)
+            self._borrowed = False
+        else:
+            self.grad += grad
 
     def backward(self, grad=None):
         """Reverse-mode pass from this node; frees the graph afterwards."""
@@ -97,7 +111,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -202,11 +216,15 @@ class Tensor:
         basic = _is_basic_index(index)
 
         def backward(g):
-            full = np.zeros_like(self.data)
             if basic:
+                full = np.zeros_like(self.data)
                 full[index] = g  # a basic index never repeats an element
             else:
-                np.add.at(full, index, g)
+                shape = self.data.shape
+                ids, k = _advanced_ids(shape, index)
+                rows = g.reshape((ids.size,) + shape[k:])
+                full = _scatter_rows(ids, rows, math.prod(shape[:k]))
+                full = full.reshape(shape)
             self._accumulate(full)
         out._backward = backward
         return out
@@ -271,6 +289,38 @@ def _is_basic_index(index):
                for item in items)
 
 
+def _advanced_ids(shape, index):
+    """(flat ids, k) of the elements an advanced index reads.
+
+    An index made only of integer arrays picks whole rows over the
+    trailing axes: the ids count over the first k axes, k being the
+    number of arrays. Any other index is resolved per element (k is the
+    full rank). Ids come in the order of the indexed output.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    rows_only = all(isinstance(item, np.ndarray) and item.dtype.kind in "iu"
+                    for item in items)
+    k = len(items) if rows_only else len(shape)
+    ids = np.arange(math.prod(shape[:k])).reshape(shape[:k])[index]
+    return ids.reshape(-1), k
+
+
+def _scatter_rows(ids, rows, n):
+    """(n, ...) zeros plus each of ``rows`` added at its id.
+
+    The sums of ``np.add.at`` without its per-element loop: a stable sort
+    groups repeated ids in their order of arrival and one
+    ``np.add.reduceat`` sums each group.
+    """
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        out[ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
 def _node(data, parents):
     tracked = tuple(p for p in parents
                     if p.requires_grad or p._parents or p._backward is not None)
@@ -287,11 +337,11 @@ def matmul(a, b):
     """Matrix product with numpy broadcasting over leading batch axes.
 
     A weight product, a 2-D ``b`` under a left operand with leading axes,
-    runs as one GEMM over all rows of ``a`` (see ``_row_matmul``).
+    runs as ``linear(a, b)``.
     """
     a, b = as_tensor(a), as_tensor(b)
     if b.data.ndim == 2 and a.data.ndim > 2:
-        return _row_matmul(a, b)
+        return linear(a, b)
     out = _node(np.matmul(a.data, b.data), (a, b))
 
     def backward(g):
@@ -305,63 +355,103 @@ def matmul(a, b):
     return out
 
 
-def _row_matmul(a, b):
-    """(..., k) @ (k, n) as one (rows, k) @ (k, n) product.
+def linear(x, w, b=None):
+    """x @ w + b for x (..., k), w (k, n) and b (n,) or None, as one node.
 
-    The weight gradient is a single (k, n) product over all rows, not one
-    per leading index summed afterwards. The closure keeps ``a`` itself and
-    reshapes its data again at backward time, so the graph holds no copy.
+    The product is one (rows, k) @ (k, n) GEMM over all rows of ``x``, and
+    the bias is added in place into it. Backward takes the weight gradient
+    as one (k, n) product and the bias gradient as one row sum. The
+    closure keeps ``x`` itself and reshapes its data again at backward
+    time, so the graph holds no copy. ``w`` may be a view node, such as
+    the transposed token table of the tied logits.
     """
-    k, n = b.data.shape
-    lead = a.data.shape[:-1]
-    out = _node((a.data.reshape(-1, k) @ b.data).reshape(lead + (n,)), (a, b))
+    x, w = as_tensor(x), as_tensor(w)
+    k, n = w.data.shape
+    value = x.data.reshape(-1, k) @ w.data
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        parents += (b,)
+        if np.result_type(value, b.data) == value.dtype:
+            value += b.data
+        else:
+            value = value + b.data
+    out = _node(value.reshape(x.data.shape[:-1] + (n,)), parents)
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        if a.requires_grad or a._parents:
-            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(a.data.reshape(-1, k).T @ g2)
+        if x.requires_grad or x._parents:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad or w._parents:
+            w._accumulate(x.data.reshape(-1, k).T @ g2)
+        if b is not None and (b.requires_grad or b._parents):
+            b._accumulate(g2.sum(axis=0))
     out._backward = backward
     return out
 
 
 def gather_rows(table, ids):
     """Row lookup table[ids] with scatter-add backward (embedding gather)."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    out = _node(table.data[ids], (table,))
+    return as_tensor(table)[np.asarray(ids)]
+
+
+def softmax(x, axis=-1):
+    """Numerically stable softmax (shift by a constant row max), one node."""
+    x = as_tensor(x)
+    value = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(value, out=value)
+    value /= value.sum(axis=axis, keepdims=True)
+    out = _node(value, (x,))
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        table._accumulate(full)
+        gy = g * value
+        x._accumulate(gy - value * gy.sum(axis=axis, keepdims=True))
     out._backward = backward
     return out
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax (shift by a constant row max)."""
-    x = as_tensor(x)
-    shifted = x - np.max(x.data, axis=axis, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(x, axis=-1):
+    """x minus its row log-sum-exp (shifted by the row max), one node."""
     x = as_tensor(x)
-    shifted = x - np.max(x.data, axis=axis, keepdims=True)
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    value = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = _node(value, (x,))
+
+    def backward(g):
+        x._accumulate(g - np.exp(value) * g.sum(axis=axis, keepdims=True))
+    out._backward = backward
+    return out
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Row-wise normalization over the last axis, then affine gain/bias."""
-    x = as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normalized = centered / (var + eps).sqrt()
-    return normalized * gain + bias
+    """Row-wise normalization over the last axis, then affine gain/bias.
+
+    One node with the closed-form backward. The row statistics scale by a
+    float64 1/n, as ``Tensor.mean`` does, so a float32 input gives a
+    float64 output.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    inv_n = np.float64(1.0 / x.data.shape[-1])
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + eps)
+    normalized = centered / std
+    out = _node(normalized * gain.data + bias.data, (x, gain, bias))
+
+    def backward(g):
+        if bias.requires_grad or bias._parents:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if gain.requires_grad or gain._parents:
+            gain._accumulate(_unbroadcast(g * normalized, gain.data.shape))
+        if x.requires_grad or x._parents:
+            gn = g * gain.data
+            proj = (gn * normalized).sum(axis=-1, keepdims=True) * inv_n
+            gn -= gn.sum(axis=-1, keepdims=True) * inv_n
+            gn -= normalized * proj
+            gn /= std
+            x._accumulate(gn)
+    out._backward = backward
+    return out
 
 
 def gelu(x):

@@ -9,7 +9,9 @@ import numpy as np
 from .errors import ConfigError, VocabularyError
 from .grammar import CrystalSystem, lattice_constraints
 from .nn.encoder import encoder_forward
-from .nn.tensor import Tensor, dropout, log_softmax, matmul, silu
+from .nn.tensor import Tensor, dropout, linear, log_softmax, silu
+# kept as a module name: bench/tracing.py wraps objectives.matmul
+from .nn.tensor import matmul  # noqa: F401
 from .tokens.embedding import assemble_batch
 from .tokens.tokenizer import N_SG_TOKENS, SG_POSITIONS
 from .tokens.vocab import MASK_ID
@@ -237,7 +239,7 @@ def mlm_logits(state, hidden, plans):
     if not labels:
         raise ConfigError("empty masking plan: no positions to score")
     rows = hidden[np.array(rows_b), np.array(rows_p)]
-    logits = matmul(rows, state["embed.token"].swap_last2()) + state["mlm.bias"]
+    logits = linear(rows, state["embed.token"].swap_last2(), state["mlm.bias"])
     return logits, np.array(labels)
 
 
@@ -255,10 +257,10 @@ def mlm_loss(logits, plan_or_labels):
 
 
 def _two_layer_head(state, prefix, cls, mode="eval", rng=None):
-    h = matmul(cls, state[f"{prefix}.fc1.w"]) + state[f"{prefix}.fc1.b"]
+    h = linear(cls, state[f"{prefix}.fc1.w"], state[f"{prefix}.fc1.b"])
     h = silu(h)
     h = dropout(h, state.config.head_dropout, rng, mode == "train")
-    return matmul(h, state[f"{prefix}.fc2.w"]) + state[f"{prefix}.fc2.b"]
+    return linear(h, state[f"{prefix}.fc2.w"], state[f"{prefix}.fc2.b"])
 
 
 def lpp_head(cls, state, mode="eval", rng=None):

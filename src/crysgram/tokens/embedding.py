@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import EmbeddingError
 from ..grammar import SYMBOLS
-from ..nn.tensor import Tensor, as_tensor, gather_rows, matmul
+from ..nn.tensor import Tensor, as_tensor, gather_rows, linear, matmul
 from .tokenizer import N_FORMULA_SLOTS
 
 D_ELEMENT = 200
@@ -156,7 +156,7 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
     nonpad = realmask[..., None].astype(dtype)
 
     discrete = gather_rows(token_embedding, ids)
-    projected = matmul(formula, w) + b
+    projected = linear(formula, w, b)
     # constant 0/1 placement matrix scatters the 20 projected rows into
     # their sequence positions without a concat primitive
     place = np.zeros((L, N_FORMULA_SLOTS), dtype=dtype)

@@ -73,19 +73,6 @@ class TokenSequence:
     def __len__(self):
         return len(self.ids)
 
-    @property
-    def sg_positions(self):
-        return SG_POSITIONS
-
-    @property
-    def info_positions(self):
-        return tuple(range(1 + N_SG_TOKENS, 1 + N_SG_TOKENS + self.n_info))
-
-    @property
-    def formula_positions(self):
-        start = 1 + N_SG_TOKENS + self.n_info
-        return tuple(range(start, start + N_FORMULA_SLOTS))
-
 
 def sequence_length(n_info):
     return 1 + N_SG_TOKENS + n_info + N_FORMULA_SLOTS

@@ -153,10 +153,6 @@ class TokenVocabulary:
     def token_at(self, token_id):
         return self._by_id[token_id]
 
-    def tokens_in(self, category):
-        lo, hi = self.category_ranges[category]
-        return [self._by_id[i][1] for i in range(lo, hi)]
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self):

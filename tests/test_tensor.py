@@ -4,12 +4,14 @@ finite differences at 64-bit."""
 import numpy as np
 import pytest
 
+from crysgram.nn.encoder import MASK_FILL
 from crysgram.nn.tensor import (
     Tensor,
     dropout,
     gather_rows,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     silu,
@@ -158,6 +160,226 @@ class TestRowGemm:
         a = np.ones((2, 3, 4), dtype=a_dtype)
         w = np.ones((4, 5), dtype=w_dtype)
         assert matmul(Tensor(a), Tensor(w)).dtype == np.matmul(a, w).dtype
+
+
+# -- the composed-primitive expressions the fused nodes replace ---------------
+
+
+def composed_linear(x, w, b):
+    """Weight product, then a broadcast bias add node."""
+    if x.ndim > 2:
+        k, n = w.shape
+        prod = (x.data.reshape(-1, k) @ w.data).reshape(x.shape[:-1] + (n,))
+    else:
+        prod = np.matmul(x.data, w.data)
+    return Tensor(prod) + b
+
+
+def composed_softmax(x, axis=-1):
+    shifted = x - np.max(x.data, axis=axis, keepdims=True)
+    e = shifted.exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def composed_log_softmax(x, axis=-1):
+    shifted = x - np.max(x.data, axis=axis, keepdims=True)
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normalized = centered / (var + eps).sqrt()
+    return normalized * gain + bias
+
+
+def assert_bitwise(fused, composed):
+    assert fused.dtype == composed.dtype
+    assert fused.shape == composed.shape
+    assert fused.data.tobytes() == composed.data.tobytes()
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestFusedForwardBitwise:
+    """Each fused node's value equals, bit for bit and in dtype, the
+    composition of primitive nodes it replaces."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("x_shape", [(6,), (5, 6), (3, 5, 6),
+                                         (2, 3, 5, 6)])
+    def test_linear(self, dtype, x_shape):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=x_shape).astype(dtype))
+        w = Tensor(rng.normal(size=(6, 4)).astype(dtype))
+        b = Tensor(rng.normal(size=(4,)).astype(dtype))
+        assert_bitwise(linear(x, w, b), composed_linear(x, w, b))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_linear_transposed_weight_and_strided_rows(self, dtype):
+        # tied logits: strided [CLS]-like rows against a transposed table
+        rng = np.random.default_rng(22)
+        hidden = rng.normal(size=(4, 3, 6)).astype(dtype)
+        rows = Tensor(hidden[:, 0, :])
+        table = Tensor(rng.normal(size=(9, 6)).astype(dtype))
+        b = Tensor(rng.normal(size=(9,)).astype(dtype))
+        fused = linear(rows, table.swap_last2(), b)
+        composed = composed_linear(rows, table.swap_last2(), b)
+        assert_bitwise(fused, composed)
+
+    @pytest.mark.parametrize("x_dtype,p_dtype", [
+        (np.float32, np.float64), (np.float64, np.float32)])
+    def test_linear_mixed_dtypes_promote(self, x_dtype, p_dtype):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 5, 6)).astype(x_dtype))
+        w = Tensor(rng.normal(size=(6, 4)).astype(x_dtype))
+        b = Tensor(rng.normal(size=(4,)).astype(p_dtype))
+        assert_bitwise(linear(x, w, b), composed_linear(x, w, b))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_with_masked_keys(self, dtype):
+        rng = np.random.default_rng(24)
+        scores = rng.normal(size=(2, 3, 5, 5)).astype(dtype) * 4
+        scores[..., -2:] += MASK_FILL
+        x = Tensor(scores)
+        assert_bitwise(softmax(x), composed_softmax(x))
+        assert_bitwise(softmax(x, axis=0), composed_softmax(x, axis=0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_log_softmax(self, dtype):
+        x = Tensor(np.random.default_rng(25).normal(size=(7, 11))
+                   .astype(dtype) * 5)
+        assert_bitwise(log_softmax(x), composed_log_softmax(x))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layer_norm(self, dtype):
+        rng = np.random.default_rng(26)
+        x = Tensor((rng.normal(size=(3, 5, 8)) * 3 + 1).astype(dtype))
+        gain = Tensor(rng.uniform(0.5, 1.5, size=(8,)).astype(dtype))
+        bias = Tensor(rng.normal(size=(8,)).astype(dtype))
+        fused = layer_norm(x, gain, bias)
+        assert_bitwise(fused, composed_layer_norm(x, gain, bias))
+        # the row statistics scale by a float64 1/n
+        assert fused.dtype == np.float64
+
+
+class TestFusedGrads:
+    """Hand-written vector-Jacobian products against central differences."""
+
+    @pytest.mark.parametrize("x_shape", [(4, 3), (2, 4, 3)])
+    def test_linear(self, x_shape):
+        x = Tensor.parameter(RNG.normal(size=x_shape), "x")
+        w = Tensor.parameter(RNG.normal(size=(3, 5)), "w")
+        b = Tensor.parameter(RNG.normal(size=(5,)), "b")
+        c = RNG.normal(size=x_shape[:-1] + (5,))
+        check_grads(lambda: (linear(x, w, b) ** 2 * c).sum(), [x, w, b])
+
+    def test_linear_transposed_view_weight(self):
+        x = Tensor.parameter(RNG.normal(size=(2, 3, 4)), "x")
+        table = Tensor.parameter(RNG.normal(size=(6, 4)), "table")
+        b = Tensor.parameter(RNG.normal(size=(6,)), "b")
+        check_grads(lambda: (linear(x, table.swap_last2(), b) ** 2).sum(),
+                    [x, table, b])
+
+    def test_linear_without_bias(self):
+        x = Tensor.parameter(RNG.normal(size=(2, 3, 4)), "x")
+        w = Tensor.parameter(RNG.normal(size=(4, 2)), "w")
+        check_grads(lambda: (linear(x, w) ** 2).sum(), [x, w])
+
+    def test_layer_norm_with_gain(self):
+        x = Tensor.parameter(RNG.normal(size=(2, 3, 6)) * 2 + 0.5, "x")
+        g = Tensor.parameter(RNG.uniform(-2.0, 2.0, size=(6,)), "g")
+        b = Tensor.parameter(RNG.normal(size=(6,)), "b")
+        w = RNG.normal(size=(2, 3, 6))
+        check_grads(lambda: (layer_norm(x, g, b) ** 2 * w).sum(), [x, g, b],
+                    tol=1e-5)
+
+    def test_softmax_with_masked_key_column(self):
+        a = Tensor.parameter(RNG.normal(size=(2, 4, 5)), "a")
+        fill = np.zeros(5)
+        fill[2] = MASK_FILL
+        w = RNG.normal(size=(2, 4, 5))
+        check_grads(lambda: (softmax(a + fill) * w).sum(), [a])
+        a.grad = None
+        (softmax(a + fill) * w).sum().backward()
+        assert not a.grad[..., 2].any()
+
+    def test_log_softmax(self):
+        a = Tensor.parameter(RNG.normal(size=(3, 2, 4)), "a")
+        w = RNG.normal(size=(3, 2, 4))
+        check_grads(lambda: (log_softmax(a) * w).sum(), [a])
+        check_grads(lambda: (log_softmax(a, axis=1) * w).sum(), [a])
+
+
+class TestFirstArrivalGradients:
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_shared_array_is_never_written(self, shared_first):
+        # the add node hands one array to both a and b; a then gets a
+        # second term, which must not reach b through the shared array
+        a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        w, v = RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))
+        shared = ((a + b) * w).sum()
+        extra = (a * v).sum()
+        (shared + extra if shared_first else extra + shared).backward()
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_allclose(a.grad, w + v, rtol=1e-15)
+
+    def test_owned_gradient_takes_arrivals_in_place(self):
+        # a parameter's zeros from zero_grads are its own: no new array
+        # per step for every parameter
+        a = Tensor.parameter(RNG.normal(size=(3,)), "a")
+        zeros = a.grad
+        (a * 2.0 + a * 3.0).sum().backward()
+        assert a.grad is zeros
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
+
+    def test_first_arrival_cast_to_node_dtype(self):
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        (a * np.float64(2.0)).sum().backward()
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
+
+class TestScatterMatchesAddAt:
+    """gather_rows and advanced-index backward sum repeated ids as
+    np.add.at does."""
+
+    def test_gather_rows_repeated_ids(self):
+        rng = np.random.default_rng(27)
+        table = Tensor.parameter(rng.normal(size=(7, 5)), "table")
+        ids = rng.integers(0, 4, size=(6, 9))
+        out = gather_rows(table, ids)
+        g = rng.normal(size=out.shape)
+        table.grad = None
+        out.backward(g)
+        ref = np.zeros_like(table.data)
+        np.add.at(ref, ids, g)
+        np.testing.assert_allclose(table.grad, ref, rtol=1e-12, atol=0)
+        assert not table.grad[4:].any()
+
+    @pytest.mark.parametrize("index", [
+        (np.array([0, 2, 2, 0, 2]), np.array([1, 3, 3, 1, 0])),
+        (np.array([3, 3, 3, 1]),),
+        np.array([[1, 1], [0, 1]]),
+        (np.arange(4), np.array([2, 2, 0, 2])),
+        (slice(None), np.array([4, 4, 1])),
+        np.array([True, False, True, True]),
+        (np.array([-1, 3, -1]), Ellipsis, np.array([0, 1, 1])),
+    ])
+    def test_getitem_advanced_index(self, index):
+        rng = np.random.default_rng(28)
+        data = rng.normal(size=(4, 5, 3))
+        a = Tensor.parameter(data, "a")
+        out = a[index]
+        g = rng.normal(size=out.shape)
+        a.grad = None
+        out.backward(g)
+        ref = np.zeros_like(data)
+        np.add.at(ref, index, g)
+        np.testing.assert_allclose(a.grad, ref, rtol=1e-12, atol=0)
 
 
 class TestShapeOpGrads:
