@@ -3,7 +3,11 @@
 Every masked space-group attribute is a function of the visible ones,
 so the encoder can learn the crystallographic grammar to high accuracy:
 crystal system from space-group number, point group from symbol, and
-so on. Runs a short training here; raise ``epochs`` for a longer run.
+so on. With 200 epochs at lr 2e-3 and seed 1 it prints 97.8% masked
+point-group and 100.0% crystal-system recovery, in about a minute on
+one BLAS thread (Python 3.11, numpy 2.4, OpenBLAS 0.3.31). At 40 epochs
+it reached only 21.7% and 33.9%, barely above always guessing the most
+common crystal system (29.6%).
 """
 
 from crysgram.datasets import kb_corpus
@@ -11,7 +15,7 @@ from crysgram.objectives import masked_position_accuracy
 from crysgram.tokens import ElementEmbeddingTable
 from crysgram.training import TrainConfig, prepare_corpus, pretrain
 
-config = TrainConfig(objective="mlm", epochs=40, batch_size=64,
+config = TrainConfig(objective="mlm", epochs=200, batch_size=64,
                      learning_rate=2e-3, masking_ratio=0.25, seed=1)
 print(f"masking ratio {config.masking_ratio} -> "
       f"{round(config.masking_ratio * 12)} of 12 space-group positions")

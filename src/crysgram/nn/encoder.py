@@ -140,10 +140,13 @@ class EncoderState:
             p.grad = np.zeros_like(p.data)
 
     def clone(self):
+        """Copy of the parameters with no gradients (``grad`` is None) until
+        ``zero_grads`` or a backward pass gives them one."""
         other = EncoderState.__new__(EncoderState)
         other.config = self.config
         other.seed = self.seed
-        other.params = {name: Tensor.parameter(p.data.copy(), name)
+        other.params = {name: Tensor(p.data.copy(), requires_grad=True,
+                                     name=name)
                         for name, p in self.params.items()}
         return other
 

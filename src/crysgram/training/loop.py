@@ -4,13 +4,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from .. import HEAP_POLICY, __version__
 from ..errors import CheckpointError, ConfigError, NonFiniteError
 from ..files import atomic_write
 from ..nn.checkpoint import load_state, save_state
@@ -40,6 +44,7 @@ from .schedule import ScheduleSpec, lr_at
 
 CONFIG_VERSION = 1
 OBJECTIVES = ("mlm", "lpp", "mlm+lpp", "regression")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def derive_seed(*parts):
@@ -171,6 +176,7 @@ class RunManifest:
     metrics: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
+    environment: dict = field(default_factory=dict)
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -197,6 +203,22 @@ def write_metrics(rows, path):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _environment():
+    """What a run's numbers depend on besides its config and data: the
+    Python, numpy, scipy and crysgram versions, the BLAS numpy was built
+    with, the BLAS thread variables and the heap policy in force."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "crysgram": __version__,
+        "blas": blas.get("name"),
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "heap_policy": HEAP_POLICY,
+    }
+
+
 def _manifest(config, records, metrics, start, checkpoints=()):
     return RunManifest(
         config=json.loads(config.to_json()),
@@ -205,6 +227,7 @@ def _manifest(config, records, metrics, start, checkpoints=()):
         metrics=metrics,
         checkpoints=list(checkpoints),
         wall_clock_seconds=time.perf_counter() - start,
+        environment=_environment(),
     )
 
 

@@ -26,10 +26,9 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.exempt_suffixes = tuple(exempt_suffixes)
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data)
-                  for name, p in state.named_parameters()}
-        self.v = {name: np.zeros_like(p.data)
-                  for name, p in state.named_parameters()}
+        # first and second moments, built from each parameter's first gradient
+        self.m = {}
+        self.v = {}
 
     def is_exempt(self, name):
         return any(name.endswith(suffix) for suffix in self.exempt_suffixes)
@@ -49,12 +48,19 @@ class AdamW:
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.state.named_parameters():
             g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m = self.m.get(name)
+            if m is None:
+                # what zero moments would hold after one step; adding 0.0
+                # turns a -0.0 into the +0.0 that 0.0 + -0.0 gives
+                m = self.m[name] = (1.0 - self.beta1) * g
+                m += 0.0
+                v = self.v[name] = (1.0 - self.beta2) * g * g
+            else:
+                v = self.v[name]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
             if self.weight_decay and not self.is_exempt(name):
                 p.data *= 1.0 - lr * self.weight_decay
             # lr * m_hat / (sqrt(v_hat) + eps), in place in two temporaries

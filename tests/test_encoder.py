@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from crysgram.errors import CheckpointError, CrysgramError
+from crysgram.errors import CheckpointError, ConfigError, CrysgramError
 from crysgram.nn import (
     EncoderConfig,
     EncoderState,
@@ -22,6 +22,7 @@ from crysgram.nn import (
     serialize_attention,
 )
 from crysgram.tokens.embedding import EmbeddedInput
+from crysgram.training import AdamW
 
 RNG = np.random.default_rng(11)
 
@@ -139,6 +140,27 @@ class TestParameterCount:
     def test_invalid_head_split(self):
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=10, d_model=30, n_heads=4)
+
+
+class TestClone:
+    def state(self):
+        return EncoderState(desk_config(vocab_size=7, d_model=8, n_heads=2,
+                                        n_layers=1), seed=3)
+
+    def test_copies_values_without_gradients(self):
+        state = self.state()
+        state.zero_grads()
+        clone = state.clone()
+        for name, p in clone.named_parameters():
+            assert p.grad is None, name
+            assert p.requires_grad
+            assert p.data.tobytes() == state[name].data.tobytes()
+            assert p.data is not state[name].data
+
+    def test_optimizer_step_on_fresh_clone_raises(self):
+        clone = self.state().clone()
+        with pytest.raises(ConfigError, match="before backward"):
+            AdamW(clone, base_lr=0.1).step()
 
 
 class TestCheckpoint:

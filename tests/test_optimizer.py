@@ -90,7 +90,8 @@ class TestAdamW:
 
 def reference_adamw(params, grads, steps, lr, decay, exempt,
                     beta1=0.9, beta2=0.999, eps=1e-8):
-    """The textbook AdamW expression, one temporary per operation."""
+    """The textbook AdamW expression, one temporary per operation, with
+    both moments starting as zero tables."""
     params = {n: p.copy() for n, p in params.items()}
     m = {n: np.zeros_like(p) for n, p in params.items()}
     v = {n: np.zeros_like(p) for n, p in params.items()}
@@ -114,16 +115,28 @@ def reference_adamw(params, grads, steps, lr, decay, exempt,
 class TestAdamWInPlace:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_three_steps_bitwise_equal_to_reference(self, dtype):
+        # AdamW builds its moments at the first step; the reference starts
+        # them as zero tables. -0.0 gradients (on a -0.0 parameter too) and
+        # a parameter the loss does not reach, whose gradient stays the
+        # zeros of zero_grads, must give the same bits: 0.0 + -0.0 is +0.0
         state = EncoderState(desk_config(vocab_size=7, d_model=8, n_heads=2,
                                          n_layers=1, dtype=dtype), seed=0)
+        state["layers.0.attn.q.b"].data[...] = -0.0
+        unreached = "reg.fc2.b"
         rng = np.random.default_rng(21)
         grads = [{n: rng.normal(size=p.data.shape).astype(dtype)
                   for n, p in state.named_parameters()} for _ in range(3)]
+        for step_grads in grads:
+            step_grads["layers.0.attn.q.w"][0] = -0.0
+            step_grads["layers.0.attn.q.b"][...] = -0.0
+            step_grads[unreached] = np.zeros_like(state[unreached].data)
         start = {n: p.data.copy() for n, p in state.named_parameters()}
         optimizer = AdamW(state, base_lr=0.03, weight_decay=0.1)
         for step_grads in grads:
+            state.zero_grads()
             for n, p in state.named_parameters():
-                p.grad = step_grads[n].copy()
+                if n != unreached:
+                    p.grad = step_grads[n].copy()
             optimizer.step()
         params, m, v = reference_adamw(start, grads, 3, 0.03, 0.1,
                                        optimizer.is_exempt)

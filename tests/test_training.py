@@ -1,8 +1,12 @@
 """Training loops: determinism, persistence, splits, and evaluation."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy
 
+import crysgram
 from crysgram.datasets import generate_synthetic_corpus, kb_corpus
 from crysgram.errors import CheckpointError, ConfigError, NonFiniteError
 from crysgram.nn import EncoderState, load_state
@@ -97,6 +101,23 @@ class TestPretrain:
                           fast_config(objective="mlm+lpp", epochs=2),
                           table=TABLE)
         assert "mlm_accuracy" in result.metrics[0]
+
+
+class TestManifest:
+    def test_environment_recorded(self, tmp_path):
+        pretrain(kb_corpus(), fast_config(epochs=1), table=TABLE,
+                 out_dir=tmp_path)
+        env = json.loads((tmp_path / "manifest.json").read_text())[
+            "environment"]
+        assert set(env) == {"python", "numpy", "scipy", "crysgram", "blas",
+                            "threads", "heap_policy"}
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["crysgram"] == crysgram.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["heap_policy"] == crysgram.HEAP_POLICY
 
 
 class TestFinetune:
