@@ -73,18 +73,21 @@ def _parse_count(scanner):
         while scanner.peek().isdigit():
             digits += scanner.take()
     if not digits:
-        return Fraction(1)
-    return Fraction(digits)
+        return 1
+    return Fraction(digits) if "." in digits else int(digits)
 
 
 def _parse_group(scanner, depth):
-    """Parse a bracketed or top-level run; returns {element: Fraction}."""
+    """Parse a bracketed or top-level run; returns {element: count}.
+
+    Counts stay ints until a decimal count turns one into a Fraction.
+    """
     counts = {}
     order = []
 
     def bump(element, amount):
         if element not in counts:
-            counts[element] = Fraction(0)
+            counts[element] = 0
             order.append(element)
         counts[element] += amount
 
@@ -137,10 +140,11 @@ def parse_formula(text: str) -> FormulaComposition:
     counts, order = _parse_group(scanner, 0)
     if scanner.pos != len(scanner.text):
         raise FormulaError(f"{text!r}: trailing input at position {scanner.pos}")
-    total = sum(counts.values(), Fraction(0))
+    total = sum(counts.values())
     if total == 0:
         raise FormulaError(f"{text!r}: zero total element count")
-    positive = [(el, counts[el] / total) for el in order if counts[el] > 0]
+    positive = [(el, Fraction(counts[el], total)) for el in order
+                if counts[el] > 0]
     if not positive:
         raise FormulaError(f"{text!r}: no elements with positive count")
     if len(positive) > MAX_ELEMENTS:

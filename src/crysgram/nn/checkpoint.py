@@ -72,7 +72,8 @@ def read_header(path):
 
 
 def load_state(path):
-    """Read a checkpoint; returns (state, header dict)."""
+    """Read a checkpoint; returns (state, header dict). The parameters
+    have no gradients (``grad`` is None), as in a fresh state."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -101,6 +102,6 @@ def load_state(path):
         if len(raw) != nbytes:
             raise CheckpointError(f"{path}: truncated blob at {name}")
         data = np.frombuffer(raw, dtype=blob_dtype).reshape(shape)
-        state.params[name] = Tensor.parameter(
-            data.astype(config.np_dtype), name)
+        state.params[name] = Tensor(data.astype(config.np_dtype),
+                                    requires_grad=True, name=name)
     return state, header

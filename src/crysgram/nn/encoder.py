@@ -12,6 +12,12 @@ from .tensor import (Tensor, as_tensor, dropout, gelu, layer_norm, linear,
 
 MASK_FILL = -1e30
 
+# The last block computes at least this many query rows: numpy's matmul
+# sends a one-row product to gemv, which sums in another order than the
+# gemm that serves two or more rows, so a one-row [CLS] would differ from
+# the full-width run in its last bits.
+MIN_QUERY_ROWS = 2
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -72,7 +78,11 @@ def paper_config(vocab_size, **overrides):
 
 
 class EncoderState:
-    """All learnable parameters, addressable by stable canonical names."""
+    """All learnable parameters, addressable by stable canonical names.
+
+    A fresh state's parameters have no gradients (``grad`` is None) until
+    ``zero_grads`` or a backward pass gives them one.
+    """
 
     LPP_OUTPUTS = 6
 
@@ -83,20 +93,20 @@ class EncoderState:
         rng = np.random.default_rng(np.random.PCG64(seed))
         d, ff, v = config.d_model, config.d_ff, config.vocab_size
 
+        def put(name, data):
+            self.params[name] = Tensor(data, requires_grad=True, name=name)
+
         def normal(name, shape):
             # truncated at two standard deviations, the usual init recipe
             std = 0.02
             raw = rng.normal(0.0, std, size=shape)
-            data = np.clip(raw, -2 * std, 2 * std).astype(config.np_dtype)
-            self.params[name] = Tensor.parameter(data, name)
+            put(name, np.clip(raw, -2 * std, 2 * std).astype(config.np_dtype))
 
         def zeros(name, shape):
-            self.params[name] = Tensor.parameter(
-                np.zeros(shape, dtype=config.np_dtype), name)
+            put(name, np.zeros(shape, dtype=config.np_dtype))
 
         def ones(name, shape):
-            self.params[name] = Tensor.parameter(
-                np.ones(shape, dtype=config.np_dtype), name)
+            put(name, np.ones(shape, dtype=config.np_dtype))
 
         normal("embed.token", (v, d))
         normal("embed.position", (config.max_seq_len, d))
@@ -197,32 +207,38 @@ def scaled_dot_attention(q, k, v, mask=None, dropout_rate=0.0, rng=None,
 
 
 def multi_head_attention(x, layer_params, mask=None, n_heads=1,
-                         attention_dropout=0.0, mode="eval", rng=None):
+                         attention_dropout=0.0, mode="eval", rng=None,
+                         rows=None):
     """Multi-head self-attention over x (B, L, d) or (L, d).
 
-    Returns the output-projected context and the recorded weights
-    (B, n_heads, L, L). Weights are recorded before attention dropout.
+    ``rows`` limits the queries to the first ``rows`` positions (all L
+    when None); keys and values still come from every position. Returns
+    the output-projected context (B, rows, d) and the recorded weights
+    (B, n_heads, rows, L). Weights are recorded before attention dropout.
     """
     x = as_tensor(x)
     single = x.ndim == 2
     if single:
         x = x.reshape(1, *x.shape)
     B, L, d = x.shape
+    R = L if rows is None else rows
     d_head = d // n_heads
 
-    def project(name):
-        h = linear(x, layer_params[f"{name}.w"], layer_params[f"{name}.b"])
-        return h.reshape(B, L, n_heads, d_head).transpose(0, 2, 1, 3)
+    def project(name, source):
+        h = linear(source, layer_params[f"{name}.w"], layer_params[f"{name}.b"])
+        return h.reshape(B, source.shape[1], n_heads,
+                         d_head).transpose(0, 2, 1, 3)
 
     if mask is not None:
         mask = np.asarray(mask).reshape(B, 1, 1, L)
+    queries = x if R == L else x[:, :R]
     context, weights = scaled_dot_attention(
-        project("q"), project("k"), project("v"), mask,
+        project("q", queries), project("k", x), project("v", x), mask,
         attention_dropout, rng, mode == "train")
-    context = context.transpose(0, 2, 1, 3).reshape(B, L, d)
+    context = context.transpose(0, 2, 1, 3).reshape(B, R, d)
     out = linear(context, layer_params["o.w"], layer_params["o.b"])
     if single:
-        out = out.reshape(L, d)
+        out = out.reshape(R, d)
     return out, weights
 
 
@@ -233,12 +249,13 @@ def _layer_view(state, index):
 
 
 class _PaddedDraws:
-    """Generator view that draws dropout uniforms at the padded length.
+    """Generator view that draws dropout uniforms at the padded shape.
 
-    ``shapes`` maps each trimmed draw shape to the padded shape it came
-    from; such a draw takes the padded shape from the generator and keeps
-    its leading corner, so a trimmed batch gets the same dropout masks,
-    and leaves the generator in the same state, as the padded batch.
+    ``shapes`` maps each cut draw shape to the padded shape it came from;
+    such a draw takes the padded shape from the generator and keeps its
+    leading corner, so a cut batch, or a last block run on fewer rows,
+    gets the same dropout masks, and leaves the generator in the same
+    state, as the padded full-width batch.
     """
 
     def __init__(self, rng, shapes):
@@ -253,15 +270,20 @@ class _PaddedDraws:
 
 
 def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
-                    record_attention=True, *, _padded_len=None):
+                    record_attention=True, rows=None, *, _padded_len=None):
     """Run the full encoder stack.
 
     ``embedded`` is an EmbeddedInput (or any object with ``matrix`` and
     ``attention_mask``). Returns (hidden, cls, AttentionMap) where hidden
-    is (B, L, d_model) (or (L, d_model) for a single sample) and cls is
-    the hidden row at position 0. ``_padded_len`` is internal: the
-    length the input had before its unattended trailing columns were cut
-    (see ``objectives.encode_batch``); training dropout draws at it.
+    is (B, R, d_model) (or (R, d_model) for a single sample) and cls is
+    the hidden row at position 0. ``rows`` (all L positions when None) is
+    how many leading positions the caller reads: the last block computes
+    only the first R = min(max(rows, MIN_QUERY_ROWS), L), with keys and
+    values from every position, and its recorded attention has R query
+    rows. ``_padded_len`` is internal: the length the input had before
+    its unattended trailing columns were cut (see
+    ``objectives.encode_batch``). Training dropout draws at the padded
+    full-width shapes either way.
     """
     config = config or state.config
     if mode not in ("train", "eval"):
@@ -285,19 +307,28 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
         attention_mask=mask.copy())
     train = mode == "train"
     B, L, d = x.shape
-    if train and _padded_len is not None and _padded_len != L:
-        H, P = config.n_heads, _padded_len
+    R = (L if rows is None or config.n_layers == 0
+         else min(max(rows, MIN_QUERY_ROWS), L))
+    P = L if _padded_len is None else _padded_len
+    if train and (P != L or R != L):
+        H = config.n_heads
         rng = _PaddedDraws(rng, {(B, L, d): (B, P, d),
-                                 (B, H, L, L): (B, H, P, P)})
+                                 (B, H, L, L): (B, H, P, P),
+                                 (B, R, d): (B, P, d),
+                                 (B, H, R, L): (B, H, P, P)})
     for i in range(config.n_layers):
         layer = _layer_view(state, i)
         attn_params = {k[len("attn."):]: v for k, v in layer.items()
                        if k.startswith("attn.")}
+        last = i == config.n_layers - 1
         a, weights = multi_head_attention(
             x, attn_params, mask=mask, n_heads=config.n_heads,
-            attention_dropout=config.attention_dropout, mode=mode, rng=rng)
+            attention_dropout=config.attention_dropout, mode=mode, rng=rng,
+            rows=R if last else None)
         if record_attention:
             attn_map.layers.append(np.array(weights.data, dtype=np.float64))
+        if last and R < L:
+            x = x[:, :R]
         x = layer_norm(x + dropout(a, config.hidden_dropout, rng, train),
                        layer["norm1.gain"], layer["norm1.bias"])
         h = linear(x, layer["ffn.fc1.w"], layer["ffn.fc1.b"])

@@ -196,15 +196,18 @@ class Batch:
 
 
 def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
-                 record_attention=False):
+                 record_attention=False, rows=None):
     """Assemble embeddings and run the encoder; returns (hidden, cls, attn).
 
     The encoder sees the batch only up to its last attended column:
     trailing [PAD] slots that no row attends to cannot change an attended
-    row, so they are cut and ``hidden`` is (B, w, d_model) with w <= L.
-    Training dropout still draws at the padded length, so a seed gives the
-    masks of the untrimmed batch. Recorded attention keeps the full width,
-    since its maps are laid out against every token label.
+    row, so they are cut. ``rows`` is how many leading positions the
+    caller reads (1 for [CLS]); the last block computes only those, or
+    ``MIN_QUERY_ROWS`` if that is more, so ``hidden`` is (B, R, d_model)
+    with R no wider than the attended width. Training dropout still
+    draws at the padded full-width shapes, so a seed gives the masks of
+    the untrimmed batch. Recording attention keeps every row and the full
+    width, since its maps are laid out against every token label.
     """
     embedded = assemble_batch(
         sequences, formula_matrices,
@@ -220,8 +223,13 @@ def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
             attention_mask=embedded.attention_mask[:, :width])
     hidden, cls, attn = encoder_forward(
         embedded, state, state.config, mode=mode, rng=rng,
-        record_attention=record_attention, _padded_len=padded)
+        record_attention=record_attention,
+        rows=None if record_attention else rows, _padded_len=padded)
     return hidden, cls, attn
+
+
+# Leading positions the masked-token loss reads: [CLS] and the space group.
+MLM_ROWS = 1 + N_SG_TOKENS
 
 
 def mlm_logits(state, hidden, plans):
@@ -306,7 +314,7 @@ def mlm_objective(state, batch, ratio=0.25, seed=0, mode="train", rng=None):
     """Masked-token objective; returns (loss Tensor, stats dict)."""
     masked, plans = mask_batch(batch.sequences, ratio, seed)
     hidden, _, _ = encode_batch(state, masked, batch.formula_matrices,
-                                mode=mode, rng=rng)
+                                mode=mode, rng=rng, rows=MLM_ROWS)
     logits, labels = mlm_logits(state, hidden, plans)
     loss = mlm_loss(logits, labels)
     predicted = np.argmax(logits.data, axis=-1)
@@ -322,7 +330,7 @@ def lpp_objective(state, batch, scaler, mode="train", rng=None,
         raise ConfigError("batch carries no lattice targets")
     seqs = masked_seqs if masked_seqs is not None else batch.sequences
     _, cls, _ = encode_batch(state, seqs, batch.formula_matrices,
-                             mode=mode, rng=rng)
+                             mode=mode, rng=rng, rows=1)
     pred = lpp_head(cls, state, mode=mode, rng=rng)
     loss = lpp_loss(pred, batch.lattice_targets, scaler)
     return loss, {"lpp_mse": float(loss.data)}
@@ -338,7 +346,7 @@ def combined_objective(state, batch, scaler, ratio=0.25, lam=1.0, seed=0,
         raise ConfigError("batch carries no lattice targets")
     masked, plans = mask_batch(batch.sequences, ratio, seed)
     hidden, cls, _ = encode_batch(state, masked, batch.formula_matrices,
-                                  mode=mode, rng=rng)
+                                  mode=mode, rng=rng, rows=MLM_ROWS)
     pred = lpp_head(cls, state, mode=mode, rng=rng)
     loss_lpp = lpp_loss(pred, batch.lattice_targets, scaler)
     logits, labels = mlm_logits(state, hidden, plans)
@@ -356,7 +364,7 @@ def regression_objective(state, batch, scaler, mode="train", rng=None):
     if batch.targets is None:
         raise ConfigError("batch carries no regression targets")
     _, cls, _ = encode_batch(state, batch.sequences, batch.formula_matrices,
-                             mode=mode, rng=rng)
+                             mode=mode, rng=rng, rows=1)
     pred = finetune_head(cls, state, mode=mode, rng=rng)
     loss = mae_loss(pred, batch.targets, scaler)
     return loss, {"mae_std": float(loss.data)}
@@ -379,7 +387,8 @@ def masked_position_accuracy(state, sequences, formula_matrices, positions,
             m, original = _masked_copy(seq, positions)
             masked.append(m)
             plans.append(MaskingPlan(tuple(positions), original, 0.0))
-        hidden, _, _ = encode_batch(state, masked, mats, mode="eval")
+        hidden, _, _ = encode_batch(state, masked, mats, mode="eval",
+                                    rows=max(positions) + 1)
         logits, labels = mlm_logits(state, hidden, plans)
         predicted = np.argmax(logits.data, axis=-1)
         hits = (predicted == labels).reshape(len(chunk), len(positions))

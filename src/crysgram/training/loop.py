@@ -1,11 +1,13 @@
 """Pretraining and finetuning loops, evaluation, and run manifests."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import platform
+import subprocess
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -203,16 +205,32 @@ def write_metrics(rows, path):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+@functools.cache
+def _git_sha(directory=Path(__file__).resolve().parent):
+    """``git rev-parse HEAD`` in ``directory`` (this source tree), or None
+    without git or outside a checkout. Read once per process, since it
+    names the code the process imported."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, timeout=5, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
 def _environment():
     """What a run's numbers depend on besides its config and data: the
-    Python, numpy, scipy and crysgram versions, the BLAS numpy was built
-    with, the BLAS thread variables and the heap policy in force."""
+    Python, numpy, scipy and crysgram versions, the git commit of the
+    source tree, the BLAS numpy was built with, the BLAS thread variables
+    and the heap policy in force."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "crysgram": __version__,
+        "git_sha": _git_sha(),
         "blas": blas.get("name"),
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "heap_policy": HEAP_POLICY,
@@ -414,7 +432,7 @@ def encode_corpus(state, corpus, batch_size=64, encode=None):
         batch = corpus.batch(np.arange(start,
                                        min(start + batch_size, len(corpus))))
         _, cls, _ = encode(state, batch.sequences, batch.formula_matrices,
-                           mode="eval")
+                           mode="eval", rows=1)
         yield batch, cls
 
 

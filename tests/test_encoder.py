@@ -162,6 +162,13 @@ class TestClone:
         with pytest.raises(ConfigError, match="before backward"):
             AdamW(clone, base_lr=0.1).step()
 
+    def test_fresh_state_has_no_gradients(self):
+        state = self.state()
+        assert all(p.grad is None and p.requires_grad
+                   for _, p in state.named_parameters())
+        with pytest.raises(ConfigError, match="before backward"):
+            AdamW(state, base_lr=0.1).step()
+
 
 class TestCheckpoint:
     def test_roundtrip_identical_params(self, tmp_path):
@@ -175,6 +182,16 @@ class TestCheckpoint:
         assert loaded.config == config
         for name, p in state.named_parameters():
             np.testing.assert_array_equal(loaded[name].data, p.data)
+
+    def test_loaded_state_has_no_gradients(self, tmp_path):
+        state = EncoderState(desk_config(vocab_size=13, d_model=16,
+                                         n_layers=1), seed=9)
+        state.zero_grads()
+        save_state(state, tmp_path / "model.ckpt")
+        loaded, _ = load_state(tmp_path / "model.ckpt")
+        for name, p in loaded.named_parameters():
+            assert p.grad is None, name
+            assert p.requires_grad
 
     def test_save_load_save_byte_identical(self, tmp_path):
         config = desk_config(vocab_size=13, d_model=16, n_layers=1)

@@ -1,6 +1,8 @@
 """Formula parser tests: examples, arithmetic, and normalization properties."""
 
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,50 @@ class TestProperties:
 
     def test_roundtrip_reduces(self):
         assert parse_formula("Fe4O6").to_formula() == "Fe2O3"
+
+
+def reference_composition(text):
+    """[(element, fraction)] with every count a Fraction from its string,
+    accumulated on a stack of groups in first-appearance order."""
+    stack = [{}]
+    for symbol, count in re.findall(r"([A-Z][a-z]?|\(|\))(\d*\.?\d*)",
+                                    text):
+        amount = Fraction(count) if count else Fraction(1)
+        if symbol == "(":
+            stack.append({})
+            continue
+        if symbol == ")":
+            added = {el: n * amount for el, n in stack.pop().items()}
+        else:
+            added = {symbol: amount}
+        for el, n in added.items():
+            stack[-1][el] = stack[-1].get(el, Fraction(0)) + n
+    counts = stack[0]
+    total = sum(counts.values(), Fraction(0))
+    return [(el, n / total) for el, n in counts.items() if n > 0]
+
+
+class TestAgainstFractionAccumulator:
+    """Integer counts accumulate as ints; the result must equal, value
+    and type, an accumulator that keeps every count a Fraction."""
+
+    @pytest.mark.parametrize("text", [
+        "Fe2O3", "CH3COOH", "NaCl", "Si", "Fe10O15", "Na0Cl",
+        "Fe0.5Ni0.5", "Li0.33Fe0.5Mn0.17PO4", "Mg1.5Al0.25Si0.75O5.5",
+        "K(Al(OH)2)3", "(NH4)2SO4", "Ca(OH)2", "Mg(Al0.25Si0.75)2O5.5",
+        "((CH3)3N)0.5H", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5", "H(He)0.5He3"])
+    def test_equals_reference(self, text):
+        comp = parse_formula(text)
+        ref = reference_composition(text)
+        assert comp.elements == tuple(el for el, _ in ref)
+        assert all(type(f) is Fraction for f in comp.exact_fractions)
+        assert pickle.dumps(comp.exact_fractions) == \
+            pickle.dumps(tuple(f for _, f in ref))
+        assert comp.fractions == tuple(float(f) for _, f in ref)
+
+    @given(integer_formulas())
+    def test_integer_formulas_equal_reference(self, sample):
+        text, _, _ = sample
+        comp = parse_formula(text)
+        assert list(zip(comp.elements, comp.exact_fractions)) == \
+            reference_composition(text)

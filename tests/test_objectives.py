@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crysgram.errors import ConfigError
 from crysgram.grammar import parse_formula
 from crysgram.nn import EncoderState, Tensor, desk_config, encoder_forward
+from crysgram.nn.encoder import MIN_QUERY_ROWS
 from crysgram.objectives import (
     Batch,
     LatticeParameters,
@@ -28,6 +29,7 @@ from crysgram.objectives import (
     mlm_logits,
     mlm_loss,
     mlm_objective,
+    regression_objective,
 )
 from crysgram.tokens import (
     MASK_ID,
@@ -466,3 +468,103 @@ class TestTrimmedEncoder:
         for param, grad in grads.items():
             np.testing.assert_allclose(grad, ref_grads[param], rtol=0,
                                        atol=1e-10, err_msg=param)
+
+
+class TestLastBlockRows:
+    """encode_batch with ``rows`` and the objectives that pass it, against
+    the untrimmed, full-width encoder: the last block runs only the rows
+    the caller reads, yet values, dropout draws and gradients agree."""
+
+    BATCHES = TestTrimmedEncoder.BATCHES
+    ROWS = (1, 1 + N_SG_TOKENS)
+    MASK_SEED = 4
+
+    @staticmethod
+    def inputs(name):
+        return make_batch(TestLastBlockRows.BATCHES[name], targets=True)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_rows_and_cls_equal_full_width(self, name, rows, mode):
+        state = TestTrimmedEncoder.state()
+        batch = self.inputs(name)
+        seqs, mats = batch.sequences, batch.formula_matrices
+        out = []
+        for cut in (True, False):
+            rng = np.random.default_rng(6)
+            if cut:
+                hidden, cls, _ = encode_batch(state, seqs, mats, mode=mode,
+                                              rng=rng, rows=rows)
+                assert hidden.shape[1] == max(rows, MIN_QUERY_ROWS)
+            else:
+                hidden, cls = TestTrimmedEncoder.untrimmed(state, seqs, mats,
+                                                           mode, rng)
+            out.append((hidden.data[:, :rows], cls.data, rng.random()))
+        (rows_cut, cls_cut, after), (rows_ref, cls_ref, ref_after) = out
+        np.testing.assert_allclose(rows_cut, rows_ref, rtol=1e-12)
+        np.testing.assert_allclose(cls_cut, cls_ref, rtol=1e-12)
+        assert after == ref_after  # the same uniforms were drawn
+
+    def reference(self, state, batch, objective, scaler, rng):
+        """The objective's loss through the full-width encoder."""
+        mats = batch.formula_matrices
+        if objective == "regression":
+            _, cls = TestTrimmedEncoder.untrimmed(state, batch.sequences,
+                                                  mats, "train", rng)
+            pred = finetune_head(cls, state, mode="train", rng=rng)
+            return mae_loss(pred, batch.targets, scaler)
+        masked, plans = mask_batch(batch.sequences, 0.25, self.MASK_SEED)
+        hidden, cls = TestTrimmedEncoder.untrimmed(state, masked, mats,
+                                                   "train", rng)
+        pred = lpp_head(cls, state, mode="train", rng=rng)
+        logits, labels = mlm_logits(state, hidden, plans)
+        return (lpp_loss(pred, batch.lattice_targets, scaler)
+                + mlm_loss(logits, labels) * 1.0)
+
+    @pytest.mark.parametrize("objective", ["regression", "mlm+lpp"])
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_objective_loss_and_gradients_equal_full_width(self, name,
+                                                           objective):
+        batch = self.inputs(name)
+        if objective == "regression":
+            scaler = TargetScaler.fit(batch.targets)
+        else:
+            scaler = lpp_scaler(batch.lattice_targets)
+        results = []
+        for cut in (True, False):
+            state = TestTrimmedEncoder.state()
+            state.zero_grads()
+            rng = np.random.default_rng(9)
+            if not cut:
+                loss = self.reference(state, batch, objective, scaler, rng)
+            elif objective == "regression":
+                loss, _ = regression_objective(state, batch, scaler,
+                                               mode="train", rng=rng)
+            else:
+                loss, _ = combined_objective(state, batch, scaler,
+                                             seed=self.MASK_SEED,
+                                             mode="train", rng=rng)
+            loss.backward()
+            results.append((loss.item(), rng.random(),
+                            {n: p.grad.copy()
+                             for n, p in state.named_parameters()}))
+        (loss, after, grads), (ref_loss, ref_after, ref_grads) = results
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        assert after == ref_after
+        for param, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[param], rtol=0,
+                                       atol=1e-10, err_msg=param)
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_recorded_attention_keeps_full_width(self, name):
+        state = TestTrimmedEncoder.state()
+        batch = self.inputs(name)
+        hidden, _, attn = encode_batch(state, batch.sequences,
+                                       batch.formula_matrices,
+                                       record_attention=True, rows=1)
+        padded = batch.sequences[0].attention_mask
+        B, L = len(batch.sequences), len(padded)
+        assert hidden.shape[:2] == (B, L)
+        assert [w.shape for w in attn.layers] == \
+            [(B, state.config.n_heads, L, L)] * state.config.n_layers

@@ -1,6 +1,9 @@
 """Training loops: determinism, persistence, splits, and evaluation."""
 
 import json
+import re
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from crysgram.training import (
     prepare_corpus,
     pretrain,
 )
+from crysgram.training.loop import _git_sha
 
 TABLE = ElementEmbeddingTable.deterministic()
 
@@ -109,8 +113,8 @@ class TestManifest:
                  out_dir=tmp_path)
         env = json.loads((tmp_path / "manifest.json").read_text())[
             "environment"]
-        assert set(env) == {"python", "numpy", "scipy", "crysgram", "blas",
-                            "threads", "heap_policy"}
+        assert set(env) == {"python", "numpy", "scipy", "crysgram",
+                            "git_sha", "blas", "threads", "heap_policy"}
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
         assert env["crysgram"] == crysgram.__version__
@@ -118,6 +122,23 @@ class TestManifest:
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["heap_policy"] == crysgram.HEAP_POLICY
+        source = Path(crysgram.__file__).resolve().parent
+        try:
+            expected = subprocess.run(
+                ["git", "rev-parse", "HEAD"], cwd=source, capture_output=True,
+                text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            expected = None
+        assert env["git_sha"] == expected
+        assert expected is None or re.fullmatch(r"[0-9a-f]{40,64}", expected)
+
+    def test_git_sha_is_none_outside_a_checkout(self, tmp_path):
+        assert _git_sha.__wrapped__(tmp_path) is None
+
+    def test_git_sha_is_none_without_git(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        source = Path(crysgram.__file__).resolve().parent
+        assert _git_sha.__wrapped__(source) is None
 
 
 class TestFinetune:
