@@ -12,7 +12,7 @@ from crysgram.nn import EncoderState, desk_config
 from crysgram.tokens import (
     ElementEmbeddingTable,
     InformaticsFields,
-    assemble_input,
+    assemble_batch,
     build_vocabulary,
     embed_formula,
     tokenize_crystal,
@@ -43,10 +43,9 @@ print(f"zero-padding rows: {np.count_nonzero(~matrix.any(axis=1))}")
 
 config = desk_config(vocab.size)
 state = EncoderState(config, seed=0)
-embedded = assemble_input(
-    seq, matrix, state["embed.token"],
-    (state["embed.formula.w"], state["embed.formula.b"]),
-    state["embed.position"])
-print(f"\nembedded input: {embedded.matrix.shape} "
+embedded = assemble_batch(
+    [seq], [matrix], state["embed.token"], state["embed.formula.w"],
+    state["embed.formula.b"], state["embed.position"])
+print(f"\nembedded input: {embedded.matrix.shape[1:]} "
       f"(d_model {config.d_model}), "
       f"attended positions {int(np.sum(embedded.attention_mask))}")

@@ -20,6 +20,7 @@ from .export import (
 from .tensor import (
     Tensor,
     as_tensor,
+    concat,
     dropout,
     gather_rows,
     gelu,
@@ -38,6 +39,6 @@ __all__ = [
     "scaled_dot_attention",
     "deserialize_attention", "export_attention", "export_cls_rows",
     "serialize_attention",
-    "Tensor", "as_tensor", "dropout", "gather_rows", "gelu", "layer_norm",
-    "linear", "log_softmax", "matmul", "silu", "softmax",
+    "Tensor", "as_tensor", "concat", "dropout", "gather_rows", "gelu",
+    "layer_norm", "linear", "log_softmax", "matmul", "silu", "softmax",
 ]

@@ -280,8 +280,8 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
     how many leading positions the caller reads: the last block computes
     only the first R = min(max(rows, MIN_QUERY_ROWS), L), with keys and
     values from every position, and its recorded attention has R query
-    rows. ``_padded_len`` is internal: the length the input had before
-    its unattended trailing columns were cut (see
+    rows. ``_padded_len`` is internal: the sequence length before the
+    unattended trailing columns were left out of the input (see
     ``objectives.encode_batch``). Training dropout draws at the padded
     full-width shapes either way.
     """

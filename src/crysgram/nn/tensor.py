@@ -13,7 +13,8 @@ import numpy as np
 from scipy.special import erf as _erf
 
 __all__ = ["Tensor", "as_tensor", "matmul", "linear", "gather_rows",
-           "dropout", "softmax", "log_softmax", "layer_norm", "gelu", "silu"]
+           "concat", "dropout", "softmax", "log_softmax", "layer_norm",
+           "gelu", "silu"]
 
 
 def _unbroadcast(grad, shape):
@@ -336,12 +337,10 @@ def as_tensor(value):
 def matmul(a, b):
     """Matrix product with numpy broadcasting over leading batch axes.
 
-    A weight product, a 2-D ``b`` under a left operand with leading axes,
-    runs as ``linear(a, b)``.
+    Weight products, a left operand with leading axes times a 2-D weight,
+    call ``linear`` instead, which runs them as one GEMM.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        return linear(a, b)
     out = _node(np.matmul(a.data, b.data), (a, b))
 
     def backward(g):
@@ -393,6 +392,23 @@ def linear(x, w, b=None):
 def gather_rows(table, ids):
     """Row lookup table[ids] with scatter-add backward (embedding gather)."""
     return as_tensor(table)[np.asarray(ids)]
+
+
+def concat(tensors, axis=0):
+    """Join tensors along ``axis`` as ``np.concatenate`` does, one node.
+
+    Backward hands each input its own slice of the gradient.
+    """
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tensors)
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, part in zip(tensors, np.split(g, ends, axis=axis)):
+            if t.requires_grad or t._parents:
+                t._accumulate(part)
+    out._backward = backward
+    return out
 
 
 def softmax(x, axis=-1):

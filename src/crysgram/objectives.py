@@ -199,28 +199,26 @@ def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
                  record_attention=False, rows=None):
     """Assemble embeddings and run the encoder; returns (hidden, cls, attn).
 
-    The encoder sees the batch only up to its last attended column:
-    trailing [PAD] slots that no row attends to cannot change an attended
-    row, so they are cut. ``rows`` is how many leading positions the
-    caller reads (1 for [CLS]); the last block computes only those, or
-    ``MIN_QUERY_ROWS`` if that is more, so ``hidden`` is (B, R, d_model)
-    with R no wider than the attended width. Training dropout still
-    draws at the padded full-width shapes, so a seed gives the masks of
-    the untrimmed batch. Recording attention keeps every row and the full
-    width, since its maps are laid out against every token label.
+    The batch is embedded and encoded only up to its last attended
+    column: trailing [PAD] slots that no row attends to cannot change an
+    attended row, so they are never built. ``rows`` is how many leading
+    positions the caller reads (1 for [CLS]); the last block computes
+    only those, or ``MIN_QUERY_ROWS`` if that is more, so ``hidden`` is
+    (B, R, d_model) with R no wider than the attended width. Training
+    dropout still draws at the padded full-width shapes, so a seed gives
+    the masks of the untrimmed batch. Recording attention keeps every row
+    and the full width, since its maps are laid out against every token
+    label.
     """
+    mask = np.array([seq.attention_mask for seq in sequences], dtype=bool)
+    padded = mask.shape[1]
+    attended = np.flatnonzero(mask.any(axis=0))
+    width = (padded if record_attention or not attended.size
+             else int(attended[-1]) + 1)
     embedded = assemble_batch(
         sequences, formula_matrices,
         state["embed.token"], state["embed.formula.w"],
-        state["embed.formula.b"], state["embed.position"])
-    padded = embedded.attention_mask.shape[1]
-    attended = np.flatnonzero(embedded.attention_mask.any(axis=0))
-    width = (padded if record_attention or not attended.size
-             else int(attended[-1]) + 1)
-    if width < padded:
-        embedded = dataclasses.replace(
-            embedded, matrix=embedded.matrix[:, :width],
-            attention_mask=embedded.attention_mask[:, :width])
+        state["embed.formula.b"], state["embed.position"], width=width)
     hidden, cls, attn = encoder_forward(
         embedded, state, state.config, mode=mode, rng=rng,
         record_attention=record_attention,

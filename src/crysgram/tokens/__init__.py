@@ -5,7 +5,6 @@ from .embedding import (
     ElementEmbeddingTable,
     EmbeddedInput,
     assemble_batch,
-    assemble_input,
     embed_formula,
 )
 from .tokenizer import (
@@ -33,7 +32,7 @@ from .vocab import (
 
 __all__ = [
     "D_ELEMENT", "ElementEmbeddingTable", "EmbeddedInput", "assemble_batch",
-    "assemble_input", "embed_formula",
+    "embed_formula",
     "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "InformaticsFields",
     "TokenSequence", "sequence_length", "tokenize_crystal",
     "CLS_ID", "EMPTY_ID", "INFO_FIELDS", "MASK_ID", "PAD_ID", "SG_CATEGORIES",

@@ -7,7 +7,9 @@ import numpy as np
 
 from ..errors import EmbeddingError
 from ..grammar import SYMBOLS
-from ..nn.tensor import Tensor, as_tensor, gather_rows, linear, matmul
+from ..nn.tensor import Tensor, as_tensor, concat, gather_rows, linear
+# kept as a module name: bench/tracing.py wraps tokens.embedding.matmul
+from ..nn.tensor import matmul  # noqa: F401
 from .tokenizer import N_FORMULA_SLOTS
 
 D_ELEMENT = 200
@@ -103,19 +105,19 @@ class EmbeddedInput:
     matrix: Tensor
     attention_mask: np.ndarray
     token_labels: tuple = ()
-    provenance: object = None
 
 
 def assemble_batch(sequences, formula_matrices, token_embedding,
                    formula_projection_w, formula_projection_b,
-                   positional_table):
-    """Embed a batch of token sequences.
+                   positional_table, width=None):
+    """Embed the first ``width`` positions (default: all) of a batch.
 
     Discrete positions pull rows from the token-embedding table; formula
-    slots holding real elements get linearly projected (fraction || vector)
-    rows; [PAD] rows stay all-zero; learned positional embeddings are added
-    at every non-[PAD] position. Tables may be Tensors (training) or
-    plain arrays.
+    slots get linearly projected (fraction || vector) rows; learned
+    positional embeddings are added, and [PAD] rows are all-zero. Tables
+    may be Tensors (training) or plain arrays. ``width`` must reach into
+    the formula slots. All 20 slots are projected at any width, so the
+    projection's weight gradient is always the same (B * 20)-row GEMM.
     """
     token_embedding = as_tensor(token_embedding)
     w = as_tensor(formula_projection_w)
@@ -127,6 +129,10 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
     if len(lengths) != 1:
         raise EmbeddingError(f"mixed sequence lengths in one batch: {lengths}")
     (L,) = lengths
+    start = L - N_FORMULA_SLOTS
+    width = L if width is None else width
+    if not start < width <= L:
+        raise EmbeddingError(f"width {width} must lie in ({start}, {L}]")
     if w.data.shape[1] != token_embedding.data.shape[1]:
         raise EmbeddingError(
             f"projection output {w.data.shape[1]} != d_model "
@@ -136,9 +142,10 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
             f"positional table covers {positional.data.shape[0]} positions, "
             f"sequence needs {L}")
 
-    ids = np.array([seq.ids for seq in sequences], dtype=np.intp)
-    mask = np.array([seq.attention_mask for seq in sequences], dtype=np.int8)
-    formula = np.stack([np.asarray(m, dtype=dtype) for m in formula_matrices])
+    ids = np.array([seq.ids[:start] for seq in sequences], dtype=np.intp)
+    mask = np.array([seq.attention_mask[:width] for seq in sequences],
+                    dtype=np.int8)
+    formula = np.asarray(formula_matrices, dtype=dtype)
     if formula.shape[1] != N_FORMULA_SLOTS:
         raise EmbeddingError(
             f"formula matrix has {formula.shape[1]} rows, "
@@ -148,40 +155,12 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
             f"formula feature width {formula.shape[2]} != projection input "
             f"{w.data.shape[0]}")
 
-    is_formula = np.zeros(L, dtype=bool)
-    is_formula[L - N_FORMULA_SLOTS:] = True
-    realmask = mask.astype(bool)
-    discrete_sel = (~is_formula & realmask)[..., None].astype(dtype)
-    formula_sel = (is_formula & realmask)[..., None].astype(dtype)
-    nonpad = realmask[..., None].astype(dtype)
-
+    nonpad = mask[..., None].astype(dtype)
     discrete = gather_rows(token_embedding, ids)
-    projected = linear(formula, w, b)
-    # constant 0/1 placement matrix scatters the 20 projected rows into
-    # their sequence positions without a concat primitive
-    place = np.zeros((L, N_FORMULA_SLOTS), dtype=dtype)
-    place[L - N_FORMULA_SLOTS:, :] = np.eye(N_FORMULA_SLOTS, dtype=dtype)
-    placed = matmul(Tensor(place), projected)
-
-    combined = discrete * discrete_sel + placed * formula_sel
-    combined = combined + positional[0:L] * nonpad
+    projected = linear(formula, w, b)[:, :width - start]
+    combined = concat([discrete, projected], axis=1)
+    combined = (combined + positional[:width]) * nonpad
 
     labels = tuple(getattr(seq, "token_labels", ()) for seq in sequences)
-    provenance = [getattr(seq, "provenance", None) for seq in sequences]
     return EmbeddedInput(matrix=combined, attention_mask=mask,
-                         token_labels=labels, provenance=provenance)
-
-
-def assemble_input(seq, formula_matrix, token_embedding,
-                   formula_projection, positional_table):
-    """Single-sequence assembly; ``formula_projection`` is a (w, b) pair."""
-    w, b = formula_projection
-    batch = assemble_batch([seq], [formula_matrix], token_embedding,
-                           w, b, positional_table)
-    matrix = batch.matrix.reshape(*batch.matrix.shape[1:])
-    return EmbeddedInput(
-        matrix=matrix,
-        attention_mask=batch.attention_mask[0],
-        token_labels=batch.token_labels[0],
-        provenance=getattr(seq, "provenance", None),
-    )
+                         token_labels=labels)

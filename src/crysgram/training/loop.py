@@ -88,6 +88,12 @@ class TrainConfig:
             raise ConfigError("preset must be 'desk' or 'paper'")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch size >= 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError("dtype must be 'float32' or 'float64'")
+        if self.dropout is not None and not (
+                isinstance(self.dropout, (int, float))
+                and 0.0 <= self.dropout < 1.0):
+            raise ConfigError("dropout must lie in [0, 1)")
         object.__setattr__(self, "info_layout", tuple(self.info_layout))
 
     def to_json(self):

@@ -194,6 +194,22 @@ class TestTrainingCommands:
                          "--config", str(config_path))
         assert code == 2
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"dtype": "int32"}, ()),
+        ({}, ("--dropout", "1.0")),
+        ({}, ("--dropout", "-0.5"))])
+    def test_out_of_range_setting_exits_2(self, capsys, tmp_path,
+                                          regression_csv, config, flags):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"config_version": 1, **config}))
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "finetune", "--data", regression_csv,
+                           "--out", str(out), "--config", str(config_path),
+                           "--epochs", "1", *flags)
+        assert code == 2, err
+        assert "dtype" in err or "dropout" in err
+        assert not out.exists()
+
 
 class TestRunRoundTrip:
     @pytest.mark.parametrize("split, run_dir", [("ratio:0.8,0.2", "."),

@@ -7,6 +7,7 @@ import pytest
 from crysgram.nn.encoder import MASK_FILL
 from crysgram.nn.tensor import (
     Tensor,
+    concat,
     dropout,
     gather_rows,
     gelu,
@@ -125,7 +126,7 @@ class TestRowGemm:
         a = Tensor(a_data, requires_grad=True)
         assert a.data.flags.c_contiguous == (name != "noncontiguous-lhs")
         w = Tensor.parameter(w_data, "w")
-        out = matmul(a, w)
+        out = linear(a, w)
         g = np.random.default_rng(12).normal(size=out.shape)
         out.backward(g)
         np.testing.assert_allclose(out.data, per_sample_matmul(a_data, w_data),
@@ -143,7 +144,7 @@ class TestRowGemm:
         x_data = rng.normal(size=(2, 5, 4))
         table = Tensor.parameter(rng.normal(size=(7, 4)), "table")
         x = Tensor.parameter(x_data, "x")
-        out = matmul(x, table.swap_last2())
+        out = linear(x, table.swap_last2())
         g = rng.normal(size=out.shape)
         out.backward(g)
         np.testing.assert_allclose(
@@ -159,7 +160,7 @@ class TestRowGemm:
     def test_dtype_promotes_like_numpy(self, a_dtype, w_dtype):
         a = np.ones((2, 3, 4), dtype=a_dtype)
         w = np.ones((4, 5), dtype=w_dtype)
-        assert matmul(Tensor(a), Tensor(w)).dtype == np.matmul(a, w).dtype
+        assert linear(Tensor(a), Tensor(w)).dtype == np.matmul(a, w).dtype
 
 
 # -- the composed-primitive expressions the fused nodes replace ---------------
@@ -419,6 +420,22 @@ class TestShapeOpGrads:
         table = Tensor.parameter(RNG.normal(size=(6, 3)), "t")
         ids = np.array([[0, 5, 5], [2, 2, 1]])
         check_grads(lambda: (gather_rows(table, ids) ** 2).sum(), [table])
+
+    @pytest.mark.parametrize("n_inputs", [2, 3])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat(self, n_inputs, axis):
+        parts = []
+        for i in range(n_inputs):
+            shape = [2, 3, 4]
+            shape[axis] = i + 1
+            parts.append(Tensor.parameter(RNG.normal(size=shape), f"p{i}"))
+        out = concat(parts, axis=axis)
+        ref = np.concatenate([p.data for p in parts], axis=axis)
+        assert out.shape == ref.shape
+        assert out.data.tobytes() == ref.tobytes()
+        weights = RNG.normal(size=ref.shape)
+        check_grads(lambda: (concat(parts, axis=axis) ** 2 * weights).sum(),
+                    parts)
 
 
 class TestReductionGrads:

@@ -12,13 +12,14 @@ from crysgram.nn import Tensor
 from crysgram.tokens import (
     CLS_ID,
     EMPTY_ID,
+    N_FORMULA_SLOTS,
     PAD_ID,
     UNK_ID,
     ElementEmbeddingTable,
     InformaticsBinning,
     InformaticsFields,
     TokenVocabulary,
-    assemble_input,
+    assemble_batch,
     build_vocabulary,
     embed_formula,
     quantize_informatics,
@@ -233,23 +234,23 @@ class TestAssembleInput:
         comp = parse_formula(formula)
         seq = tokenize_crystal(sg, comp, None, VOCAB)
         matrix = embed_formula(comp, self.TABLE)
-        return seq, assemble_input(seq, matrix, self.token_embedding,
-                                   (self.proj_w, self.proj_b), self.positional)
+        return seq, assemble_batch([seq], [matrix], self.token_embedding,
+                                   self.proj_w, self.proj_b, self.positional)
 
     def test_output_shape(self):
         _, out = self.assemble()
-        assert out.matrix.shape == (33, 16)
+        assert out.matrix.shape == (1, 33, 16)
 
     def test_pad_rows_are_zero(self):
         seq, out = self.assemble()
         pads = ~np.asarray(seq.attention_mask, dtype=bool)
-        assert (out.matrix.data[pads] == 0).all()
+        assert (out.matrix.data[0, pads] == 0).all()
 
     def test_discrete_positions_get_token_plus_positional(self):
         seq, out = self.assemble()
         expected = (self.token_embedding.data[seq.ids[0]]
                     + self.positional.data[0])
-        np.testing.assert_allclose(out.matrix.data[0], expected)
+        np.testing.assert_allclose(out.matrix.data[0, 0], expected)
 
     def test_formula_positions_get_projection_plus_positional(self):
         comp = parse_formula("NaCl")
@@ -257,7 +258,7 @@ class TestAssembleInput:
         matrix = embed_formula(comp, self.TABLE)
         row = matrix[0] @ self.proj_w.data + self.proj_b.data \
             + self.positional.data[13]
-        np.testing.assert_allclose(out.matrix.data[13], row)
+        np.testing.assert_allclose(out.matrix.data[0, 13], row)
 
     def test_zero_formula_row_projects_to_bias(self):
         projected = np.zeros(9) @ self.proj_w.data + self.proj_b.data
@@ -271,3 +272,78 @@ class TestAssembleInput:
     def test_attention_mask_marks_pads(self):
         seq, out = self.assemble(formula="Si")
         assert out.attention_mask.sum() == 1 + 12 + 1
+
+
+# the batches of test_objectives.TestTrimmedEncoder
+SHORT_ROWS = ((225, "NaCl"), (14, "Fe2O3"), (62, "LiFePO4"), (227, "Si"),
+              (221, "CaTiO3"))
+TWENTY_ELEMENTS = "HLiBeBCNOFNaMgAlSiPSClKCaScTiV"
+EMBED_PARAMS = ("embed.token", "embed.formula.w", "embed.formula.b",
+                "embed.position")
+
+
+class TestAssemblyWidth:
+    """assemble_batch(width=w) against the leading w columns of the full
+    width, forward and gradients, bit for bit. At the desk batch and
+    element-vector sizes, projecting fewer than all 20 slots changes the
+    order in which the BLAS sums the projection's weight gradient."""
+
+    TABLE = ElementEmbeddingTable.deterministic(seed=3)
+    BATCHES = {"short": SHORT_ROWS,
+               "twenty-elements": SHORT_ROWS + ((1, TWENTY_ELEMENTS),),
+               "short-x13": SHORT_ROWS * 13}
+
+    def inputs(self, name):
+        seqs, mats = [], []
+        for sg, formula in self.BATCHES[name]:
+            comp = parse_formula(formula)
+            seqs.append(tokenize_crystal(sg, comp, None, VOCAB))
+            mats.append(embed_formula(comp, self.TABLE))
+        return seqs, mats
+
+    def params(self, dtype):
+        rng = np.random.default_rng(5)
+        shapes = ((VOCAB.size, 16), (self.TABLE.dimension + 1, 16), (16,),
+                  (64, 16))
+        return [Tensor.parameter(rng.normal(size=shape).astype(dtype), name)
+                for name, shape in zip(EMBED_PARAMS, shapes)]
+
+    @staticmethod
+    def widths(seqs):
+        mask = np.array([s.attention_mask for s in seqs], dtype=bool)
+        attended = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+        start = mask.shape[1] - N_FORMULA_SLOTS
+        return sorted({start + 1, attended, mask.shape[1]})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_width_equals_leading_columns_of_full_width(self, name, dtype):
+        seqs, mats = self.inputs(name)
+        for width in self.widths(seqs):
+            results = []
+            for narrow in (False, True):
+                params = self.params(dtype)
+                if narrow:
+                    out = assemble_batch(seqs, mats, *params, width=width)
+                    matrix = out.matrix
+                else:
+                    out = assemble_batch(seqs, mats, *params)
+                    matrix = out.matrix[:, :width]
+                g = np.random.default_rng(6).normal(size=matrix.shape)
+                data = matrix.data.tobytes()
+                matrix.backward(g.astype(dtype))
+                results.append((data, out.attention_mask[:, :width],
+                                [p.grad.tobytes() for p in params]))
+            (full, full_mask, full_grads), (data, mask, grads) = results
+            assert matrix.shape == (len(seqs), width, 16)
+            assert data == full, width
+            np.testing.assert_array_equal(mask, full_mask)
+            for param, grad, ref in zip(EMBED_PARAMS, grads, full_grads):
+                assert grad == ref, (width, param)
+
+    @pytest.mark.parametrize("width", [0, 13, 34])
+    def test_width_outside_formula_slots_raises(self, width):
+        seqs, mats = self.inputs("short")
+        assert len(seqs[0]) - N_FORMULA_SLOTS == 13
+        with pytest.raises(EmbeddingError):
+            assemble_batch(seqs, mats, *self.params(np.float64), width=width)
