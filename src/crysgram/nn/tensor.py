@@ -1,7 +1,10 @@
 """Minimal dense tensor with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float64 in tests, float32 for training runs);
-every differentiable op records a vector-Jacobian closure. Graphs are
+every differentiable op records a vector-Jacobian closure. A Python int
+or float operand of ``+``, ``-``, ``*`` or ``/`` takes the tensor
+operand's dtype (NumPy 2's weak-scalar rule), so a float32 graph stays
+float32; numpy scalars and arrays keep numpy's promotion. Graphs are
 built per step and freed after backward(). Reductions run in numpy's
 fixed order, so forward and backward are deterministic for a given
 platform and dtype.
@@ -124,7 +127,7 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out = _node(self.data + other.data, (self, other))
 
         def backward(g):
@@ -143,13 +146,13 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-as_tensor(other, like=self))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other, like=self) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out = _node(self.data * other.data, (self, other))
 
         def backward(g):
@@ -163,7 +166,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out = _node(self.data / other.data, (self, other))
 
         def backward(g):
@@ -177,7 +180,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return as_tensor(other, like=self) / self
 
     def __pow__(self, exponent):
         if not np.isscalar(exponent):
@@ -247,7 +250,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         count = (self.data.size if axis is None
-                 else np.prod([self.data.shape[a] for a in np.atleast_1d(axis)]))
+                 else math.prod(self.data.shape[a] for a in np.atleast_1d(axis)))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- elementwise nonlinearities ---------------------------------------------
@@ -330,8 +333,15 @@ def _node(data, parents):
     return out
 
 
-def as_tensor(value):
-    return value if isinstance(value, Tensor) else Tensor(value)
+def as_tensor(value, like=None):
+    """``value`` as a Tensor. A Python int or float takes the dtype NumPy 2
+    gives it next to ``like``'s data: ``like``'s own dtype for float
+    data."""
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and type(value) in (int, float):
+        return Tensor(np.asarray(value, np.result_type(like.data, value)))
+    return Tensor(value)
 
 
 def matmul(a, b):
@@ -442,12 +452,12 @@ def log_softmax(x, axis=-1):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Row-wise normalization over the last axis, then affine gain/bias.
 
-    One node with the closed-form backward. The row statistics scale by a
-    float64 1/n, as ``Tensor.mean`` does, so a float32 input gives a
-    float64 output.
+    One node with the closed-form backward. The row statistics scale by
+    1/n as a Python float, as ``Tensor.mean`` does, so the output keeps
+    the input's dtype.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inv_n = np.float64(1.0 / x.data.shape[-1])
+    inv_n = 1.0 / x.data.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + eps)
@@ -473,12 +483,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
 def gelu(x):
     """Exact Gaussian-error-unit activation 0.5 x (1 + erf(x / sqrt(2)))."""
     x = as_tensor(x)
-    inner = _erf(x.data / np.sqrt(2.0))
+    inner = _erf(x.data / math.sqrt(2.0))
     value = 0.5 * x.data * (1.0 + inner)
     out = _node(value, (x,))
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
+        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
         x._accumulate(g * (0.5 * (1.0 + inner) + x.data * pdf))
     out._backward = backward
     return out

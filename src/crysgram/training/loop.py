@@ -94,6 +94,9 @@ class TrainConfig:
                 isinstance(self.dropout, (int, float))
                 and 0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
+        for name in ("weight_decay", "lambda_mlm"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
         object.__setattr__(self, "info_layout", tuple(self.info_layout))
 
     def to_json(self):

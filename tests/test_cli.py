@@ -210,6 +210,20 @@ class TestTrainingCommands:
         assert "dtype" in err or "dropout" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, field", [("--weight-decay", "weight_decay"),
+                                             ("--lambda-mlm", "lambda_mlm")])
+    def test_negative_weight_decay_or_lambda_exits_2(self, capsys, tmp_path,
+                                                     flag, field):
+        data = tmp_path / "lpp.csv"
+        write_dataset(generate_synthetic_corpus(16, seed=5, task="lpp"), data)
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "pretrain", "--data", str(data),
+                           "--objective", "mlm+lpp", "--out", str(out),
+                           "--epochs", "1", flag, "-1")
+        assert code == 2, err
+        assert field in err
+        assert not out.exists()
+
 
 class TestRunRoundTrip:
     @pytest.mark.parametrize("split, run_dir", [("ratio:0.8,0.2", "."),

@@ -72,6 +72,12 @@ def tiny_state(dtype="float64", **overrides):
     return EncoderState(config, seed=3)
 
 
+def desk_state(dtype):
+    config = desk_config(VOCAB.size, d_formula=TABLE.dimension + 1,
+                         dtype=dtype)
+    return EncoderState(config, seed=5)
+
+
 class TestMasking:
     def test_default_ratio_masks_three(self):
         masked, plan = apply_masking(make_seq(), 0.25, rng=0)
@@ -556,6 +562,18 @@ class TestLastBlockRows:
             np.testing.assert_allclose(grad, ref_grads[param], rtol=0,
                                        atol=1e-10, err_msg=param)
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_float32_desk_cls_bitwise_equal_full_width(self, size):
+        state = desk_state("float32")
+        rows = SHORT_ROWS + ((1, TWENTY_ELEMENTS),)
+        batch = make_batch([rows[i % len(rows)] for i in range(size)],
+                           lattice=False)
+        seqs, mats = batch.sequences, batch.formula_matrices
+        _, cls, _ = encode_batch(state, seqs, mats, rows=1)
+        _, ref, _ = encode_batch(state, seqs, mats)
+        assert cls.dtype == np.float32
+        np.testing.assert_array_equal(cls.data, ref.data)
+
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_recorded_attention_keeps_full_width(self, name):
         state = TestTrimmedEncoder.state()
@@ -568,3 +586,51 @@ class TestLastBlockRows:
         assert hidden.shape[:2] == (B, L)
         assert [w.shape for w in attn.layers] == \
             [(B, state.config.n_heads, L, L)] * state.config.n_layers
+
+
+def graph_nodes(root):
+    """Every node reachable from ``root`` through recorded parents."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestDtypeKept:
+    """A state computes in its own dtype: every node value and every
+    parameter gradient of a training step, and every node of an eval
+    forward, has the parameters' dtype."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("objective", ["mlm+lpp", "regression"])
+    def test_training_step(self, dtype, objective):
+        state = desk_state(dtype)
+        state.zero_grads()
+        batch = make_batch(SHORT_ROWS, targets=True)
+        rng = np.random.default_rng(2)
+        if objective == "regression":
+            loss, _ = regression_objective(state, batch,
+                                           TargetScaler.fit(batch.targets),
+                                           mode="train", rng=rng)
+        else:
+            loss, _ = combined_objective(state, batch,
+                                         lpp_scaler(batch.lattice_targets),
+                                         seed=1, mode="train", rng=rng)
+        nodes = graph_nodes(loss)
+        assert len(nodes) > 100
+        assert {n.data.dtype for n in nodes} == {np.dtype(dtype)}
+        loss.backward()
+        for name, p in state.named_parameters():
+            assert p.grad.dtype == dtype, name
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_eval_encode_batch(self, dtype):
+        batch = make_batch(SHORT_ROWS)
+        hidden, cls, _ = encode_batch(desk_state(dtype), batch.sequences,
+                                      batch.formula_matrices, rows=1)
+        nodes = graph_nodes(hidden) + graph_nodes(cls)
+        assert {n.data.dtype for n in nodes} == {np.dtype(dtype)}

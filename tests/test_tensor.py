@@ -262,8 +262,8 @@ class TestFusedForwardBitwise:
         bias = Tensor(rng.normal(size=(8,)).astype(dtype))
         fused = layer_norm(x, gain, bias)
         assert_bitwise(fused, composed_layer_norm(x, gain, bias))
-        # the row statistics scale by a float64 1/n
-        assert fused.dtype == np.float64
+        # the row statistics scale by a Python-float 1/n: no promotion
+        assert fused.dtype == x.dtype
 
 
 class TestFusedGrads:
@@ -523,3 +523,42 @@ class TestForwardSemantics:
         b.grad = np.zeros_like(b.data)
         (a * 3.0).sum().backward()
         np.testing.assert_array_equal(b.grad, np.zeros(3))
+
+
+class TestScalarDtype:
+    """A Python int or float takes the tensor operand's dtype (NumPy 2's
+    weak-scalar rule); numpy scalars keep numpy's promotion."""
+
+    OPS = {"add": lambda t: t + 2, "radd": lambda t: 2 + t,
+           "sub": lambda t: t - 0.5, "rsub": lambda t: 1.0 - t,
+           "mul": lambda t: t * 0.1, "rmul": lambda t: 3 * t,
+           "div": lambda t: t / 3.0, "rdiv": lambda t: 2.0 / t,
+           "mean": lambda t: t.mean(), "mean_axis": lambda t: t.mean(axis=1),
+           "gelu": gelu}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_keeps_operand_dtype_and_numpy_values(self, op, dtype):
+        data = RNG.uniform(0.5, 2.0, size=(3, 4)).astype(dtype)
+        out = self.OPS[op](Tensor(data))
+        assert out.dtype == dtype
+        if op not in ("mean", "mean_axis", "gelu"):
+            # numpy's own result for the raw array and the Python scalar
+            np.testing.assert_array_equal(out.data, self.OPS[op](data))
+
+    def test_float64_values_unchanged(self):
+        data = RNG.normal(size=(5, 6))
+        x = Tensor(data)
+        np.testing.assert_array_equal((x * 0.1).data, data * np.float64(0.1))
+        np.testing.assert_array_equal((1.0 - x).data, np.float64(1.0) - data)
+        np.testing.assert_array_equal(x.mean(axis=1).data,
+                                      data.sum(axis=1) * np.float64(1 / 6))
+
+    def test_numpy_scalar_promotes(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        assert (x * np.float64(2.0)).dtype == np.float64
+        assert (x * np.ones(3)).dtype == np.float64
+
+    def test_integer_data_with_float_scalar_is_float64(self):
+        assert (Tensor(np.arange(3)) * 0.5).dtype == np.float64
+        assert (Tensor(np.arange(3)) + 1).dtype == np.arange(3).dtype

@@ -48,6 +48,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(objective="nonsense")
 
+    @pytest.mark.parametrize("field", ["weight_decay", "lambda_mlm"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan")])
+    def test_negative_weight_decay_and_lambda_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: 0.0}), field) == 0.0
+
 
 class TestPretrain:
     def test_zero_epochs_equals_initialization(self, tmp_path):
