@@ -81,7 +81,10 @@ class EncoderState:
     """All learnable parameters, addressable by stable canonical names.
 
     A fresh state's parameters have no gradients (``grad`` is None) until
-    ``zero_grads`` or a backward pass gives them one.
+    a backward pass gives them one. The training loop keeps the first
+    array backward hands each parameter and gives a read-only zero to
+    those backward did not reach; ``zero_grads`` fills every gradient
+    with writable zeros instead.
     """
 
     LPP_OUTPUTS = 6
@@ -151,7 +154,7 @@ class EncoderState:
 
     def clone(self):
         """Copy of the parameters with no gradients (``grad`` is None) until
-        ``zero_grads`` or a backward pass gives them one."""
+        a backward pass gives them one."""
         other = EncoderState.__new__(EncoderState)
         other.config = self.config
         other.seed = self.seed

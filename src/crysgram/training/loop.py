@@ -291,11 +291,28 @@ def _write_run(out_dir, manifest, vocab, state=None, extra=None,
 
 
 def _check_finite(loss, state, epoch, global_step):
-    """Raise NonFiniteError if the loss or any parameter gradient is not
-    finite, naming the step and the first offending parameter."""
+    """Give every parameter that backward left without a gradient a
+    read-only zero, then raise NonFiniteError if the loss or any gradient
+    is not finite, naming the step and the first offending parameter.
+
+    One dot product per gradient sums the squares; only a non-finite sum
+    walks the parameters. If every gradient is finite the sum overflowed,
+    and the step goes on.
+    """
+    squares = 0.0
+    with np.errstate(over="ignore"):
+        for p in state.params.values():
+            if p.grad is None:
+                # zero strides: no memory, and reshapes to 1-D as a view
+                p.grad = np.broadcast_to(p.data.dtype.type(0), p.data.shape)
+            else:
+                g = p.grad.reshape(-1)
+                squares += float(np.dot(g, g))
     value = float(loss.data)
-    bad = next((name for name, p in state.named_parameters()
-                if not np.isfinite(p.grad).all()), None)
+    bad = None
+    if not math.isfinite(squares):
+        bad = next((name for name, p in state.named_parameters()
+                    if not np.isfinite(p.grad).all()), None)
     if math.isfinite(value) and bad is None:
         return
     raise NonFiniteError(
@@ -336,7 +353,6 @@ def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
             batch = corpus.batch(order[start:start + config.batch_size])
             rng = np.random.default_rng(np.random.PCG64(
                 derive_seed(config.seed, drop_label, global_step)))
-            state.zero_grads()
             loss, step_stats = step(batch, global_step, rng)
             loss.backward()
             _check_finite(loss, state, epoch, global_step)

@@ -12,7 +12,7 @@ import scipy
 import crysgram
 from crysgram.datasets import generate_synthetic_corpus, kb_corpus
 from crysgram.errors import CheckpointError, ConfigError, NonFiniteError
-from crysgram.nn import EncoderState, load_state
+from crysgram.nn import EncoderState, Tensor, desk_config, load_state
 from crysgram.tokens import ElementEmbeddingTable, build_vocabulary
 from crysgram.training import (
     TrainConfig,
@@ -22,7 +22,7 @@ from crysgram.training import (
     prepare_corpus,
     pretrain,
 )
-from crysgram.training.loop import _git_sha
+from crysgram.training.loop import _check_finite, _git_sha
 
 TABLE = ElementEmbeddingTable.deterministic()
 
@@ -274,3 +274,53 @@ class TestNonFiniteGuard:
                              learning_rate=1e30, seed=1)
         with pytest.raises(NonFiniteError, match=r"global step [1-9]: "):
             pretrain(self.RECORDS, config)
+
+
+class TestFiniteCheck:
+    """One squared sum per step; the parameters are walked only when it is
+    not finite, and a finite walk means the sum itself overflowed."""
+
+    def state(self):
+        state = EncoderState(desk_config(vocab_size=7, d_model=8, n_heads=2,
+                                         n_layers=1, dtype="float32"), seed=0)
+        for _, p in state.named_parameters():
+            p.grad = np.full(p.data.shape, 1e30, np.float32)
+        return state
+
+    LOSS = Tensor(np.float32(0.5))
+
+    def test_overflowing_square_sum_does_not_raise(self):
+        state = self.state()
+        g = state["embed.token"].grad.reshape(-1)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.dot(g, g))  # the sum overflows float32
+        _check_finite(self.LOSS, state, 0, 0)
+
+    @pytest.mark.parametrize("value, position", [(np.nan, "last"),
+                                                 (np.inf, "middle")])
+    def test_names_the_non_finite_parameter(self, value, position):
+        state = self.state()
+        names = [n for n, _ in state.named_parameters()]
+        name = names[-1] if position == "last" else names[len(names) // 2]
+        state[name].grad.reshape(-1)[-1] = value
+        with pytest.raises(NonFiniteError, match=(
+                r"epoch 2, global step 9: loss 0\.5, first non-finite "
+                rf"gradient {re.escape(name)}$")):
+            _check_finite(self.LOSS, state, 2, 9)
+
+    def test_non_finite_loss_with_finite_gradients(self):
+        with pytest.raises(NonFiniteError,
+                           match=r"loss nan, first non-finite gradient none"):
+            _check_finite(Tensor(np.float32(np.nan)), self.state(), 0, 3)
+
+    def test_missing_gradients_become_read_only_zeros(self):
+        state = self.state()
+        for name in ("lpp.fc1.w", "lpp.fc2.b"):
+            state[name].grad = None
+        _check_finite(self.LOSS, state, 0, 0)
+        for name in ("lpp.fc1.w", "lpp.fc2.b"):
+            g = state[name].grad
+            assert g.shape == state[name].data.shape
+            assert g.dtype == np.float32 and not g.flags.writeable
+            assert not any(g.strides) and not g.any()
+            assert g.reshape(-1).base is not None  # a view, no copy
