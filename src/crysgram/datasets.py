@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError
+from .files import atomic_write
 from .grammar import (
     CrystalSystem,
     FormulaComposition,
@@ -203,13 +204,13 @@ def write_dataset(records, path, fmt=None):
         fmt = "record-lines" if path.endswith((".jsonl", ".ndjson")) \
             else "delimited-table"
     if fmt == "record-lines":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for record in records:
                 fh.write(json.dumps(record_to_mapping(record),
                                     sort_keys=True) + "\n")
         return
     delimiter = "\t" if path.endswith(".tsv") else ","
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COLUMNS, delimiter=delimiter)
         writer.writeheader()
         for record in records:

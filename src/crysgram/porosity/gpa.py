@@ -23,6 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..errors import PorosityError
+from ..files import atomic_write
 
 DEFAULT_RHO_GRID = 5.0
 DEFAULT_R_PROBE = 1.2
@@ -128,7 +129,7 @@ def save_structure(structure, path):
     }
     if structure.radius_overrides:
         payload["radius_overrides"] = structure.radius_overrides
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -190,7 +191,7 @@ def _perpendicular_widths(lattice):
     return widths
 
 
-_STAMP_POINTS = 1 << 18  # distances held at once, so huge reaches stay small
+_STAMP_POINTS = 1 << 16  # grid points stamped at once: bounds a call's memory
 
 
 def _clearance_field(structure, dims, radii, pad):
@@ -201,27 +202,71 @@ def _clearance_field(structure, dims, radii, pad):
     is at least `pad`). A box longer than the cell wraps onto some indices
     more than once, and ``np.minimum.at`` keeps the nearest image. The
     work per atom grows with (reach / slab width) cubed.
+
+    Every atom goes through one loop over rows of (atom, axis-0 box
+    index). Axes 1 and 2 are laid out once per atom, padded to the
+    largest box; a padded entry has an infinite offset, so its distance
+    is +inf and leaves the field as it is. Each pass stamps whole rows,
+    at most ``_STAMP_POINTS`` grid points (a single row, if one row is
+    larger), with one 1-D ``np.minimum.at``, so a call holds the field
+    plus a few chunk-sized arrays whatever the number of atoms or their
+    reach.
+
+    The summation order is fixed: each Cartesian component of an offset
+    is (axis-0 + axis-1) + axis-2, and the squared distance is
+    (x*x + z*z) + y*y, the order in which numpy's ``einsum`` sums a
+    length-3 contraction. The field then equals a per-atom ``einsum``
+    stamp to the bit (tests/test_porosity.py keeps one as the oracle).
+    The order (x*x + y*y) + z*z changes about one finite point in nine
+    by a last bit, enough to move a point on a sphere surface across the
+    occupied or admissible threshold.
     """
     field = np.full(dims, np.inf)
+    lattice = structure.lattice
+    frac = np.array([f for _, f in structure.sites]).reshape(-1, 3)
+    radius = np.asarray(radii, dtype=np.float64)
     n = np.asarray(dims)
-    widths = _perpendicular_widths(structure.lattice)
-    for (_, frac), radius in zip(structure.sites, radii):
-        center = frac * n - 0.5  # in grid-index units
-        half = (radius + pad) / widths * n
-        axes = [np.arange(lo, hi + 1) for lo, hi in
-                zip(np.ceil(center - half).astype(np.int64),
-                    np.floor(center + half).astype(np.int64))]
-        # Cartesian offset from the atom along each lattice row
-        rows = [((idx + 0.5) / m - f)[:, None] * row for idx, m, f, row
-                in zip(axes, dims, frac, structure.lattice)]
-        wrapped = [idx % m for idx, m in zip(axes, dims)]
-        step = max(1, _STAMP_POINTS // max(1, len(axes[1]) * len(axes[2])))
-        for start in range(0, len(axes[0]), step):
-            delta = rows[0][start:start + step, None, None] \
-                + rows[1][None, :, None] + rows[2][None, None, :]
-            distance = np.sqrt(np.einsum("ijkl,ijkl->ijk", delta, delta))
-            index = np.ix_(wrapped[0][start:start + step], *wrapped[1:])
-            np.minimum.at(field, index, distance - radius)
+    center = frac * n - 0.5  # in grid-index units
+    half = (radius[:, None] + pad) / _perpendicular_widths(lattice) * n
+    lo = np.ceil(center - half).astype(np.int64)
+    count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
+
+    # axes 1 and 2: Cartesian offsets (component, atom, box index) from
+    # the atom along the lattice row, and the wrapped grid index
+    padded = []
+    for axis in (1, 2):
+        k = np.arange(count[:, axis].max(initial=0))
+        idx = lo[:, axis, None] + k
+        offset = ((idx + 0.5) / dims[axis] - frac[:, axis, None]) \
+            * lattice[axis][:, None, None]
+        offset[:, k >= count[:, axis, None]] = np.inf  # past the atom's box
+        padded.append((offset, idx % dims[axis]))
+    (offset1, wrapped1), (offset2, wrapped2) = padded
+    # axis 0: one row per (atom, box index)
+    atom = np.repeat(np.arange(len(radius)), count[:, 0])
+    first = np.cumsum(count[:, 0]) - count[:, 0]
+    idx0 = lo[atom, 0] + np.arange(len(atom)) - first[atom]
+    offset0 = ((idx0 + 0.5) / dims[0] - frac[atom, 0]) * lattice[0][:, None]
+    wrapped0 = idx0 % dims[0]
+
+    flat = field.reshape(-1)
+    step = max(1, _STAMP_POINTS // max(1, offset1.shape[2]
+                                       * offset2.shape[2]))
+    for start in range(0, len(atom), step):
+        rows = slice(start, start + step)
+        a = atom[rows]
+        x, y, z = ((offset0[c, rows, None, None] + offset1[c, a, :, None])
+                   + offset2[c, a, None, :] for c in range(3))
+        # in place, in the fixed order (x*x + z*z) + y*y
+        clearance = np.multiply(x, x, out=x)
+        clearance += np.multiply(z, z, out=z)
+        clearance += np.multiply(y, y, out=y)
+        np.sqrt(clearance, out=clearance)
+        clearance -= radius[a, None, None]
+        index = ((wrapped0[rows, None] * dims[1] + wrapped1[a])
+                 * dims[2])[:, :, None] + wrapped2[a, None, :]
+        np.minimum.at(flat, index.ravel(), clearance.ravel())
+        del x, y, z, clearance, index  # before the next chunk is built
     return field
 
 

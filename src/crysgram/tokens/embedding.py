@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmbeddingError
+from ..files import atomic_write
 from ..grammar import SYMBOLS
 from ..nn.tensor import Tensor, as_tensor, concat, gather_rows, linear
 # kept as a module name: bench/tracing.py wraps tokens.embedding.matmul
@@ -80,7 +81,7 @@ class ElementEmbeddingTable:
         return cls(vectors)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for symbol, vec in self._vectors.items():
                 fh.write(symbol + " "
                          + " ".join(repr(float(v)) for v in vec) + "\n")

@@ -1,13 +1,20 @@
-"""Atomic writes: a write that fails leaves the previous file byte-identical
-and no temporary file behind."""
+"""Atomic writes: a write that fails, before or while it writes, leaves the
+previous file byte-identical and no temporary file behind."""
 
 import os
 
+import numpy as np
 import pytest
 
 from crysgram import cli, files
+from crysgram.datasets import generate_synthetic_corpus, write_dataset
 from crysgram.nn import EncoderState, desk_config, save_state
-from crysgram.tokens import InformaticsFields, build_vocabulary
+from crysgram.porosity import PeriodicStructure, save_structure
+from crysgram.tokens import (
+    ElementEmbeddingTable,
+    InformaticsFields,
+    build_vocabulary,
+)
 from crysgram.training.loop import RunManifest, write_metrics, write_predictions
 
 
@@ -30,6 +37,14 @@ WRITERS = {
     "predictions": lambda path, v: write_predictions([("r1", 1.0, v + 0.5)],
                                                      path),
     "emit": lambda path, v: cli.emit(f"output {v}", str(path)),
+    "structure": lambda path, v: save_structure(PeriodicStructure(
+        np.eye(3) * (8.0 + v), [("C", np.full(3, 0.5))]), path),
+    "dataset-csv": lambda path, v: write_dataset(
+        generate_synthetic_corpus(3, seed=v), path, fmt="delimited-table"),
+    "dataset-jsonl": lambda path, v: write_dataset(
+        generate_synthetic_corpus(3, seed=v), path, fmt="record-lines"),
+    "embeddings": lambda path, v: ElementEmbeddingTable.deterministic(
+        dimension=4, seed=v).save(path),
 }
 
 
@@ -53,6 +68,51 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer,
     WRITERS[writer](path, 1)
     assert path.read_bytes() != before
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("injected failure")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failure_mid_write_keeps_previous_file(tmp_path, monkeypatch,
+                                               writer):
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 0)
+    before = path.read_bytes()
+    monkeypatch.setattr(files, "open",
+                        lambda *args, **kwargs: _HalfWrite(open(*args,
+                                                                **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError, match="injected failure"):
+        WRITERS[writer](path, 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_dataset_csv_keeps_csv_line_endings(tmp_path):
+    path = tmp_path / "records.csv"
+    WRITERS["dataset-csv"](path, 0)
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) == 5 and lines[-1] == b""
+    assert all(line.endswith(b"\r") for line in lines[:-1])
 
 
 def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch):

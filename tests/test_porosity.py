@@ -1,9 +1,11 @@
 """Grid-point porosity: analytic sphere oracles, a brute-force image
-search oracle, accessibility fixtures, and monotonicity/convergence
-properties."""
+search oracle, a per-atom stamp as a bitwise oracle and a memory bound
+for the clearance field, accessibility fixtures, and
+monotonicity/convergence properties."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from crysgram.porosity import (
     structure_informatics,
     void_fraction,
 )
-from crysgram.porosity.gpa import _accessible_count, _perpendicular_widths
+from crysgram.porosity.gpa import (
+    _STAMP_POINTS,
+    _accessible_count,
+    _clearance_field,
+    _perpendicular_widths,
+)
 from crysgram.tokens import InformaticsBinning
 
 
@@ -125,7 +132,7 @@ def skewed_cell(radius):
 
 
 @st.composite
-def periodic_cells(draw):
+def periodic_cells(draw, min_radius=0.3):
     """Orthogonal or oblique cells with 1-12 sites of assorted radii."""
     lengths = [draw(st.floats(4.0, 9.0)) for _ in range(3)]
     angles = [90.0] * 3
@@ -137,9 +144,139 @@ def periodic_cells(draw):
     unit = st.floats(0.0, 1.0, exclude_max=True)
     sites = [(f"E{i}", np.array([draw(unit) for _ in range(3)]))
              for i in range(n_sites)]
-    radii = {f"E{i}": draw(st.floats(0.3, 2.0)) for i in range(n_sites)}
+    radii = {f"E{i}": draw(st.floats(min_radius, 2.0))
+             for i in range(n_sites)}
     return PeriodicStructure(lattice=lattice, sites=sites,
                              radius_overrides=radii)
+
+
+# -- per-atom stamp oracle -------------------------------------------------------
+#
+# The clearance field as crysgram stamped it one atom at a time, with a
+# 4-D einsum per atom; `_clearance_field` must match it to the bit.
+
+
+def per_atom_clearance_field(structure, dims, radii, pad):
+    field = np.full(dims, np.inf)
+    n = np.asarray(dims)
+    widths = _perpendicular_widths(structure.lattice)
+    for (_, frac), radius in zip(structure.sites, radii):
+        center = frac * n - 0.5  # in grid-index units
+        half = (radius + pad) / widths * n
+        axes = [np.arange(lo, hi + 1) for lo, hi in
+                zip(np.ceil(center - half).astype(np.int64),
+                    np.floor(center + half).astype(np.int64))]
+        # Cartesian offset from the atom along each lattice row
+        rows = [((idx + 0.5) / m - f)[:, None] * row for idx, m, f, row
+                in zip(axes, dims, frac, structure.lattice)]
+        wrapped = [idx % m for idx, m in zip(axes, dims)]
+        step = max(1, (1 << 18) // max(1, len(axes[1]) * len(axes[2])))
+        for start in range(0, len(axes[0]), step):
+            delta = rows[0][start:start + step, None, None] \
+                + rows[1][None, :, None] + rows[2][None, None, :]
+            distance = np.sqrt(np.einsum("ijkl,ijkl->ijk", delta, delta))
+            index = np.ix_(wrapped[0][start:start + step], *wrapped[1:])
+            np.minimum.at(field, index, distance - radius)
+    return field
+
+
+def framework_cell(n_sites, a, seed):
+    """Cube of edge `a` with C, H, O, N and Zn sites at random places."""
+    rng = np.random.default_rng(seed)
+    elements = ["C", "H", "O", "N", "Zn"]
+    return PeriodicStructure(np.eye(3) * a, [
+        (elements[i % 5], rng.random(3)) for i in range(n_sites)])
+
+
+def assert_same_field(structure, rho, pad):
+    dims = GridSpec(rho).dims(structure)
+    radii = [structure.radius_of(e) for e, _ in structure.sites]
+    field = _clearance_field(structure, dims, radii, pad)
+    expected = per_atom_clearance_field(structure, dims, radii, pad)
+    assert field.shape == expected.shape
+    assert field.tobytes() == expected.tobytes()
+
+
+def box_counts(structure, rho, pad):
+    """(atoms, 3) grid points in each atom's stamp box per axis."""
+    n = np.asarray(GridSpec(rho).dims(structure))
+    widths = _perpendicular_widths(structure.lattice)
+    counts = []
+    for element, frac in structure.sites:
+        center = frac * n - 0.5
+        half = (structure.radius_of(element) + pad) / widths * n
+        counts.append(np.floor(center + half) - np.ceil(center - half) + 1)
+    return np.array(counts)
+
+
+class TestClearanceFieldOracle:
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(structure=periodic_cells(min_radius=0.0),
+           pad=st.sampled_from([0.0, 1.2]), rho=st.floats(0.5, 3.0))
+    def test_bitwise_equal_to_per_atom_stamp(self, structure, pad, rho):
+        assert_same_field(structure, rho, pad)
+
+    @pytest.mark.parametrize("pad", [0.0, 1.2])
+    def test_framework_cell(self, pad):
+        assert_same_field(framework_cell(60, 12.0, seed=31), 2.0, pad)
+
+    @pytest.mark.parametrize("pad", [0.0, 1.2])
+    def test_box_wraps_grid_more_than_once(self, pad):
+        structure = skewed_cell(2.6)
+        assert (box_counts(structure, 3.0, pad)
+                > 2 * np.asarray(GridSpec(3.0).dims(structure))).any()
+        assert_same_field(structure, 3.0, pad)
+
+    def test_no_sites(self):
+        empty = PeriodicStructure(lattice=np.eye(3) * 8.0, sites=[])
+        field = _clearance_field(empty, (4, 5, 6), [], 1.2)
+        assert field.shape == (4, 5, 6) and np.isposinf(field).all()
+        assert_same_field(empty, 0.6, 1.2)
+
+    def test_box_with_no_grid_point_along_an_axis(self):
+        # a 0.01 A atom between grid points of a 2 A grid reaches none
+        # along axis 0; the other atom's box is full
+        structure = PeriodicStructure(
+            lattice=np.eye(3) * 8.0,
+            sites=[("X", np.array([0.3, 0.5, 0.55])),
+                   ("Y", np.array([0.1, 0.2, 0.3]))],
+            radius_overrides={"X": 0.01, "Y": 1.5})
+        counts = box_counts(structure, 0.5, 0.0)
+        assert counts[0, 0] == 0 and (counts[1] > 0).all()
+        assert_same_field(structure, 0.5, 0.0)
+        assert_same_field(structure, 0.5, 1.2)
+
+
+def traced_peak(structure, rho, pad):
+    """(tracemalloc peak of one `_clearance_field` call, field bytes)."""
+    dims = GridSpec(rho).dims(structure)
+    radii = [structure.radius_of(e) for e, _ in structure.sites]
+    tracemalloc.start()
+    try:
+        field = _clearance_field(structure, dims, radii, pad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, field.nbytes
+
+
+class TestClearanceFieldMemory:
+    """A call holds the field plus a few arrays of one chunk of at most
+    `_STAMP_POINTS` points, whatever the number of atoms or their reach."""
+
+    CHUNK_BYTES = 8 * _STAMP_POINTS * 8  # eight float64 chunk arrays
+
+    def test_many_atom_cell(self):
+        peak, field_bytes = traced_peak(framework_cell(400, 20.0, seed=37),
+                                        2.0, 1.2)
+        assert peak - field_bytes < self.CHUNK_BYTES
+
+    def test_one_atom_with_a_million_point_box(self):
+        structure = single_sphere(a=12.0, radius=5.5)
+        assert box_counts(structure, 10.0, 0.0).prod() >= 10 ** 6
+        peak, field_bytes = traced_peak(structure, 10.0, 0.0)
+        assert peak - field_bytes < self.CHUNK_BYTES
 
 
 class TestVoidFraction:

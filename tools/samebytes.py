@@ -4,6 +4,10 @@ r"""Check that a change leaves every CLI artifact byte-identical:
 Each checkout writes the same seeded synthetic data with its own ``src``,
 then runs pretrain (mlm, lpp, mlm+lpp; float32 and float64; weight decay),
 finetune from mlm+lpp with early stopping, predict and both exports.
+It also writes seeded structures with ``save_structure`` (a framework-like
+cell, a triclinic cell and a cell whose stamps wrap the grid twice) and
+runs ``porosity --format json`` on each at two grid densities, with and
+without flood fill, and once with a radius override file.
 Every file and standard output must be equal; manifests are compared
 without their wall time and git commit. Exits 1 on any difference.
 """
@@ -20,6 +24,29 @@ HERE = Path(__file__).resolve().parents[1]
 DATA = ("from crysgram.datasets import generate_synthetic_corpus as g, "
         "write_dataset as w; w(g(160, seed=5, task='lpp'), 'lpp.csv'); "
         "w(g(128, seed=21, task='regression'), 'reg.csv')")
+STRUCTURES = r"""
+import numpy as np
+from crysgram.porosity import PeriodicStructure, save_structure
+
+rng = np.random.default_rng(12)
+elements = ["C", "H", "O", "N", "Zn"]
+
+
+def sites(n):
+    return [(elements[i % 5], rng.random(3)) for i in range(n)]
+
+
+save_structure(PeriodicStructure(np.eye(3) * 14.0, sites(120)),
+               "framework.json")
+save_structure(PeriodicStructure([[9.0, 0.0, 0.0], [-1.7, 9.8, 0.0],
+                                  [1.9, -3.5, 10.2]], sites(30)),
+               "triclinic.json")
+save_structure(PeriodicStructure([[4.0, 0.0, 0.0], [8.2, 1.8, 0.0],
+                                  [0.0, 0.0, 4.0]], [("X", [0.2, 0.3, 0.4])],
+                                 radius_overrides={"X": 2.6}), "wraps.json")
+with open("radii.txt", "w", encoding="utf-8") as fh:
+    fh.write("C 1.9\nH 1.0\nO 1.6\nN 1.7\nZn 1.2\n")
+"""
 TRAIN = ("--epochs", "3", "--seed", "3", "--weight-decay", "0.01")
 READERS = (("predict",), ("export", "cls-embeddings"), ("export", "attention"))
 
@@ -35,6 +62,13 @@ def commands():
         for reader in READERS:
             yield [*reader, "--checkpoint", f"{ft}/checkpoint.ckpt", "--data",
                    "reg.csv", "--out", f"{ft}/{reader[-1]}.out"]
+    for structure in ("framework", "triclinic", "wraps"):
+        for rho in ("2", "3.5"):
+            for flood in ((), ("--no-floodfill",)):
+                yield ["porosity", f"{structure}.json", "--format", "json",
+                       "--rho-grid", rho, *flood]
+    yield ["porosity", "framework.json", "--format", "json", "--radii",
+           "radii.txt"]
 
 
 def content(path):
@@ -48,7 +82,9 @@ def content(path):
 def run_all(checkout, work):
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     work.mkdir()
-    subprocess.run([sys.executable, "-c", DATA], cwd=work, env=env, check=True)
+    for script in (DATA, STRUCTURES):
+        subprocess.run([sys.executable, "-c", script], cwd=work, env=env,
+                       check=True)
     for n, command in enumerate(commands()):
         done = subprocess.run([sys.executable, "-m", "crysgram.cli", *command],
                               cwd=work, env=env, capture_output=True)
