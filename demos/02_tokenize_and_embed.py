@@ -2,7 +2,7 @@
 
 Builds the vocabulary, tokenizes (space-group tokens + informatics +
 formula slots), embeds the formula as a (20, 201) matrix, and assembles
-the final L x d_model input.
+the encoder input, a batch of one (1, L, d_model) matrix.
 """
 
 import numpy as np
@@ -43,9 +43,9 @@ print(f"zero-padding rows: {np.count_nonzero(~matrix.any(axis=1))}")
 
 config = desk_config(vocab.size)
 state = EncoderState(config, seed=0)
-embedded = assemble_batch(
+x, mask = assemble_batch(
     [seq], [matrix], state["embed.token"], state["embed.formula.w"],
     state["embed.formula.b"], state["embed.position"])
-print(f"\nembedded input: {embedded.matrix.shape[1:]} "
+print(f"\nembedded input: {x.shape[1:]} "
       f"(d_model {config.d_model}), "
-      f"attended positions {int(np.sum(embedded.attention_mask))}")
+      f"attended positions {int(np.sum(mask))}")

@@ -5,7 +5,7 @@ finite-difference check of the reverse-mode gradients.
 import numpy as np
 
 from crysgram.grammar import parse_formula
-from crysgram.nn import EncoderState, desk_config, encoder_forward
+from crysgram.nn import EncoderState, desk_config
 from crysgram.objectives import encode_batch, lpp_head
 from crysgram.tokens import (
     ElementEmbeddingTable,

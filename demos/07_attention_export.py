@@ -26,8 +26,6 @@ batch = corpus.batch(np.arange(1))
 _, _, attn = encode_batch(result.state, batch.sequences,
                           batch.formula_matrices, mode="eval",
                           record_attention=True)
-attn.layers = [w[0] for w in attn.layers]
-attn.token_labels = list(batch.sequences[0].token_labels)
 
 document = export_attention(attn, layers=[-1])
 (key,) = document["layers"]

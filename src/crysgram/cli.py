@@ -301,9 +301,6 @@ def cmd_export(args):
         _, _, attn = encode_batch(state, batch.sequences,
                                   batch.formula_matrices, mode="eval",
                                   record_attention=True)
-        attn.layers = [w[0] for w in attn.layers]
-        attn.token_labels = list(batch.sequences[0].token_labels)
-        attn.attention_mask = np.asarray(batch.sequences[0].attention_mask)
         layers = None if args.layer is None else [args.layer]
         document = export_attention(attn, layers=layers)
         document["record_id"] = corpus.ids[index]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import DegenerateMaskError
+from ..errors import CrysgramError, DegenerateMaskError
 from .tensor import (Tensor, as_tensor, dropout, gelu, layer_norm, linear,
                      matmul, softmax)
 
@@ -166,7 +166,9 @@ class EncoderState:
 
 @dataclass
 class AttentionMap:
-    """Recorded attention weights: one (n_heads, L, L) array per layer."""
+    """Recorded attention weights of one batch: a (B, n_heads, R, L) array
+    per layer, the (B, L) attention mask and one token-label tuple per
+    record."""
 
     layers: list = field(default_factory=list)
     token_labels: list = field(default_factory=list)
@@ -176,9 +178,20 @@ class AttentionMap:
     def n_layers(self):
         return len(self.layers)
 
+    def one_record(self):
+        """(n_heads, R, L) layers of a one-record map, else CrysgramError."""
+        if not self.layers:
+            raise CrysgramError(
+                "attention recording was disabled for this pass")
+        if len(self.layers[0]) != 1:
+            raise CrysgramError(
+                f"attention export reads one record, this map holds "
+                f"{len(self.layers[0])}")
+        return [w[0] for w in self.layers]
+
     def cls_attention(self, layer):
         """Per-head attention from [CLS] to every position: (n_heads, L)."""
-        return self.layers[layer][:, 0, :]
+        return self.one_record()[layer][:, 0, :]
 
 
 def scaled_dot_attention(q, k, v, mask=None, dropout_rate=0.0, rng=None,
@@ -212,7 +225,7 @@ def scaled_dot_attention(q, k, v, mask=None, dropout_rate=0.0, rng=None,
 def multi_head_attention(x, layer_params, mask=None, n_heads=1,
                          attention_dropout=0.0, mode="eval", rng=None,
                          rows=None):
-    """Multi-head self-attention over x (B, L, d) or (L, d).
+    """Multi-head self-attention over x (B, L, d) with a (B, L) key mask.
 
     ``rows`` limits the queries to the first ``rows`` positions (all L
     when None); keys and values still come from every position. Returns
@@ -220,9 +233,6 @@ def multi_head_attention(x, layer_params, mask=None, n_heads=1,
     (B, n_heads, rows, L). Weights are recorded before attention dropout.
     """
     x = as_tensor(x)
-    single = x.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
     B, L, d = x.shape
     R = L if rows is None else rows
     d_head = d // n_heads
@@ -239,10 +249,7 @@ def multi_head_attention(x, layer_params, mask=None, n_heads=1,
         project("q", queries), project("k", x), project("v", x), mask,
         attention_dropout, rng, mode == "train")
     context = context.transpose(0, 2, 1, 3).reshape(B, R, d)
-    out = linear(context, layer_params["o.w"], layer_params["o.b"])
-    if single:
-        out = out.reshape(R, d)
-    return out, weights
+    return linear(context, layer_params["o.w"], layer_params["o.b"]), weights
 
 
 def _layer_view(state, index):
@@ -272,44 +279,37 @@ class _PaddedDraws:
         return self._rng.random(padded)[tuple(slice(0, n) for n in shape)]
 
 
-def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
+def encoder_forward(x, mask, state, mode="eval", rng=None,
                     record_attention=True, rows=None, *, _padded_len=None):
-    """Run the full encoder stack.
+    """Run the full encoder stack over the (B, L, d_model) input ``x``
+    with its (B, L) attention ``mask``.
 
-    ``embedded`` is an EmbeddedInput (or any object with ``matrix`` and
-    ``attention_mask``). Returns (hidden, cls, AttentionMap) where hidden
-    is (B, R, d_model) (or (R, d_model) for a single sample) and cls is
-    the hidden row at position 0. ``rows`` (all L positions when None) is
-    how many leading positions the caller reads: the last block computes
-    only the first R = min(max(rows, MIN_QUERY_ROWS), L), with keys and
-    values from every position, and its recorded attention has R query
-    rows. ``_padded_len`` is internal: the sequence length before the
-    unattended trailing columns were left out of the input (see
-    ``objectives.encode_batch``). Training dropout draws at the padded
-    full-width shapes either way.
+    Returns (hidden, cls, attention) where hidden is (B, R, d_model), cls
+    is the hidden row at position 0 and attention is an AttentionMap when
+    ``record_attention`` is set, else None. ``rows`` (all L positions
+    when None) is how many leading positions the caller reads: the last
+    block computes only the first R = min(max(rows, MIN_QUERY_ROWS), L),
+    with keys and values from every position, and its recorded attention
+    has R query rows. ``_padded_len`` is internal: the sequence length
+    before the unattended trailing columns were left out of the input
+    (see ``objectives.encode_batch``). Training dropout draws at the
+    padded full-width shapes either way.
     """
-    config = config or state.config
+    config = state.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and rng is None:
         rng = np.random.default_rng(0)
 
-    x = as_tensor(embedded.matrix)
-    single = x.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
-    mask = np.asarray(embedded.attention_mask)
-    if mask.ndim == 1:
-        mask = mask.reshape(1, -1)
+    x = as_tensor(x)
     if x.shape[1] > config.max_seq_len:
         raise ValueError(
             f"sequence length {x.shape[1]} exceeds max {config.max_seq_len}")
 
-    attn_map = AttentionMap(
-        token_labels=list(getattr(embedded, "token_labels", []) or []),
-        attention_mask=mask.copy())
     train = mode == "train"
     B, L, d = x.shape
+    attn_map = (AttentionMap([], [()] * B, np.array(mask))
+                if record_attention else None)
     R = (L if rows is None or config.n_layers == 0
          else min(max(rows, MIN_QUERY_ROWS), L))
     P = L if _padded_len is None else _padded_len
@@ -328,7 +328,7 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
             x, attn_params, mask=mask, n_heads=config.n_heads,
             attention_dropout=config.attention_dropout, mode=mode, rng=rng,
             rows=R if last else None)
-        if record_attention:
+        if attn_map is not None:
             attn_map.layers.append(np.array(weights.data, dtype=np.float64))
         if last and R < L:
             x = x[:, :R]
@@ -339,9 +339,4 @@ def encoder_forward(embedded, state, config=None, mode="eval", rng=None,
         x = layer_norm(x + dropout(h, config.hidden_dropout, rng, train),
                        layer["norm2.gain"], layer["norm2.bias"])
 
-    cls = x[:, 0, :]
-    if single:
-        x = x.reshape(*x.shape[1:])
-        cls = cls.reshape(cls.shape[-1])
-        attn_map.layers = [w[0] for w in attn_map.layers]
-    return x, cls, attn_map
+    return x, x[:, 0, :], attn_map

@@ -1,22 +1,20 @@
 """Plot-ready serialization of recorded attention weights."""
 
-import json
-
 import numpy as np
 
 from ..errors import CrysgramError
 
 
 def export_attention(attn_map, layers=None):
-    """Nested-array document of attention weights for selected layers.
+    """Nested-array document of one record's attention weights.
 
+    ``attn_map`` must hold exactly one record (CrysgramError otherwise).
     ``layers`` picks 0-based layer indices (negative indices count from
     the end, -1 being the last layer); default is every recorded layer.
     Requires a forward pass run with attention recording enabled.
     """
-    if attn_map is None or attn_map.n_layers == 0:
-        raise CrysgramError("attention recording was disabled for this pass")
-    n = attn_map.n_layers
+    record = _recorded(attn_map).one_record()
+    n = len(record)
     if layers is None:
         selected = list(range(n))
     else:
@@ -24,36 +22,23 @@ def export_attention(attn_map, layers=None):
         for index in selected:
             if not 0 <= index < n:
                 raise CrysgramError(f"layer {index} outside 0..{n - 1}")
-    document = {
+    mask = np.asarray(attn_map.attention_mask[0], dtype=int)
+    return {
         "format_version": 1,
-        "token_labels": list(attn_map.token_labels),
-        "n_heads": int(attn_map.layers[0].shape[0]),
-        "layers": {
-            str(index): np.asarray(attn_map.layers[index], dtype=np.float64)
-            .tolist()
-            for index in selected
-        },
+        "token_labels": list(attn_map.token_labels[0]),
+        "n_heads": int(record[0].shape[0]),
+        "layers": {str(index): record[index].tolist() for index in selected},
+        "attention_mask": mask.tolist(),
     }
-    if attn_map.attention_mask is not None:
-        document["attention_mask"] = (
-            np.asarray(attn_map.attention_mask).astype(int).reshape(-1).tolist())
-    return document
-
-
-def serialize_attention(attn_map, layers=None):
-    return json.dumps(export_attention(attn_map, layers=layers),
-                      sort_keys=True, separators=(",", ":"))
-
-
-def deserialize_attention(text):
-    """Inverse of serialize_attention: layer index -> (n_heads, L, L) array."""
-    document = json.loads(text)
-    return {int(key): np.asarray(value, dtype=np.float64)
-            for key, value in document["layers"].items()}
 
 
 def export_cls_rows(attn_map, layer=-1):
-    """[CLS]-row extraction: one length-L attention vector per head."""
-    if attn_map is None or attn_map.n_layers == 0:
+    """[CLS]-row extraction for one record: a length-L attention vector
+    per head."""
+    return _recorded(attn_map).cls_attention(layer)
+
+
+def _recorded(attn_map):
+    if attn_map is None:
         raise CrysgramError("attention recording was disabled for this pass")
-    return np.asarray(attn_map.cls_attention(layer), dtype=np.float64)
+    return attn_map

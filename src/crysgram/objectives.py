@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, VocabularyError
 from .grammar import CrystalSystem, lattice_constraints
 from .nn.encoder import encoder_forward
-from .nn.tensor import Tensor, dropout, linear, log_softmax, silu
+from .nn.tensor import dropout, linear, log_softmax, silu
 # kept as a module name: bench/tracing.py wraps objectives.matmul
 from .nn.tensor import matmul  # noqa: F401
 from .tokens.embedding import assemble_batch
@@ -206,23 +206,25 @@ def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
     only those, or ``MIN_QUERY_ROWS`` if that is more, so ``hidden`` is
     (B, R, d_model) with R no wider than the attended width. Training
     dropout still draws at the padded full-width shapes, so a seed gives
-    the masks of the untrimmed batch. Recording attention keeps every row
-    and the full width, since its maps are laid out against every token
-    label.
+    the masks of the untrimmed batch. ``attn`` is None unless attention
+    is recorded; its map keeps every row, the full width and each
+    record's token labels, which its maps are laid out against.
     """
     mask = np.array([seq.attention_mask for seq in sequences], dtype=bool)
     padded = mask.shape[1]
     attended = np.flatnonzero(mask.any(axis=0))
     width = (padded if record_attention or not attended.size
              else int(attended[-1]) + 1)
-    embedded = assemble_batch(
+    x, mask = assemble_batch(
         sequences, formula_matrices,
         state["embed.token"], state["embed.formula.w"],
         state["embed.formula.b"], state["embed.position"], width=width)
     hidden, cls, attn = encoder_forward(
-        embedded, state, state.config, mode=mode, rng=rng,
+        x, mask, state, mode=mode, rng=rng,
         record_attention=record_attention,
         rows=None if record_attention else rows, _padded_len=padded)
+    if attn is not None:
+        attn.token_labels = [seq.token_labels for seq in sequences]
     return hidden, cls, attn
 
 
@@ -249,12 +251,9 @@ def mlm_logits(state, hidden, plans):
     return logits, np.array(labels)
 
 
-def mlm_loss(logits, plan_or_labels):
+def mlm_loss(logits, labels):
     """Mean cross-entropy over masked positions only."""
-    if isinstance(plan_or_labels, MaskingPlan):
-        labels = np.array(plan_or_labels.original_ids)
-    else:
-        labels = np.asarray(plan_or_labels)
+    labels = np.asarray(labels)
     if labels.size == 0:
         raise ConfigError("empty masking plan: no positions to score")
     logp = log_softmax(logits, axis=-1)
@@ -289,8 +288,7 @@ def lpp_loss(pred, target, scaler):
         raise ConfigError("lpp_loss requires a fitted TargetScaler")
     target_std = scaler.transform(np.asarray(target))
     target_std = np.asarray(target_std).reshape(-1, scaler.n_targets)
-    pred = pred.reshape(-1, scaler.n_targets) if isinstance(pred, Tensor) \
-        else Tensor(np.asarray(pred).reshape(-1, scaler.n_targets))
+    pred = pred.reshape(-1, scaler.n_targets)
     diff = pred - target_std.astype(pred.data.dtype)
     return (diff * diff).mean()
 
@@ -300,7 +298,6 @@ def mae_loss(pred, target, scaler):
     if scaler is None:
         raise ConfigError("mae_loss requires a fitted TargetScaler")
     target_std = np.asarray(scaler.transform(np.asarray(target))).reshape(-1)
-    pred = pred if isinstance(pred, Tensor) else Tensor(np.asarray(pred))
     pred = pred.reshape(-1)
     return (pred - target_std.astype(pred.data.dtype)).abs().mean()
 
@@ -321,13 +318,11 @@ def mlm_objective(state, batch, ratio=0.25, seed=0, mode="train", rng=None):
     return loss, stats
 
 
-def lpp_objective(state, batch, scaler, mode="train", rng=None,
-                  masked_seqs=None):
+def lpp_objective(state, batch, scaler, mode="train", rng=None):
     """Lattice-parameter regression objective; returns (loss, stats)."""
     if batch.lattice_targets is None:
         raise ConfigError("batch carries no lattice targets")
-    seqs = masked_seqs if masked_seqs is not None else batch.sequences
-    _, cls, _ = encode_batch(state, seqs, batch.formula_matrices,
+    _, cls, _ = encode_batch(state, batch.sequences, batch.formula_matrices,
                              mode=mode, rng=rng, rows=1)
     pred = lpp_head(cls, state, mode=mode, rng=rng)
     loss = lpp_loss(pred, batch.lattice_targets, scaler)

@@ -95,14 +95,21 @@ class PeriodicStructure:
         return len(self.sites)
 
     def radius_of(self, element, table=None):
+        """Van der Waals radius of ``element``: this structure's override,
+        else ``table`` (default: the bundled table). Raises PorosityError
+        unless the radius is finite and positive."""
         merged = table if table is not None else default_radius_table()
-        if element in self.radius_overrides:
-            return float(self.radius_overrides[element])
-        if element not in merged:
+        radius = self.radius_overrides.get(element, merged.get(element))
+        if radius is None:
             raise PorosityError(
                 f"no van der Waals radius for element {element!r}; "
                 "supply an override table")
-        return float(merged[element])
+        radius = float(radius)
+        if not 0.0 < radius < np.inf:
+            raise PorosityError(
+                f"van der Waals radius of {element!r} must be finite and "
+                f"positive, got {radius}")
+        return radius
 
     def min_cell_width(self):
         """Smallest perpendicular distance between opposite cell faces."""

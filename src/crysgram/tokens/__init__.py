@@ -3,7 +3,6 @@
 from .embedding import (
     D_ELEMENT,
     ElementEmbeddingTable,
-    EmbeddedInput,
     assemble_batch,
     embed_formula,
 )
@@ -31,8 +30,7 @@ from .vocab import (
 )
 
 __all__ = [
-    "D_ELEMENT", "ElementEmbeddingTable", "EmbeddedInput", "assemble_batch",
-    "embed_formula",
+    "D_ELEMENT", "ElementEmbeddingTable", "assemble_batch", "embed_formula",
     "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "InformaticsFields",
     "TokenSequence", "sequence_length", "tokenize_crystal",
     "CLS_ID", "EMPTY_ID", "INFO_FIELDS", "MASK_ID", "PAD_ID", "SG_CATEGORIES",

@@ -1,14 +1,12 @@
 """Element embedding table, (N, 201) formula matrices, and assembly of the
-embedded input consumed by the encoder."""
-
-from dataclasses import dataclass
+embedded batch consumed by the encoder."""
 
 import numpy as np
 
 from ..errors import EmbeddingError
 from ..files import atomic_write
 from ..grammar import SYMBOLS
-from ..nn.tensor import Tensor, as_tensor, concat, gather_rows, linear
+from ..nn.tensor import as_tensor, concat, gather_rows, linear
 # kept as a module name: bench/tracing.py wraps tokens.embedding.matmul
 from ..nn.tensor import matmul  # noqa: F401
 from .tokenizer import N_FORMULA_SLOTS
@@ -99,15 +97,6 @@ def embed_formula(composition, table):
     return out
 
 
-@dataclass
-class EmbeddedInput:
-    """L x d_model matrix (or B x L x d_model batch) plus attention mask."""
-
-    matrix: Tensor
-    attention_mask: np.ndarray
-    token_labels: tuple = ()
-
-
 def assemble_batch(sequences, formula_matrices, token_embedding,
                    formula_projection_w, formula_projection_b,
                    positional_table, width=None):
@@ -119,6 +108,8 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
     may be Tensors (training) or plain arrays. ``width`` must reach into
     the formula slots. All 20 slots are projected at any width, so the
     projection's weight gradient is always the same (B * 20)-row GEMM.
+    Returns the (B, width, d_model) input and its (B, width) attention
+    mask.
     """
     token_embedding = as_tensor(token_embedding)
     w = as_tensor(formula_projection_w)
@@ -160,8 +151,4 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
     discrete = gather_rows(token_embedding, ids)
     projected = linear(formula, w, b)[:, :width - start]
     combined = concat([discrete, projected], axis=1)
-    combined = (combined + positional[:width]) * nonpad
-
-    labels = tuple(getattr(seq, "token_labels", ()) for seq in sequences)
-    return EmbeddedInput(matrix=combined, attention_mask=mask,
-                         token_labels=labels)
+    return (combined + positional[:width]) * nonpad, mask

@@ -62,7 +62,8 @@ def derive_seed(*parts):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Run configuration; every field mirrors a CLI flag."""
+    """Run configuration. Every field but ``max_seq_len`` mirrors a CLI
+    flag; all of them are config-file keys."""
 
     objective: str = "regression"
     preset: str = "desk"

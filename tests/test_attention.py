@@ -113,11 +113,11 @@ class TestMultiHead:
     def test_output_shape_matches_input(self):
         config = desk_config(vocab_size=11, d_model=32, n_heads=4)
         state = EncoderState(config, seed=0)
-        x = RNG.normal(size=(5, 32))
+        x = RNG.normal(size=(1, 5, 32))
         params = {k[len("layers.0.attn."):]: v for k, v in state.params.items()
                   if k.startswith("layers.0.attn.")}
         out, weights = multi_head_attention(x, params, n_heads=4)
-        assert out.shape == (5, 32)
+        assert out.shape == (1, 5, 32)
         assert weights.shape == (1, 4, 5, 5)
 
     def test_single_head_reduces_to_scaled_dot(self):
@@ -125,17 +125,17 @@ class TestMultiHead:
         state = EncoderState(config, seed=3)
         params = {k[len("layers.0.attn."):]: v for k, v in state.params.items()
                   if k.startswith("layers.0.attn.")}
-        x = RNG.normal(size=(4, 8)).astype(np.float32)
+        x = RNG.normal(size=(1, 4, 8)).astype(np.float32)
 
         out, weights = multi_head_attention(x, params, n_heads=1)
 
         def lin(name):
-            return x @ params[f"{name}.w"].data + params[f"{name}.b"].data
+            return x[0] @ params[f"{name}.w"].data + params[f"{name}.b"].data
 
         ref_out, ref_w = scaled_dot_attention(lin("q"), lin("k"), lin("v"))
         ref_final = ref_out.data @ params["o.w"].data + params["o.b"].data
         np.testing.assert_allclose(weights.data[0, 0], ref_w.data, atol=1e-6)
-        np.testing.assert_allclose(out.data, ref_final, atol=1e-5)
+        np.testing.assert_allclose(out.data[0], ref_final, atol=1e-5)
 
     def test_gradients_against_finite_differences(self):
         # 4-token, d_model=8 instance per the module contract
@@ -144,8 +144,8 @@ class TestMultiHead:
         state = EncoderState(config, seed=5)
         params = {k[len("layers.0.attn."):]: v for k, v in state.params.items()
                   if k.startswith("layers.0.attn.")}
-        x = Tensor(RNG.normal(size=(4, 8)))
-        w = RNG.normal(size=(4, 8))
+        x = Tensor(RNG.normal(size=(1, 4, 8)))
+        w = RNG.normal(size=(1, 4, 8))
 
         def f():
             out, _ = multi_head_attention(x, params, n_heads=2)

@@ -128,6 +128,18 @@ class TestPorosity:
         code, _, _ = run(capsys, "porosity", "no-such-file.json")
         assert code == 2
 
+    def test_nan_radius_override_exits_2(self, capsys, tmp_path):
+        path, radii = tmp_path / "s.json", tmp_path / "radii.txt"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 6.0,
+            sites=[("C", np.array([0.25, 0.25, 0.25]))]), path)
+        radii.write_text("C nan\n")
+        code, out, err = run(capsys, "porosity", str(path), "--radii",
+                             str(radii), "--rho-grid", "2")
+        assert code == 2
+        assert out == ""
+        assert "'C'" in err and "nan" in err
+
 
 class TestTrainingCommands:
     def test_pretrain_writes_metrics_lines(self, capsys, tmp_path):
@@ -292,6 +304,22 @@ class TestExport:
         arr = np.asarray(payload["layers"][key])
         assert arr.shape == (4, 33, 33)  # desk preset heads, L = 33
         assert len(payload["token_labels"]) == 33
+
+    def test_attention_export_of_a_later_record(self, capsys, finetuned,
+                                                regression_csv, tmp_path):
+        out_file = tmp_path / "attention.json"
+        code, _, _ = run(capsys, "export", "attention",
+                         "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                         "--data", regression_csv, "--layer", "-1",
+                         "--record-id", "syn-regression-21-00004",
+                         "--out", str(out_file))
+        assert code == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["record_id"] == "syn-regression-21-00004"
+        assert payload["n_heads"] == 4
+        assert list(payload["layers"]) == ["1"]  # desk preset: 2 layers
+        assert len(payload["attention_mask"]) == 33
+        assert {"K", "Sr"} <= set(payload["token_labels"])
 
     def test_cls_export_one_row_per_record(self, capsys, finetuned,
                                            regression_csv, tmp_path):

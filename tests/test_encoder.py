@@ -8,36 +8,28 @@ import pytest
 
 from crysgram.errors import CheckpointError, ConfigError, CrysgramError
 from crysgram.nn import (
+    AttentionMap,
     EncoderConfig,
     EncoderState,
     Tensor,
     desk_config,
-    deserialize_attention,
     encoder_forward,
     export_attention,
     export_cls_rows,
     load_state,
     paper_config,
     save_state,
-    serialize_attention,
 )
-from crysgram.tokens.embedding import EmbeddedInput
 from crysgram.training import AdamW
 
 RNG = np.random.default_rng(11)
 
 
-def make_input(L=9, d=32, batch=None, dtype=np.float64):
-    shape = (L, d) if batch is None else (batch, L, d)
-    mask = np.ones(shape[:-1][-1] if batch is None else (batch, L), dtype=int)
-    if batch is None:
-        mask = np.ones(L, dtype=int)
-        mask[-2:] = 0
-    else:
-        mask[:, -2:] = 0
-    return EmbeddedInput(matrix=Tensor(RNG.normal(size=shape).astype(dtype)),
-                         attention_mask=mask,
-                         token_labels=tuple(f"t{i}" for i in range(L)))
+def make_input(L=9, d=32, batch=1, dtype=np.float64):
+    """(x, mask): a (batch, L, d) input whose last two positions are pads."""
+    mask = np.ones((batch, L), dtype=int)
+    mask[:, -2:] = 0
+    return Tensor(RNG.normal(size=(batch, L, d)).astype(dtype)), mask
 
 
 class TestForward:
@@ -45,8 +37,8 @@ class TestForward:
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=0)
         x = make_input()
-        h1, c1, _ = encoder_forward(x, state, config, mode="eval")
-        h2, c2, _ = encoder_forward(x, state, config, mode="eval")
+        h1, c1, _ = encoder_forward(*x, state, mode="eval")
+        h2, c2, _ = encoder_forward(*x, state, mode="eval")
         np.testing.assert_array_equal(h1.data, h2.data)
         np.testing.assert_array_equal(c1.data, c2.data)
 
@@ -56,18 +48,18 @@ class TestForward:
                              head_dropout=0.0)
         state = EncoderState(config, seed=0)
         x = make_input()
-        h_train, _, _ = encoder_forward(x, state, config, mode="train",
+        h_train, _, _ = encoder_forward(*x, state, mode="train",
                                         rng=np.random.default_rng(5))
-        h_eval, _, _ = encoder_forward(x, state, config, mode="eval")
+        h_eval, _, _ = encoder_forward(*x, state, mode="eval")
         np.testing.assert_allclose(h_train.data, h_eval.data, atol=0)
 
     def test_train_dropout_changes_output(self):
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=0)
         x = make_input()
-        h_train, _, _ = encoder_forward(x, state, config, mode="train",
+        h_train, _, _ = encoder_forward(*x, state, mode="train",
                                         rng=np.random.default_rng(5))
-        h_eval, _, _ = encoder_forward(x, state, config, mode="eval")
+        h_eval, _, _ = encoder_forward(*x, state, mode="eval")
         assert not np.allclose(h_train.data, h_eval.data)
 
     def test_zero_layer_stack_is_identity(self):
@@ -75,47 +67,52 @@ class TestForward:
                                d_model=16, dtype="float64")
         state = EncoderState(config, seed=0)
         x = make_input(L=5, d=16)
-        hidden, cls, attn = encoder_forward(x, state, config)
-        np.testing.assert_array_equal(hidden.data, x.matrix.data)
-        np.testing.assert_array_equal(cls.data, x.matrix.data[0])
+        hidden, cls, attn = encoder_forward(*x, state)
+        np.testing.assert_array_equal(hidden.data, x[0].data)
+        np.testing.assert_array_equal(cls.data, x[0].data[:, 0])
         assert attn.n_layers == 0
 
     def test_cls_is_row_zero(self):
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=2)
         x = make_input()
-        hidden, cls, _ = encoder_forward(x, state, config)
-        np.testing.assert_array_equal(cls.data, hidden.data[0])
+        hidden, cls, _ = encoder_forward(*x, state)
+        np.testing.assert_array_equal(cls.data, hidden.data[:, 0])
 
     def test_batched_matches_single(self):
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=2)
-        single = make_input(L=7)
-        batched = EmbeddedInput(
-            matrix=Tensor(np.stack([single.matrix.data] * 3)),
-            attention_mask=np.stack([single.attention_mask] * 3))
-        h1, c1, _ = encoder_forward(single, state, config)
-        hb, cb, _ = encoder_forward(batched, state, config)
+        x, mask = make_input(L=7)
+        h1, c1, _ = encoder_forward(x, mask, state)
+        hb, cb, _ = encoder_forward(Tensor(np.concatenate([x.data] * 3)),
+                                    np.concatenate([mask] * 3), state)
         for b in range(3):
-            np.testing.assert_allclose(hb.data[b], h1.data, atol=1e-12)
-            np.testing.assert_allclose(cb.data[b], c1.data, atol=1e-12)
+            np.testing.assert_allclose(hb.data[b], h1.data[0], atol=1e-12)
+            np.testing.assert_allclose(cb.data[b], c1.data[0], atol=1e-12)
 
     def test_length_overflow_raises(self):
         config = desk_config(vocab_size=11, d_model=32, max_seq_len=8)
         state = EncoderState(config, seed=0)
         with pytest.raises(ValueError):
-            encoder_forward(make_input(L=9, d=32), state, config)
+            encoder_forward(*make_input(L=9, d=32), state)
 
     def test_recorded_attention_rows_sum_to_one(self):
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=4)
         x = make_input(L=9)
-        _, _, attn = encoder_forward(x, state, config)
-        valid = x.attention_mask.astype(bool)
+        _, _, attn = encoder_forward(*x, state)
+        valid = x[1][0].astype(bool)
         for layer in attn.layers:
             sums = layer.sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-6)
-            assert (layer[:, :, ~valid] == 0.0).all()
+            assert (layer[..., ~valid] == 0.0).all()
+
+    def test_no_map_unless_recorded(self):
+        config = desk_config(vocab_size=11, d_model=32, dtype="float64")
+        state = EncoderState(config, seed=4)
+        x = make_input(L=9)
+        _, _, attn = encoder_forward(*x, state, record_attention=False)
+        assert attn is None
 
 
 class TestParameterCount:
@@ -272,12 +269,15 @@ class TestCheckpoint:
             load_state(path)
 
 
+LABELS = tuple(f"t{i}" for i in range(9))
+
+
 class TestAttentionExport:
-    def make_map(self):
+    def make_map(self, batch=1):
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=4)
-        x = make_input(L=9)
-        _, _, attn = encoder_forward(x, state, config)
+        _, _, attn = encoder_forward(*make_input(L=9, batch=batch), state)
+        attn.token_labels = [LABELS] * batch
         return attn
 
     def test_layer_head_shapes(self):
@@ -286,33 +286,49 @@ class TestAttentionExport:
         key = str(attn.n_layers - 1)
         arr = np.asarray(doc["layers"][key])
         assert arr.shape == (4, 9, 9)
-        assert doc["token_labels"] == [f"t{i}" for i in range(9)]
+        assert doc["token_labels"] == list(LABELS)
+        assert doc["n_heads"] == 4
+        assert doc["attention_mask"] == [1] * 7 + [0] * 2
 
     def test_row_sums_preserved_in_serialization(self):
         attn = self.make_map()
-        restored = deserialize_attention(serialize_attention(attn))
-        for index, arr in restored.items():
-            valid = attn.attention_mask.reshape(-1).astype(bool)
+        doc = json.loads(json.dumps(export_attention(attn)))
+        valid = np.array(doc["attention_mask"], dtype=bool)
+        for arr in doc["layers"].values():
+            arr = np.asarray(arr)
             sums = arr.sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-6)
             assert (arr[:, :, ~valid] == 0.0).all()
 
     def test_serialization_roundtrip_exact(self):
         attn = self.make_map()
-        restored = deserialize_attention(serialize_attention(attn))
-        for index, arr in restored.items():
-            np.testing.assert_allclose(arr, attn.layers[index], atol=1e-9)
+        doc = json.loads(json.dumps(export_attention(attn)))
+        for index, arr in doc["layers"].items():
+            np.testing.assert_array_equal(np.asarray(arr),
+                                          attn.layers[int(index)][0])
 
     def test_cls_rows(self):
         attn = self.make_map()
         rows = export_cls_rows(attn, layer=-1)
         assert rows.shape == (4, 9)
-        np.testing.assert_allclose(rows, attn.layers[-1][:, 0, :])
+        np.testing.assert_array_equal(rows, attn.layers[-1][0, :, 0, :])
+        np.testing.assert_array_equal(rows, attn.cls_attention(-1))
+
+    def test_several_records_raise(self):
+        attn = self.make_map(batch=2)
+        assert attn.layers[-1].shape == (2, 4, 9, 9)
+        with pytest.raises(CrysgramError, match="one record"):
+            export_attention(attn)
+        with pytest.raises(CrysgramError, match="one record"):
+            export_cls_rows(attn)
+        with pytest.raises(CrysgramError, match="one record"):
+            attn.cls_attention(0)
 
     def test_empty_map_errors(self):
-        from crysgram.nn.encoder import AttentionMap
         with pytest.raises(CrysgramError):
             export_attention(AttentionMap())
+        with pytest.raises(CrysgramError):
+            export_cls_rows(None)
 
     def test_layer_out_of_range(self):
         attn = self.make_map()
@@ -321,5 +337,6 @@ class TestAttentionExport:
 
     def test_deterministic_serialization(self):
         attn = self.make_map()
-        assert serialize_attention(attn) == serialize_attention(attn)
-        json.loads(serialize_attention(attn))
+        text = json.dumps(export_attention(attn), sort_keys=True)
+        assert text == json.dumps(export_attention(attn), sort_keys=True)
+        json.loads(text)

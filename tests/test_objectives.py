@@ -1,5 +1,6 @@
 """Masking, loss oracles, target scaling, heads, and the combined objective."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from crysgram.nn.encoder import MIN_QUERY_ROWS
 from crysgram.objectives import (
     Batch,
     LatticeParameters,
-    MaskingPlan,
     TargetScaler,
     apply_masking,
     combined_objective,
@@ -147,11 +147,6 @@ class TestMlmLoss:
         expected /= 2
         np.testing.assert_allclose(mlm_loss(Tensor(logits), labels).item(),
                                    expected, atol=1e-12)
-
-    def test_plan_overload(self):
-        plan = MaskingPlan((1, 2), (0, 3), 0.25)
-        logits = Tensor(np.zeros((2, 4)))
-        np.testing.assert_allclose(mlm_loss(logits, plan).item(), math.log(4))
 
     def test_empty_plan_raises(self):
         with pytest.raises(ConfigError):
@@ -344,8 +339,9 @@ class TestObjectives:
         loss, stats = combined_objective(state, batch, scaler, ratio=0.25,
                                          lam=0.0, seed=7, mode="eval")
         masked, _ = mask_batch(batch.sequences, 0.25, seed=7)
-        ref, _ = lpp_objective(state, batch, scaler, mode="eval",
-                               masked_seqs=masked)
+        ref, _ = lpp_objective(state,
+                               dataclasses.replace(batch, sequences=masked),
+                               scaler, mode="eval")
         np.testing.assert_allclose(loss.item(), ref.item(), rtol=1e-12)
 
     def test_combined_is_sum_of_parts_single_forward(self):
@@ -408,10 +404,10 @@ class TestTrimmedEncoder:
 
     @staticmethod
     def untrimmed(state, seqs, mats, mode, rng):
-        embedded = assemble_batch(
+        x, mask = assemble_batch(
             seqs, mats, state["embed.token"], state["embed.formula.w"],
             state["embed.formula.b"], state["embed.position"])
-        hidden, cls, _ = encoder_forward(embedded, state, mode=mode, rng=rng,
+        hidden, cls, _ = encoder_forward(x, mask, state, mode=mode, rng=rng,
                                          record_attention=False)
         return hidden, cls
 
@@ -586,6 +582,8 @@ class TestLastBlockRows:
         assert hidden.shape[:2] == (B, L)
         assert [w.shape for w in attn.layers] == \
             [(B, state.config.n_heads, L, L)] * state.config.n_layers
+        assert attn.token_labels == [s.token_labels for s in batch.sequences]
+        assert attn.attention_mask.shape == (B, L)
 
 
 def graph_nodes(root):

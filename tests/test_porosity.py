@@ -190,7 +190,9 @@ def framework_cell(n_sites, a, seed):
 
 def assert_same_field(structure, rho, pad):
     dims = GridSpec(rho).dims(structure)
-    radii = [structure.radius_of(e) for e, _ in structure.sites]
+    # the raw radii: radius_of refuses the zero radius the cells may draw
+    table = {**default_radius_table(), **structure.radius_overrides}
+    radii = [table[e] for e, _ in structure.sites]
     field = _clearance_field(structure, dims, radii, pad)
     expected = per_atom_clearance_field(structure, dims, radii, pad)
     assert field.shape == expected.shape
@@ -307,6 +309,19 @@ class TestVoidFraction:
                               sites=[("Zz", np.zeros(3))])
         with pytest.raises(PorosityError, match="Zz"):
             void_fraction(s, GridSpec(2))
+
+    @pytest.mark.parametrize("radius", [-2.0, 0.0, math.nan, math.inf])
+    def test_bad_radius_override_raises(self, radius):
+        s = single_sphere(radius=radius)
+        with pytest.raises(PorosityError, match=f"'X'.*{radius}"):
+            void_fraction(s, GridSpec(2))
+
+    def test_bad_radius_table_entry_raises(self):
+        s = PeriodicStructure(lattice=np.eye(3) * 6.0,
+                              sites=[("C", np.array([0.5, 0.5, 0.5]))])
+        with pytest.raises(PorosityError, match="'C'.*nan"):
+            accessible_void_fraction(s, GridSpec(2),
+                                     radius_table={"C": math.nan})
 
     def test_default_radius_table_used(self):
         s = PeriodicStructure(lattice=np.eye(3) * 6.0,

@@ -234,44 +234,46 @@ class TestAssembleInput:
         comp = parse_formula(formula)
         seq = tokenize_crystal(sg, comp, None, VOCAB)
         matrix = embed_formula(comp, self.TABLE)
-        return seq, assemble_batch([seq], [matrix], self.token_embedding,
-                                   self.proj_w, self.proj_b, self.positional)
+        return (seq, *assemble_batch([seq], [matrix], self.token_embedding,
+                                     self.proj_w, self.proj_b,
+                                     self.positional))
 
     def test_output_shape(self):
-        _, out = self.assemble()
-        assert out.matrix.shape == (1, 33, 16)
+        _, x, mask = self.assemble()
+        assert x.shape == (1, 33, 16)
+        assert mask.shape == (1, 33)
 
     def test_pad_rows_are_zero(self):
-        seq, out = self.assemble()
+        seq, x, _ = self.assemble()
         pads = ~np.asarray(seq.attention_mask, dtype=bool)
-        assert (out.matrix.data[0, pads] == 0).all()
+        assert (x.data[0, pads] == 0).all()
 
     def test_discrete_positions_get_token_plus_positional(self):
-        seq, out = self.assemble()
+        seq, x, _ = self.assemble()
         expected = (self.token_embedding.data[seq.ids[0]]
                     + self.positional.data[0])
-        np.testing.assert_allclose(out.matrix.data[0, 0], expected)
+        np.testing.assert_allclose(x.data[0, 0], expected)
 
     def test_formula_positions_get_projection_plus_positional(self):
         comp = parse_formula("NaCl")
-        seq, out = self.assemble()
+        _, x, _ = self.assemble()
         matrix = embed_formula(comp, self.TABLE)
         row = matrix[0] @ self.proj_w.data + self.proj_b.data \
             + self.positional.data[13]
-        np.testing.assert_allclose(out.matrix.data[0, 13], row)
+        np.testing.assert_allclose(x.data[0, 13], row)
 
     def test_zero_formula_row_projects_to_bias(self):
         projected = np.zeros(9) @ self.proj_w.data + self.proj_b.data
         np.testing.assert_array_equal(projected, self.proj_b.data)
 
     def test_deterministic(self):
-        _, out1 = self.assemble()
-        _, out2 = self.assemble()
-        np.testing.assert_array_equal(out1.matrix.data, out2.matrix.data)
+        _, x1, _ = self.assemble()
+        _, x2, _ = self.assemble()
+        np.testing.assert_array_equal(x1.data, x2.data)
 
     def test_attention_mask_marks_pads(self):
-        seq, out = self.assemble(formula="Si")
-        assert out.attention_mask.sum() == 1 + 12 + 1
+        _, _, mask = self.assemble(formula="Si")
+        assert mask.sum() == 1 + 12 + 1
 
 
 # the batches of test_objectives.TestTrimmedEncoder
@@ -324,15 +326,15 @@ class TestAssemblyWidth:
             for narrow in (False, True):
                 params = self.params(dtype)
                 if narrow:
-                    out = assemble_batch(seqs, mats, *params, width=width)
-                    matrix = out.matrix
+                    matrix, mask = assemble_batch(seqs, mats, *params,
+                                                  width=width)
                 else:
-                    out = assemble_batch(seqs, mats, *params)
-                    matrix = out.matrix[:, :width]
+                    matrix, mask = assemble_batch(seqs, mats, *params)
+                    matrix = matrix[:, :width]
                 g = np.random.default_rng(6).normal(size=matrix.shape)
                 data = matrix.data.tobytes()
                 matrix.backward(g.astype(dtype))
-                results.append((data, out.attention_mask[:, :width],
+                results.append((data, mask[:, :width],
                                 [p.grad.tobytes() for p in params]))
             (full, full_mask, full_grads), (data, mask, grads) = results
             assert matrix.shape == (len(seqs), width, 16)

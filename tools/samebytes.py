@@ -3,7 +3,9 @@ r"""Check that a change leaves every CLI artifact byte-identical:
 
 Each checkout writes the same seeded synthetic data with its own ``src``,
 then runs pretrain (mlm, lpp, mlm+lpp; float32 and float64; weight decay),
-finetune from mlm+lpp with early stopping, predict and both exports.
+finetune from mlm+lpp with early stopping, predict and both exports
+(attention once for the first record and every layer, once for a later
+record and the last layer).
 It also writes seeded structures with ``save_structure`` (a framework-like
 cell, a triclinic cell and a cell whose stamps wrap the grid twice) and
 runs ``porosity --format json`` on each at two grid densities, with and
@@ -48,7 +50,11 @@ with open("radii.txt", "w", encoding="utf-8") as fh:
     fh.write("C 1.9\nH 1.0\nO 1.6\nN 1.7\nZn 1.2\n")
 """
 TRAIN = ("--epochs", "3", "--seed", "3", "--weight-decay", "0.01")
-READERS = (("predict",), ("export", "cls-embeddings"), ("export", "attention"))
+READERS = {"predict": ("predict",),
+           "cls-embeddings": ("export", "cls-embeddings"),
+           "attention": ("export", "attention"),
+           "attention-record-4": ("export", "attention", "--record-id",
+                                  "syn-regression-21-00004", "--layer", "-1")}
 
 
 def commands():
@@ -59,9 +65,9 @@ def commands():
         ft = f"ft-{dtype}"
         yield ["finetune", "--data", "reg.csv", "--out", ft, "--checkpoint",
                f"mlm+lpp-{dtype}/checkpoint.ckpt", "--patience", "2", *TRAIN]
-        for reader in READERS:
+        for name, reader in READERS.items():
             yield [*reader, "--checkpoint", f"{ft}/checkpoint.ckpt", "--data",
-                   "reg.csv", "--out", f"{ft}/{reader[-1]}.out"]
+                   "reg.csv", "--out", f"{ft}/{name}.out"]
     for structure in ("framework", "triclinic", "wraps"):
         for rho in ("2", "3.5"):
             for flood in ((), ("--no-floodfill",)):
