@@ -250,7 +250,8 @@ def cmd_finetune(args):
     return EXIT_OK
 
 
-def _load_eval_bundle(args):
+def _load_checkpoint(args):
+    """(encoder state, target scaler or None, vocabulary) of --checkpoint."""
     vocab_path = args.vocab or str(Path(args.checkpoint).parent / "vocab.txt")
     vocab = TokenVocabulary.load(vocab_path)
     state, header = load_pretrained(args.checkpoint, vocab=vocab)
@@ -258,6 +259,11 @@ def _load_eval_bundle(args):
     scaler = None
     if "target_scaler" in extra:
         scaler = TargetScaler.from_dict(extra["target_scaler"])
+    return state, scaler, vocab
+
+
+def _load_eval_bundle(args):
+    state, scaler, vocab = _load_checkpoint(args)
     records = _load_records(args.data)
     corpus = prepare_corpus(records, vocab, _element_table(args))
     return state, scaler, corpus
@@ -290,23 +296,10 @@ def cmd_predict(args):
 
 
 def cmd_export(args):
-    state, _, corpus = _load_eval_bundle(args)
     if args.what == "attention":
-        index = 0
-        if args.record_id:
-            if args.record_id not in corpus.ids:
-                raise CrysgramError(f"record {args.record_id!r} not in dataset")
-            index = corpus.ids.index(args.record_id)
-        batch = corpus.batch(np.array([index]))
-        _, _, attn = encode_batch(state, batch.sequences,
-                                  batch.formula_matrices, mode="eval",
-                                  record_attention=True)
-        layers = None if args.layer is None else [args.layer]
-        document = export_attention(attn, layers=layers)
-        document["record_id"] = corpus.ids[index]
-        emit(json.dumps(document, sort_keys=True), args.out)
-        return EXIT_OK
+        return _export_attention(args)
 
+    state, _, corpus = _load_eval_bundle(args)
     # cls embeddings: one hidden row per record. The encoder runs through
     # this module's encode_batch, which the traced benchmark run wraps.
     lines = [record_id + "," + ",".join(repr(float(v)) for v in row)
@@ -315,6 +308,29 @@ def cmd_export(args):
              for record_id, row in zip(batch.ids, np.asarray(
                  cls.data, dtype=np.float64))]
     emit("\n".join(lines), args.out)
+    return EXIT_OK
+
+
+def _export_attention(args):
+    """Attention maps of the first record, or of --record-id. Every row
+    of the dataset is read and validated; only that record is tokenized."""
+    state, _, vocab = _load_checkpoint(args)
+    records = _load_records(args.data)
+    if not records:
+        raise CrysgramError(f"{args.data}: no record to export")
+    index = 0
+    if args.record_id:
+        ids = [record.id for record in records]
+        if args.record_id not in ids:
+            raise CrysgramError(f"record {args.record_id!r} not in dataset")
+        index = ids.index(args.record_id)
+    one = prepare_corpus(records[index:index + 1], vocab, _element_table(args))
+    _, _, attn = encode_batch(state, one.sequences, one.formula_matrices,
+                              mode="eval", record_attention=True)
+    layers = None if args.layer is None else [args.layer]
+    document = export_attention(attn, layers=layers)
+    document["record_id"] = one.ids[0]
+    emit(json.dumps(document, sort_keys=True), args.out)
     return EXIT_OK
 
 

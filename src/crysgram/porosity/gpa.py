@@ -14,6 +14,7 @@ periodic wrap, and components that wrap around a lattice direction are
 accessible (when none wraps, the largest component counts).
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,11 +45,16 @@ def _load_default_radii():
 _DEFAULT_RADII = None
 
 
-def default_radius_table():
+def _default_radii():
+    """The bundled table itself, loaded once; callers must not modify it."""
     global _DEFAULT_RADII
     if _DEFAULT_RADII is None:
         _DEFAULT_RADII = _load_default_radii()
-    return dict(_DEFAULT_RADII)
+    return _DEFAULT_RADII
+
+
+def default_radius_table():
+    return dict(_default_radii())
 
 
 def load_radius_table(path):
@@ -98,7 +104,7 @@ class PeriodicStructure:
         """Van der Waals radius of ``element``: this structure's override,
         else ``table`` (default: the bundled table). Raises PorosityError
         unless the radius is finite and positive."""
-        merged = table if table is not None else default_radius_table()
+        merged = table if table is not None else _default_radii()
         radius = self.radius_overrides.get(element, merged.get(element))
         if radius is None:
             raise PorosityError(
@@ -190,11 +196,14 @@ class PorosityResult:
 
 
 def _perpendicular_widths(lattice):
+    # normal i = (row j) x (row k) for the other two rows j < k, in the
+    # products and differences of np.cross, without its per-call cost
+    a, b = lattice[[1, 0, 0]], lattice[[2, 2, 1]]
+    normal = (a[:, [1, 2, 0]] * b[:, [2, 0, 1]]
+              - a[:, [2, 0, 1]] * b[:, [1, 2, 0]])
     widths = np.empty(3)
     for i in range(3):
-        others = [lattice[j] for j in range(3) if j != i]
-        normal = np.cross(others[0], others[1])
-        widths[i] = abs(lattice[i] @ normal) / np.linalg.norm(normal)
+        widths[i] = abs(lattice[i] @ normal[i]) / np.linalg.norm(normal[i])
     return widths
 
 
@@ -227,6 +236,15 @@ def _clearance_field(structure, dims, radii, pad):
     The order (x*x + y*y) + z*z changes about one finite point in nine
     by a last bit, enough to move a point on a sphere surface across the
     occupied or admissible threshold.
+
+    Component c sums only the axes whose lattice row has a nonzero entry
+    in column c, and each component is squared at its own broadcast
+    shape, so an orthogonal cell costs one full-size add. The bits do
+    not change: a zero (or -0.0) entry gives a term of +-0.0, or +inf on
+    a padded entry. Adding +-0.0 leaves a nonzero sum as it is, and a
+    +-0.0 sum squares to +0.0. A lattice with positive determinant has
+    no zero row, so every padded axis still puts +inf into at least one
+    component, and its distance stays +inf.
     """
     field = np.full(dims, np.inf)
     lattice = structure.lattice
@@ -239,55 +257,78 @@ def _clearance_field(structure, dims, radii, pad):
     count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
 
     # axes 1 and 2: Cartesian offsets (component, atom, box index) from
-    # the atom along the lattice row, and the wrapped grid index
+    # the atom along the lattice row, and the wrapped grid index times
+    # its stride in the flat field
     padded = []
-    for axis in (1, 2):
+    for axis, scale in ((1, dims[2]), (2, 1)):
         k = np.arange(count[:, axis].max(initial=0))
         idx = lo[:, axis, None] + k
         offset = ((idx + 0.5) / dims[axis] - frac[:, axis, None]) \
             * lattice[axis][:, None, None]
         offset[:, k >= count[:, axis, None]] = np.inf  # past the atom's box
-        padded.append((offset, idx % dims[axis]))
+        padded.append((offset, idx % dims[axis] * scale))
     (offset1, wrapped1), (offset2, wrapped2) = padded
     # axis 0: one row per (atom, box index)
     atom = np.repeat(np.arange(len(radius)), count[:, 0])
     first = np.cumsum(count[:, 0]) - count[:, 0]
     idx0 = lo[atom, 0] + np.arange(len(atom)) - first[atom]
     offset0 = ((idx0 + 0.5) / dims[0] - frac[atom, 0]) * lattice[0][:, None]
-    wrapped0 = idx0 % dims[0]
+    wrapped0 = idx0 % dims[0] * (dims[1] * dims[2])
 
+    # each axis's offsets, laid out along its own chunk axis, and the
+    # axes that enter each Cartesian component
+    offsets = (offset0[:, :, None, None], offset1[:, :, :, None],
+               offset2[:, :, None, :])
+    terms = [np.flatnonzero(lattice[:, c]).tolist() for c in range(3)]
     flat = field.reshape(-1)
     step = max(1, _STAMP_POINTS // max(1, offset1.shape[2]
                                        * offset2.shape[2]))
     for start in range(0, len(atom), step):
         rows = slice(start, start + step)
         a = atom[rows]
-        x, y, z = ((offset0[c, rows, None, None] + offset1[c, a, :, None])
-                   + offset2[c, a, None, :] for c in range(3))
+        take = (rows, a, a)
+        # each component is a fresh array or a slice of offset0 that
+        # nothing else reads, so the squares and their sums may
+        # overwrite it
+        x, y, z = (functools.reduce(np.add, (offsets[axis][c, take[axis]]
+                                             for axis in terms[c]))
+                   for c in range(3))
         # in place, in the fixed order (x*x + z*z) + y*y
-        clearance = np.multiply(x, x, out=x)
-        clearance += np.multiply(z, z, out=z)
-        clearance += np.multiply(y, y, out=y)
+        clearance = _add(np.multiply(x, x, out=x),
+                         np.multiply(z, z, out=z))
+        clearance = _add(clearance, np.multiply(y, y, out=y))
         np.sqrt(clearance, out=clearance)
         clearance -= radius[a, None, None]
-        index = ((wrapped0[rows, None] * dims[1] + wrapped1[a])
-                 * dims[2])[:, :, None] + wrapped2[a, None, :]
+        index = (wrapped0[rows, None] + wrapped1[a])[:, :, None] \
+            + wrapped2[a, None, :]
         np.minimum.at(flat, index.ravel(), clearance.ravel())
         del x, y, z, clearance, index  # before the next chunk is built
     return field
+
+
+def _add(a, b):
+    """a + b, written into a or b when one has the shape of the sum.
+    Both are 3-D, and each axis of either is full or 1."""
+    if a.shape != b.shape:
+        shape = tuple(q if p == 1 else p for p, q in zip(a.shape, b.shape))
+        if b.shape == shape:
+            return np.add(a, b, out=b)
+        if a.shape != shape:
+            return a + b
+    return np.add(a, b, out=a)
 
 
 class _OffsetUnionFind:
     """Union-find over component labels with integer wrap displacements.
 
     ``offset[x]`` is the lattice-translation displacement of x relative
-    to its parent; a union that closes a loop with inconsistent
-    displacement marks the root as percolating.
+    to its parent, a tuple of three ints; a union that closes a loop
+    with inconsistent displacement marks the root as percolating.
     """
 
     def __init__(self, n_labels):
         self.parent = list(range(n_labels + 1))
-        self.offset = np.zeros((n_labels + 1, 3), dtype=np.int64)
+        self.offset = [(0, 0, 0)] * (n_labels + 1)
         self.size = [1] * (n_labels + 1)
         self.percolates = [False] * (n_labels + 1)
 
@@ -297,30 +338,34 @@ class _OffsetUnionFind:
         while self.parent[root] != root:
             path.append(root)
             root = self.parent[root]
-        total = np.zeros(3, dtype=np.int64)
+        total = (0, 0, 0)
         for node in reversed(path):
-            total += self.offset[node]
+            total = _plus(total, self.offset[node])
             self.parent[node] = root
-            self.offset[node] = total.copy()
+            self.offset[node] = total
         return root
 
     def union(self, a, b, displacement):
         """Join a and b where unwrapped(b) = unwrapped(a) + displacement."""
         ra, rb = self.find(a), self.find(b)
-        disp = (np.asarray(displacement, dtype=np.int64)
-                + self.offset[a] - self.offset[b])
+        disp = tuple(d + p - q for d, p, q in zip(
+            displacement, self.offset[a], self.offset[b]))
         if ra == rb:
-            if disp.any():
+            if any(disp):
                 self.percolates[ra] = True
             return ra
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-            disp = -disp
+            disp = tuple(-d for d in disp)
         self.parent[rb] = ra
         self.offset[rb] = disp
         self.size[ra] += self.size[rb]
         self.percolates[ra] = self.percolates[ra] or self.percolates[rb]
         return ra
+
+
+def _plus(u, v):
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
 def _accessible_count(admissible, dims):
@@ -340,12 +385,12 @@ def _accessible_count(admissible, dims):
         both = (lo > 0) & (hi > 0)
         if not both.any():
             continue
-        displacement = np.zeros(3, dtype=np.int64)
+        displacement = [0, 0, 0]
         displacement[axis] = 1
-        pairs = np.unique(
-            np.stack([hi[both].ravel(), lo[both].ravel()], axis=1), axis=0)
-        for a, b in pairs:
-            uf.union(int(a), int(b), displacement)
+        # one key per (hi, lo) pair sorts as the pairs do, lexicographically
+        keys = hi[both].astype(np.int64) * (n_labels + 1) + lo[both]
+        for key in sorted(set(keys.tolist())):
+            uf.union(*divmod(key, n_labels + 1), displacement)
 
     counts = np.bincount(labels.ravel())  # counts[0] is background
     root_counts = {}

@@ -8,6 +8,8 @@ import pytest
 from crysgram.cli import main
 from crysgram.datasets import generate_synthetic_corpus, write_dataset
 from crysgram.porosity import PeriodicStructure, save_structure
+from crysgram.tokens import tokenize_crystal
+from crysgram.training import loop
 
 
 @pytest.fixture
@@ -320,6 +322,34 @@ class TestExport:
         assert list(payload["layers"]) == ["1"]  # desk preset: 2 layers
         assert len(payload["attention_mask"]) == 33
         assert {"K", "Sr"} <= set(payload["token_labels"])
+
+    def test_attention_export_tokenizes_one_record(self, capsys, finetuned,
+                                                   regression_csv, tmp_path,
+                                                   monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("provenance"))
+            return tokenize_crystal(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "tokenize_crystal", counting)
+        code, _, _ = run(capsys, "export", "attention",
+                         "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                         "--data", regression_csv,
+                         "--record-id", "syn-regression-21-00004",
+                         "--out", str(tmp_path / "attention.json"))
+        assert code == 0
+        assert calls == ["syn-regression-21-00004"]
+
+    def test_attention_export_of_an_empty_dataset_exits_2(
+            self, capsys, finetuned, regression_csv, tmp_path):
+        empty = tmp_path / "empty.csv"
+        with open(regression_csv, encoding="utf-8", newline="") as fh:
+            empty.write_text(fh.readline(), encoding="utf-8", newline="")
+        code, _, err = run(capsys, "export", "attention",
+                           "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                           "--data", str(empty))
+        assert code == 2 and "no record" in err
 
     def test_cls_export_one_row_per_record(self, capsys, finetuned,
                                            regression_csv, tmp_path):

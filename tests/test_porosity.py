@@ -1,8 +1,10 @@
 """Grid-point porosity: analytic sphere oracles, a brute-force image
 search oracle, a per-atom stamp as a bitwise oracle and a memory bound
-for the clearance field, accessibility fixtures, and
-monotonicity/convergence properties."""
+for the clearance field, a breadth-first search as the flood-fill
+oracle, accessibility fixtures, and monotonicity/convergence
+properties."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -105,6 +107,63 @@ def brute_force(structure, grid, r_probe, shells=(1, 1, 1)):
             bool(ties_occ.any() or ties_blk.any()))
 
 
+# -- flood-fill oracle -----------------------------------------------------------
+#
+# A plain breadth-first search over the wrapped grid that carries the
+# integer image offset of every point it reaches: crossing a cell face
+# along axis i adds +-1 to offset i. A component percolates when the
+# search reaches one point at two different offsets.
+
+
+def bfs_flood_fill(admissible):
+    """(accessible points, components, whether any percolates)."""
+    dims = admissible.shape
+    offset_of = {}
+    components = []  # (size, percolates)
+    for start in zip(*np.nonzero(admissible)):
+        if start in offset_of:
+            continue
+        offset_of[start] = (0, 0, 0)
+        queue = collections.deque([start])
+        size, wraps = 0, False
+        while queue:
+            point = queue.popleft()
+            size += 1
+            for axis in range(3):
+                for step in (-1, 1):
+                    near, offset = list(point), list(offset_of[point])
+                    near[axis] += step
+                    if not 0 <= near[axis] < dims[axis]:  # crossed a face
+                        near[axis] %= dims[axis]
+                        offset[axis] += step
+                    near, offset = tuple(near), tuple(offset)
+                    if not admissible[near]:
+                        continue
+                    if near not in offset_of:
+                        offset_of[near] = offset
+                        queue.append(near)
+                    elif offset_of[near] != offset:
+                        wraps = True
+        components.append((size, wraps))
+    if not components:
+        return 0, 0, False
+    if any(wraps for _, wraps in components):
+        return (sum(size for size, wraps in components if wraps),
+                len(components), True)
+    return max(size for size, _ in components), len(components), False
+
+
+@st.composite
+def boolean_grids(draw):
+    """Grids of 1-7 points per axis, all true, all false or random."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    fill = draw(st.sampled_from(["all", "none", "random"]))
+    if fill != "random":
+        return np.full(dims, fill == "all")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random(dims) < draw(st.floats(0.1, 0.9))
+
+
 def slab_shells(structure, reach):
     """Image shells that cover every image within `reach` of the cell."""
     widths = _perpendicular_widths(structure.lattice)
@@ -180,12 +239,38 @@ def per_atom_clearance_field(structure, dims, radii, pad):
     return field
 
 
-def framework_cell(n_sites, a, seed):
-    """Cube of edge `a` with C, H, O, N and Zn sites at random places."""
+def framework_sites(n_sites, seed):
+    """C, H, O, N and Zn sites at random fractional places."""
     rng = np.random.default_rng(seed)
     elements = ["C", "H", "O", "N", "Zn"]
-    return PeriodicStructure(np.eye(3) * a, [
-        (elements[i % 5], rng.random(3)) for i in range(n_sites)])
+    return [(elements[i % 5], rng.random(3)) for i in range(n_sites)]
+
+
+def framework_cell(n_sites, a, seed):
+    """Cube of edge `a` with framework sites."""
+    return PeriodicStructure(np.eye(3) * a, framework_sites(n_sites, seed))
+
+
+def rotation(angles):
+    """Product of rotations about the x, y and z axes."""
+    (cx, cy, cz), (sx, sy, sz) = np.cos(angles), np.sin(angles)
+    return (np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+            @ np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+            @ np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]))
+
+
+# lattices by the zero pattern of their entries
+ZERO_PATTERNS = {
+    "diagonal": np.diag([9.0, 10.5, 12.0]),
+    "hexagonal": np.array([[10.0, 0.0, 0.0],
+                           [-5.0, 5.0 * math.sqrt(3.0), 0.0],
+                           [0.0, 0.0, 9.0]]),
+    "lower triangular": np.array([[9.0, 0.0, 0.0], [2.5, 9.5, 0.0],
+                                  [-1.5, 3.0, 10.0]]),
+    "rotated cube": 10.0 * rotation(np.array([0.4, 0.7, 0.4])).T,
+    "negative zeros": np.array([[9.0, -0.0, 0.0], [-0.0, 10.0, -0.0],
+                                [2.0, -0.0, 11.0]]),
+}
 
 
 def assert_same_field(structure, rho, pad):
@@ -229,6 +314,31 @@ class TestClearanceFieldOracle:
         assert (box_counts(structure, 3.0, pad)
                 > 2 * np.asarray(GridSpec(3.0).dims(structure))).any()
         assert_same_field(structure, 3.0, pad)
+
+    @pytest.mark.parametrize("pad", [0.0, 1.2])
+    @pytest.mark.parametrize("name", sorted(ZERO_PATTERNS))
+    def test_lattice_zero_pattern(self, name, pad):
+        # components skip the rows with a zero (or -0.0) entry in their
+        # column; the rotated cube has none, so it sums every row
+        lattice = ZERO_PATTERNS[name]
+        assert (lattice == 0).any() == (name != "rotated cube")
+        structure = PeriodicStructure(lattice,
+                                      framework_sites(40, seed=len(name)))
+        assert_same_field(structure, 2.0, pad)
+
+    @seed(20261022)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(structure=periodic_cells())
+    def test_slab_widths_equal_np_cross_formula(self, structure):
+        # the boxes, and so the field, follow these widths to the bit
+        for lattice in (structure.lattice, *ZERO_PATTERNS.values()):
+            expected = []
+            for i in range(3):
+                normal = np.cross(*np.delete(lattice, i, axis=0))
+                expected.append(abs(lattice[i] @ normal)
+                                / np.linalg.norm(normal))
+            assert (_perpendicular_widths(lattice).tobytes()
+                    == np.array(expected).tobytes())
 
     def test_no_sites(self):
         empty = PeriodicStructure(lattice=np.eye(3) * 8.0, sites=[])
@@ -323,6 +433,17 @@ class TestVoidFraction:
             accessible_void_fraction(s, GridSpec(2),
                                      radius_table={"C": math.nan})
 
+    def test_default_radius_table_is_a_copy(self):
+        table = default_radius_table()
+        carbon = table["C"]
+        table["C"] = 9.0
+        del table["H"]
+        s = PeriodicStructure(lattice=np.eye(3) * 6.0,
+                              sites=[("C", np.zeros(3)),
+                                     ("H", np.full(3, 0.5))])
+        assert s.radius_of("C") == carbon == default_radius_table()["C"]
+        assert s.radius_of("H") == default_radius_table()["H"]
+
     def test_default_radius_table_used(self):
         s = PeriodicStructure(lattice=np.eye(3) * 6.0,
                               sites=[("C", np.array([0.5, 0.5, 0.5]))])
@@ -413,6 +534,42 @@ class TestAccessibleVoidFraction:
             assert r.phi_acc <= r.phi_void
 
 
+class TestFloodFillOracle:
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(grid=boolean_grids())
+    def test_equal_to_breadth_first_search(self, grid):
+        assert _accessible_count(grid, grid.shape) == bfs_flood_fill(grid)
+
+    def test_seeded_grids_near_the_percolation_threshold(self):
+        # labels joined across several faces, where a wrong displacement
+        # sign in the union-find shows
+        rng = np.random.default_rng(20261021)
+        for _ in range(400):
+            dims = tuple(int(n) for n in rng.integers(1, 8, size=3))
+            grid = rng.random(dims) < rng.uniform(0.2, 0.7)
+            assert _accessible_count(grid, dims) == bfs_flood_fill(grid)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 7), (2, 2, 2),
+                                      (7, 1, 3)])
+    def test_full_and_empty_grids(self, dims):
+        full = np.ones(dims, dtype=bool)
+        assert _accessible_count(full, dims) == (int(full.size), 1, True)
+        assert bfs_flood_fill(full) == (int(full.size), 1, True)
+        empty = ~full
+        assert _accessible_count(empty, dims) == (0, 0, False)
+        assert bfs_flood_fill(empty) == (0, 0, False)
+
+    def test_sealed_pocket(self):
+        # a 5^3 grid whose central point is cut off by a blocked shell:
+        # two components, the outer one percolates, the pocket does not
+        grid = np.ones((5, 5, 5), dtype=bool)
+        grid[1:4, 1:4, 1:4] = False
+        grid[2, 2, 2] = True
+        assert _accessible_count(grid, grid.shape) == (98, 2, True)
+        assert bfs_flood_fill(grid) == (98, 2, True)
+
+
 class TestAgainstBruteForce:
     @seed(20261018)
     @settings(max_examples=60, deadline=None, database=None)
@@ -431,7 +588,7 @@ class TestAgainstBruteForce:
         note(f"boundary ties: {ties}")
         assume(not ties)
         result = accessible_void_fraction(structure, grid, r_probe=r_probe)
-        expected = _accessible_count(admissible, grid.dims(structure))
+        expected = bfs_flood_fill(admissible)
         assert result.n_unoccupied == n_unoccupied
         assert result.n_accessible == expected[0]
         assert (result.n_components, result.percolates) == expected[1:]

@@ -7,8 +7,10 @@ finetune from mlm+lpp with early stopping, predict and both exports
 (attention once for the first record and every layer, once for a later
 record and the last layer).
 It also writes seeded structures with ``save_structure`` (a framework-like
-cell, a triclinic cell and a cell whose stamps wrap the grid twice) and
-runs ``porosity --format json`` on each at two grid densities, with and
+cell, a triclinic cell, a cell whose stamps wrap the grid twice, a
+hexagonal cell and a rotated cube with no zero lattice entry, so that
+every zero pattern of the clearance-field sums is covered) and runs
+``porosity --format json`` on each at two grid densities, with and
 without flood fill, and once with a radius override file.
 Every file and standard output must be equal; manifests are compared
 without their wall time and git commit. Exits 1 on any difference.
@@ -46,6 +48,16 @@ save_structure(PeriodicStructure([[9.0, 0.0, 0.0], [-1.7, 9.8, 0.0],
 save_structure(PeriodicStructure([[4.0, 0.0, 0.0], [8.2, 1.8, 0.0],
                                   [0.0, 0.0, 4.0]], [("X", [0.2, 0.3, 0.4])],
                                  radius_overrides={"X": 2.6}), "wraps.json")
+save_structure(PeriodicStructure([[16.0, 0.0, 0.0],
+                                  [-8.0, 8.0 * np.sqrt(3.0), 0.0],
+                                  [0.0, 0.0, 12.0]], sites(60)),
+               "hexagonal.json")
+c, s = np.cos(0.5), np.sin(0.5)
+turn = (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]))
+assert (turn != 0.0).all()
+save_structure(PeriodicStructure(12.0 * turn.T, sites(60)), "rotated.json")
 with open("radii.txt", "w", encoding="utf-8") as fh:
     fh.write("C 1.9\nH 1.0\nO 1.6\nN 1.7\nZn 1.2\n")
 """
@@ -68,7 +80,8 @@ def commands():
         for name, reader in READERS.items():
             yield [*reader, "--checkpoint", f"{ft}/checkpoint.ckpt", "--data",
                    "reg.csv", "--out", f"{ft}/{name}.out"]
-    for structure in ("framework", "triclinic", "wraps"):
+    for structure in ("framework", "triclinic", "wraps", "hexagonal",
+                      "rotated"):
         for rho in ("2", "3.5"):
             for flood in ((), ("--no-floodfill",)):
                 yield ["porosity", f"{structure}.json", "--format", "json",
