@@ -25,8 +25,8 @@ result = pretrain(kb_corpus(), config, log=print)
 table = ElementEmbeddingTable.deterministic()
 corpus = prepare_corpus(kb_corpus(), result.vocab, table)
 # positions 4 and 5 hold the point-group and crystal-system tokens
-overall, per_position = masked_position_accuracy(
-    result.state, corpus.sequences, corpus.formula_matrices, (4, 5))
+overall, per_position = masked_position_accuracy(result.state, corpus,
+                                                 (4, 5))
 print(f"\nmasked-recovery accuracy after {config.epochs} epochs: "
       f"point group {per_position[4]:.1%}, "
       f"crystal system {per_position[5]:.1%}")

@@ -302,11 +302,11 @@ def cmd_export(args):
     state, _, corpus = _load_eval_bundle(args)
     # cls embeddings: one hidden row per record. The encoder runs through
     # this module's encode_batch, which the traced benchmark run wraps.
-    lines = [record_id + "," + ",".join(repr(float(v)) for v in row)
+    lines = [record_id + "," + ",".join(map(repr, row))
              for batch, cls in encode_corpus(state, corpus,
                                              encode=encode_batch)
              for record_id, row in zip(batch.ids, np.asarray(
-                 cls.data, dtype=np.float64))]
+                 cls.data, dtype=np.float64).tolist())]
     emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -324,7 +324,8 @@ def _export_attention(args):
         if args.record_id not in ids:
             raise CrysgramError(f"record {args.record_id!r} not in dataset")
         index = ids.index(args.record_id)
-    one = prepare_corpus(records[index:index + 1], vocab, _element_table(args))
+    one = prepare_corpus(records[index:index + 1], vocab,
+                         _element_table(args)).batch([0])
     _, _, attn = encode_batch(state, one.sequences, one.formula_matrices,
                               mode="eval", record_attention=True)
     layers = None if args.layer is None else [args.layer]

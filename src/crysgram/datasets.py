@@ -148,13 +148,20 @@ def load_dataset(path, fmt=None):
     if fmt == "delimited-table":
         delimiter = "\t" if path.endswith(".tsv") else ","
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
                 raise DatasetError(f"{path}: missing header row")
-            for lineno, row in enumerate(reader, start=2):
+            rows = (values for values in reader if values)
+            for lineno, values in enumerate(rows, start=2):
+                if len(values) != len(header):
+                    failures.append(f"line {lineno}: {len(values)} values "
+                                    f"for {len(header)} header columns")
+                    continue
                 try:
-                    records.append(_record_from_mapping(row, lineno))
-                except (DatasetError, Exception) as exc:
+                    records.append(_record_from_mapping(
+                        dict(zip(header, values)), lineno))
+                except Exception as exc:
                     failures.append(f"line {lineno}: {exc}")
     elif fmt == "record-lines":
         with open(path, encoding="utf-8") as fh:

@@ -363,31 +363,29 @@ def regression_objective(state, batch, scaler, mode="train", rng=None):
     return loss, {"mae_std": float(loss.data)}
 
 
-def masked_position_accuracy(state, sequences, formula_matrices, positions,
-                             batch_size=64):
+def masked_position_accuracy(state, corpus, positions, batch_size=64):
     """Accuracy of recovering tokens at specific masked positions.
 
-    Every sequence gets exactly the given positions masked; predictions
-    run in eval mode. Returns overall accuracy plus per-position detail.
+    Every sequence of the prepared corpus gets exactly the given
+    positions masked; predictions run in eval mode, ``batch_size``
+    records at a time. Returns overall accuracy plus per-position detail.
     """
+    if len(corpus) == 0:
+        raise ConfigError("cannot score masked positions of an empty corpus")
     correct = {p: 0 for p in positions}
-    total = 0
-    for start in range(0, len(sequences), batch_size):
-        chunk = sequences[start:start + batch_size]
-        mats = formula_matrices[start:start + batch_size]
+    for batch in corpus.batches(batch_size):
         masked, plans = [], []
-        for seq in chunk:
+        for seq in batch.sequences:
             m, original = _masked_copy(seq, positions)
             masked.append(m)
             plans.append(MaskingPlan(tuple(positions), original, 0.0))
-        hidden, _, _ = encode_batch(state, masked, mats, mode="eval",
-                                    rows=max(positions) + 1)
+        hidden, _, _ = encode_batch(state, masked, batch.formula_matrices,
+                                    mode="eval", rows=max(positions) + 1)
         logits, labels = mlm_logits(state, hidden, plans)
         predicted = np.argmax(logits.data, axis=-1)
-        hits = (predicted == labels).reshape(len(chunk), len(positions))
+        hits = (predicted == labels).reshape(len(masked), len(positions))
         for j, p in enumerate(positions):
             correct[p] += int(hits[:, j].sum())
-        total += len(chunk)
-    per_position = {p: correct[p] / total for p in positions}
-    overall = sum(correct.values()) / (total * len(positions))
+    per_position = {p: correct[p] / len(corpus) for p in positions}
+    overall = sum(correct.values()) / (len(corpus) * len(positions))
     return overall, per_position

@@ -84,12 +84,18 @@ class PeriodicStructure:
         if self.lattice.shape != (3, 3):
             raise PorosityError(
                 f"lattice must be 3x3, got {self.lattice.shape}")
+        if not np.isfinite(self.lattice).all():
+            raise PorosityError("lattice entries must be finite")
         if np.linalg.det(self.lattice) <= 0:
             raise PorosityError("lattice must have positive determinant")
         wrapped = []
-        for element, frac in self.sites:
-            frac = np.asarray(frac, dtype=np.float64) % 1.0
-            wrapped.append((element, frac))
+        for i, (element, frac) in enumerate(self.sites):
+            frac = np.asarray(frac, dtype=np.float64)
+            if not np.isfinite(frac).all():
+                raise PorosityError(
+                    f"site {i} ({element}): fractional coordinates must be "
+                    f"finite, got {frac.tolist()}")
+            wrapped.append((element, frac % 1.0))
         self.sites = wrapped
 
     @property

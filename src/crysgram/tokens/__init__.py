@@ -5,6 +5,8 @@ from .embedding import (
     ElementEmbeddingTable,
     assemble_batch,
     embed_formula,
+    embed_formulas,
+    formula_rows,
 )
 from .tokenizer import (
     N_FORMULA_SLOTS,
@@ -31,6 +33,7 @@ from .vocab import (
 
 __all__ = [
     "D_ELEMENT", "ElementEmbeddingTable", "assemble_batch", "embed_formula",
+    "embed_formulas", "formula_rows",
     "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "InformaticsFields",
     "TokenSequence", "sequence_length", "tokenize_crystal",
     "CLS_ID", "EMPTY_ID", "INFO_FIELDS", "MASK_ID", "PAD_ID", "SG_CATEGORIES",

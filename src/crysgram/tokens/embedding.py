@@ -1,5 +1,5 @@
-"""Element embedding table, (N, 201) formula matrices, and assembly of the
-embedded batch consumed by the encoder."""
+"""Element embedding table, (20, 201) formula matrices, and assembly of
+the embedded batch consumed by the encoder."""
 
 import numpy as np
 
@@ -81,20 +81,54 @@ class ElementEmbeddingTable:
     def save(self, path):
         with atomic_write(path) as fh:
             for symbol, vec in self._vectors.items():
-                fh.write(symbol + " "
-                         + " ".join(repr(float(v)) for v in vec) + "\n")
+                fh.write(symbol + " " + " ".join(map(repr, vec.tolist()))
+                         + "\n")
+
+
+def formula_rows(compositions, table):
+    """Compact formulas: ``(fractions, index, element_rows)``.
+
+    ``fractions`` (N, 20) holds each formula's element fractions and
+    ``index`` (N, 20) the row of ``element_rows`` that holds each
+    element's [0, vector]: each element the formulas name gets one row,
+    after an all-zero row 0 for the empty slots. ``embed_formulas``
+    turns any rows of the first two into formula matrices. Raises
+    EmbeddingError for an element missing from the table.
+    """
+    fractions = np.zeros((len(compositions), N_FORMULA_SLOTS))
+    index = np.zeros((len(compositions), N_FORMULA_SLOTS), dtype=np.intp)
+    rows = {}
+    vectors = []
+    for n, composition in enumerate(compositions):
+        for i, (symbol, fraction) in enumerate(composition.items()):
+            row = rows.get(symbol)
+            if row is None:
+                vectors.append(table.vector(symbol))
+                row = rows[symbol] = len(vectors)
+            fractions[n, i] = fraction
+            index[n, i] = row
+    element_rows = np.zeros((len(vectors) + 1, table.dimension + 1))
+    for row, vector in enumerate(vectors, start=1):
+        element_rows[row, 1:] = vector
+    return fractions, index, element_rows
+
+
+def embed_formulas(fractions, index, element_rows):
+    """(B, 20, d_el + 1) formula matrices of (B, 20) compact formulas.
+
+    Row i of a record's matrix is [fraction_i, element vector_i]; rows
+    beyond its element count are zero padding. The only definition of a
+    formula matrix: ``embed_formula`` is a batch of one, and
+    ``PreparedCorpus.batch`` builds each batch's matrices here.
+    """
+    out = element_rows[index]
+    out[..., 0] = fractions
+    return out
 
 
 def embed_formula(composition, table):
-    """(20, d_el + 1) matrix: row i = [fraction_i, element vector_i].
-
-    Rows beyond the element count are zero padding.
-    """
-    out = np.zeros((N_FORMULA_SLOTS, table.dimension + 1), dtype=np.float64)
-    for i, (symbol, fraction) in enumerate(composition.items()):
-        out[i, 0] = fraction
-        out[i, 1:] = table.vector(symbol)
-    return out
+    """(20, d_el + 1) formula matrix of one composition."""
+    return embed_formulas(*formula_rows([composition], table))[0]
 
 
 def assemble_batch(sequences, formula_matrices, token_embedding,

@@ -36,7 +36,8 @@ from ..objectives import (
 from ..tokens import (
     ElementEmbeddingTable,
     build_vocabulary,
-    embed_formula,
+    embed_formulas,
+    formula_rows,
     sequence_length,
     tokenize_crystal,
 )
@@ -131,11 +132,17 @@ class TrainConfig:
 
 @dataclass
 class PreparedCorpus:
-    """Records tokenized and formula-embedded once, reused every epoch."""
+    """Records tokenized once, reused every epoch.
+
+    Formulas are kept compact (``tokens.formula_rows``: 320 bytes a
+    record); ``batch`` builds only that batch's formula matrices.
+    """
 
     ids: list
     sequences: list
-    formula_matrices: np.ndarray
+    formula_fractions: np.ndarray
+    formula_index: np.ndarray
+    element_rows: np.ndarray
     lattice_targets: np.ndarray = None
     targets: np.ndarray = None
 
@@ -145,23 +152,31 @@ class PreparedCorpus:
     def batch(self, indices):
         return Batch(
             sequences=[self.sequences[i] for i in indices],
-            formula_matrices=self.formula_matrices[indices],
+            formula_matrices=embed_formulas(self.formula_fractions[indices],
+                                            self.formula_index[indices],
+                                            self.element_rows),
             lattice_targets=(None if self.lattice_targets is None
                              else self.lattice_targets[indices]),
             targets=None if self.targets is None else self.targets[indices],
             ids=[self.ids[i] for i in indices],
         )
 
+    def batches(self, batch_size):
+        """Consecutive batches of at most ``batch_size`` in corpus order."""
+        for start in range(0, len(self), batch_size):
+            yield self.batch(np.arange(start,
+                                       min(start + batch_size, len(self))))
+
 
 def prepare_corpus(records, vocab, table):
-    sequences, matrices, ids = [], [], []
+    sequences, compositions, ids = [], [], []
     lattices, targets = [], []
     for record in records:
         comp = record.composition
         sequences.append(tokenize_crystal(record.spacegroup, comp,
                                           record.informatics, vocab,
                                           provenance=record.id))
-        matrices.append(embed_formula(comp, table))
+        compositions.append(comp)
         ids.append(record.id)
         lattices.append(None if record.lattice is None
                         else record.lattice.as_array())
@@ -172,9 +187,10 @@ def prepare_corpus(records, vocab, table):
     target_arr = None
     if targets and all(t is not None for t in targets):
         target_arr = np.array(targets, dtype=np.float64)
-    matrix_arr = np.stack(matrices) if matrices else np.zeros((0, 0, 0))
+    fractions, index, element_rows = formula_rows(compositions, table)
     return PreparedCorpus(ids=ids, sequences=sequences,
-                          formula_matrices=matrix_arr,
+                          formula_fractions=fractions, formula_index=index,
+                          element_rows=element_rows,
                           lattice_targets=lattice_arr, targets=target_arr)
 
 
@@ -454,9 +470,7 @@ def encode_corpus(state, corpus, batch_size=64, encode=None):
     ``encode_batch`` as the function that runs the encoder.
     """
     encode = encode or encode_batch
-    for start in range(0, len(corpus), batch_size):
-        batch = corpus.batch(np.arange(start,
-                                       min(start + batch_size, len(corpus))))
+    for batch in corpus.batches(batch_size):
         _, cls, _ = encode(state, batch.sequences, batch.formula_matrices,
                            mode="eval", rows=1)
         yield batch, cls

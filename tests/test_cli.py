@@ -130,6 +130,24 @@ class TestPorosity:
         code, _, _ = run(capsys, "porosity", "no-such-file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("lattice, site, message", [
+        ([10, 0, 0, 0, 10, 0, float("nan"), 0, 10], [0.5, 0.5, 0.5],
+         "lattice entries"),
+        ([10, 0, 0, 0, 10, 0, 0, 0, float("inf")], [0.5, 0.5, 0.5],
+         "lattice entries"),
+        ([10, 0, 0, 0, 10, 0, 0, 0, 10], [0.5, float("nan"), 0.5],
+         "site 0"),
+    ])
+    def test_non_finite_structure_exits_2(self, capsys, tmp_path, lattice,
+                                          site, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"lattice": lattice,
+                                    "sites": [["C", *site]]}))
+        code, out, err = run(capsys, "porosity", str(path), "--rho-grid", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_nan_radius_override_exits_2(self, capsys, tmp_path):
         path, radii = tmp_path / "s.json", tmp_path / "radii.txt"
         save_structure(PeriodicStructure(

@@ -90,6 +90,36 @@ class TestLoading:
         with pytest.warns(UserWarning, match="mystery"):
             load_dataset(path)
 
+    @pytest.mark.filterwarnings("ignore:ignoring unknown columns")
+    @pytest.mark.parametrize("header, row, counts", [
+        (CSV_HEADER, "r1,Si,1,,,,,,,,,,,,,0.5,eV,extra", "18 values for 17"),
+        ("id,formula,spacegroup,mystery", "r1,Si,1,42,43", "5 values for 4"),
+        (CSV_HEADER, "r1,Si,1,,,,,,,,,,,,,0.5", "16 values for 17"),
+        ("id,formula,spacegroup,target", "r1,Si,1", "3 values for 4"),
+    ])
+    def test_ragged_row_names_line_and_counts(self, tmp_path, header, row,
+                                              counts):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\nr0,Si,1" + ",0.5" * (
+            header.count(",") - 2) + "\n" + row + "\n")
+        with pytest.raises(DatasetError, match=f"line 3: {counts} header"):
+            load_dataset(path)
+
+    def test_ragged_rows_are_all_reported(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("id\tformula\tspacegroup\n"
+                        "r1\tSi\n\nr2\tSi\t1\nr3\tSi\t1\t\n")
+        with pytest.raises(DatasetError,
+                           match="2 invalid rows: line 2: 2 values .*; "
+                                 "line 4: 4 values"):
+            load_dataset(path)
+
+    def test_jsonl_missing_keys_still_load(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "r1", "formula": "Si", "spacegroup": 1}\n')
+        (record,) = load_dataset(path)
+        assert record.target is None
+
     def test_roundtrip_csv_and_jsonl(self, tmp_path):
         records = generate_synthetic_corpus(12, seed=3, task="regression")
         for name in ("out.csv", "out.jsonl"):

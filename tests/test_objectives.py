@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crysgram.datasets import generate_synthetic_corpus
 from crysgram.errors import ConfigError
 from crysgram.grammar import parse_formula
 from crysgram.nn import EncoderState, Tensor, desk_config, encoder_forward
@@ -26,6 +27,7 @@ from crysgram.objectives import (
     lpp_scaler,
     mae_loss,
     mask_batch,
+    masked_position_accuracy,
     mlm_logits,
     mlm_loss,
     mlm_objective,
@@ -40,6 +42,7 @@ from crysgram.tokens import (
 )
 from crysgram.tokens.embedding import assemble_batch
 from crysgram.tokens.tokenizer import N_SG_TOKENS
+from crysgram.training import prepare_corpus
 
 VOCAB = build_vocabulary()
 TABLE = ElementEmbeddingTable.deterministic(dimension=16, seed=2)
@@ -386,6 +389,39 @@ class TestObjectives:
 TWENTY_ELEMENTS = "HLiBeBCNOFNaMgAlSiPSClKCaScTiV"
 SHORT_ROWS = ((225, "NaCl"), (14, "Fe2O3"), (62, "LiFePO4"), (227, "Si"),
               (221, "CaTiO3"))
+
+
+class TestMaskedPositionAccuracy:
+    POSITIONS = (4, 5, 9)
+
+    def corpus(self, n=23):
+        records = generate_synthetic_corpus(n, seed=8, task="regression")
+        return prepare_corpus(records, VOCAB, TABLE)
+
+    def test_batch_size_does_not_change_the_result(self):
+        state, corpus = tiny_state(), self.corpus()
+        full = masked_position_accuracy(state, corpus, self.POSITIONS)
+        small = masked_position_accuracy(state, corpus, self.POSITIONS,
+                                         batch_size=5)
+        assert full == small
+
+    def test_accuracies_are_fractions_of_the_corpus(self):
+        corpus = self.corpus()
+        overall, per_position = masked_position_accuracy(
+            tiny_state(), corpus, self.POSITIONS, batch_size=5)
+        assert set(per_position) == set(self.POSITIONS)
+        for value in per_position.values():
+            assert 0.0 <= value <= 1.0
+            hits = value * len(corpus)
+            assert hits == pytest.approx(round(hits))
+        assert 0.0 <= overall <= 1.0
+        assert overall == pytest.approx(
+            sum(per_position.values()) / len(self.POSITIONS))
+
+    def test_empty_corpus_raises(self):
+        empty = prepare_corpus([], VOCAB, TABLE)
+        with pytest.raises(ConfigError, match="empty"):
+            masked_position_accuracy(tiny_state(), empty, (4,))
 
 
 class TestTrimmedEncoder:

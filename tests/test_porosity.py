@@ -674,6 +674,22 @@ class TestStructureIO:
         with pytest.raises(PorosityError):
             PeriodicStructure(lattice=np.zeros((3, 3)), sites=[])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 0)])
+    def test_non_finite_lattice_entry_rejected(self, value, entry):
+        lattice = np.eye(3) * 10.0
+        lattice[entry] = value
+        with pytest.raises(PorosityError, match="lattice entries"):
+            PeriodicStructure(lattice=lattice,
+                              sites=[("C", np.array([0.5, 0.5, 0.5]))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_site_coordinate_rejected(self, value):
+        sites = [("C", np.array([0.5, 0.5, 0.5])),
+                 ("O", np.array([0.25, value, 0.5]))]
+        with pytest.raises(PorosityError, match="site 1 \\(O\\)"):
+            PeriodicStructure(lattice=np.eye(3) * 10.0, sites=sites)
+
     def test_coordinates_wrapped(self):
         s = PeriodicStructure(lattice=np.eye(3) * 5,
                               sites=[("C", np.array([1.25, -0.25, 2.0]))])

@@ -3,6 +3,7 @@
 import json
 import re
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,24 @@ import pytest
 import scipy
 
 import crysgram
-from crysgram.datasets import generate_synthetic_corpus, kb_corpus
-from crysgram.errors import CheckpointError, ConfigError, NonFiniteError
+from crysgram.datasets import (
+    CrystalRecord,
+    generate_synthetic_corpus,
+    kb_corpus,
+)
+from crysgram.errors import (
+    CheckpointError,
+    ConfigError,
+    EmbeddingError,
+    NonFiniteError,
+)
 from crysgram.nn import EncoderState, Tensor, desk_config, load_state
-from crysgram.tokens import ElementEmbeddingTable, build_vocabulary
+from crysgram.tokens import (
+    N_FORMULA_SLOTS,
+    ElementEmbeddingTable,
+    build_vocabulary,
+    embed_formula,
+)
 from crysgram.training import (
     TrainConfig,
     evaluate,
@@ -205,6 +220,75 @@ class TestFinetune:
                              early_stopping_patience=3)
         result = finetune(self.RECORDS, config, table=TABLE)
         assert len(result.metrics) <= 30
+
+
+def slot_by_slot(composition, table):
+    """A formula matrix written one slot at a time, as a plain oracle."""
+    out = np.zeros((N_FORMULA_SLOTS, table.dimension + 1))
+    for i, (symbol, fraction) in enumerate(composition.items()):
+        out[i, 0] = fraction
+        out[i, 1:] = table.vector(symbol)
+    return out
+
+
+class TestPreparedCorpus:
+    TWENTY = "HLiBeBCNOFNaMgAlSiPSClKCaScTiV"
+    RECORDS = (generate_synthetic_corpus(40, seed=12, task="regression")
+               + [CrystalRecord(id="twenty", formula=TWENTY, spacegroup=1,
+                                target=0.5)])
+
+    def corpus(self):
+        vocab = build_vocabulary(datasets=self.RECORDS)
+        return prepare_corpus(self.RECORDS, vocab, TABLE)
+
+    def test_batches_are_stacked_single_formulas_to_the_bit(self):
+        corpus = self.corpus()
+        order = np.random.default_rng(3).permutation(len(corpus))
+        assert len(self.RECORDS[-1].composition) == N_FORMULA_SLOTS
+        for start in range(0, len(order), 16):
+            indices = order[start:start + 16]
+            comps = [self.RECORDS[i].composition for i in indices]
+            got = corpus.batch(indices).formula_matrices
+            assert got.dtype == np.float64
+            for expected in (
+                    np.stack([embed_formula(c, TABLE) for c in comps]),
+                    np.stack([slot_by_slot(c, TABLE) for c in comps])):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_consecutive_batches_cover_the_corpus_in_order(self):
+        corpus = self.corpus()
+        batches = list(corpus.batches(16))
+        assert [len(b.ids) for b in batches] == [16, 16, 9]
+        assert sum((b.ids for b in batches), []) == [r.id for r in
+                                                     self.RECORDS]
+
+    def test_holds_under_4kb_per_record(self):
+        records = generate_synthetic_corpus(512, seed=4, task="regression")
+        vocab = build_vocabulary(datasets=records)
+        prepare_corpus(records[:8], vocab, TABLE)  # warm caches
+        tracemalloc.start()
+        try:
+            corpus = prepare_corpus(records, vocab, TABLE)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 512
+        # one (20, 201) float64 matrix per record would be 32 KB
+        assert held / len(records) < 4096
+        assert peak / len(records) < 4096
+
+    def test_missing_element_raises_before_any_step(self):
+        table = ElementEmbeddingTable({"Fe": np.ones(4)})
+        records = [CrystalRecord(id=f"r{i}", formula="FeO", spacegroup=1,
+                                 target=float(i)) for i in range(4)]
+        vocab = build_vocabulary(datasets=records)
+        with pytest.raises(EmbeddingError, match="'O'"):
+            prepare_corpus(records, vocab, table)
+        config = fast_config(objective="regression", epochs=1,
+                             split="ratio:0.5,0.5")
+        with pytest.raises(EmbeddingError):
+            finetune(records, config, vocab=vocab, table=table)
 
 
 class TestEvaluate:

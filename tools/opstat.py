@@ -11,6 +11,12 @@ reports only throughput, set-up time and peak RSS; these counters show
 where a saving lands, for example system time spent faulting in memory
 the process had just freed. The workloads and the one-BLAS-thread
 set-up are imported from ``bench/`` unchanged.
+
+With ``--py-peak`` it also prints each operation's tracemalloc peak:
+the most memory Python and numpy held at once during that operation,
+free of what earlier operations left in the heap, which peak RSS
+carries over. Tracing every allocation slows the process down, so the
+CPU columns then read high.
 """
 
 import argparse
@@ -18,6 +24,7 @@ import resource
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,6 +42,9 @@ def main(argv=None):
                                  "predict-desk", "porosity-grid"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--py-peak", action="store_true",
+                        help="also print each operation's tracemalloc peak "
+                        "(MB); tracing inflates the CPU columns")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.ops < 1:
         parser.error("--seed must be >= 0 and --ops >= 1")
@@ -53,17 +63,27 @@ def main(argv=None):
     try:
         ctx = workload.setup(args.seed, "full", workdir)
         workload.run_op(ctx, spans)  # warm-up
-        print("op  cpu_s   user_s  sys_s   minflt   maxrss_mb  problems")
+        if args.py_peak:
+            tracemalloc.start()
+        print("op  cpu_s   user_s  sys_s   minflt   maxrss_mb  problems"
+              + "  py_peak_mb" * args.py_peak)
         for op in range(args.ops):
+            if args.py_peak:
+                tracemalloc.reset_peak()
             user0, sys0, flt0, _ = counters()
             result = workload.run_op(ctx, spans)
             user1, sys1, flt1, maxrss = counters()
+            peak = tracemalloc.get_traced_memory()[1] if args.py_peak else 0
             problems = workload.check(ctx, result.outputs)
-            print(f"{op:<3} {user1 - user0 + sys1 - sys0:<7.3f} "
-                  f"{user1 - user0:<7.3f} {sys1 - sys0:<7.3f} "
-                  f"{flt1 - flt0:<8d} {maxrss / 1024.0:<10.1f} "
-                  f"{len(problems)}")
+            line = (f"{op:<3} {user1 - user0 + sys1 - sys0:<7.3f} "
+                    f"{user1 - user0:<7.3f} {sys1 - sys0:<7.3f} "
+                    f"{flt1 - flt0:<8d} {maxrss / 1024.0:<10.1f} "
+                    f"{len(problems)}")
+            if args.py_peak:
+                line = f"{line:<58}{peak / 2**20:.1f}"
+            print(line)
     finally:
+        tracemalloc.stop()
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
 
