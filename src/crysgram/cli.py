@@ -231,12 +231,9 @@ def cmd_finetune(args):
     records = _load_records(args.data)
     table = _element_table(args)
 
-    init_state = None
-    vocab = None
+    init_state = vocab = None
     if args.checkpoint:
-        vocab_path = args.vocab or str(Path(args.checkpoint).parent / "vocab.txt")
-        vocab = TokenVocabulary.load(vocab_path)
-        init_state, _ = load_pretrained(args.checkpoint, vocab=vocab)
+        init_state, _, vocab = _load_checkpoint(args)
     result = finetune(records, config, init_state=init_state, vocab=vocab,
                       table=table, out_dir=args.out, log=log)
     if result.fold_results:

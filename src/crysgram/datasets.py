@@ -24,7 +24,7 @@ from .grammar import (
     crystal_system_of,
     parse_formula,
 )
-from .objectives import LatticeParameters
+from .objectives import LATTICE_FIELDS, LatticeParameters
 from .tokens import InformaticsFields
 
 COLUMNS = ("id", "formula", "spacegroup", "topology", "volume", "natoms",
@@ -35,8 +35,6 @@ _INFO_COLUMNS = {"topology": "topology", "volume": "unit_cell_volume",
                  "natoms": "atom_count", "porosity": "porosity_fraction",
                  "acc_porosity": "accessible_void_fraction",
                  "organic_cation": "organic_cation"}
-
-_LATTICE_COLUMNS = ("a", "b", "c", "alpha", "beta", "gamma")
 
 
 @dataclass
@@ -103,10 +101,11 @@ def _record_from_mapping(row, lineno):
             accessible_void_fraction=_parse_optional_float(known, "acc_porosity"),
             organic_cation=(known.get("organic_cation") or None),
         )
-        cell = [_parse_optional_float(known, c) for c in _LATTICE_COLUMNS]
+        cell = [_parse_optional_float(known, c) for c in LATTICE_FIELDS]
         if any(v is not None for v in cell):
             if any(v is None for v in cell):
-                missing = [c for c, v in zip(_LATTICE_COLUMNS, cell) if v is None]
+                missing = [c for c, v in zip(LATTICE_FIELDS, cell)
+                           if v is None]
                 raise DatasetError(f"incomplete lattice: missing {missing}")
             lattice = LatticeParameters(*cell)
         else:
@@ -152,8 +151,10 @@ def load_dataset(path, fmt=None):
             header = next(reader, None)
             if header is None:
                 raise DatasetError(f"{path}: missing header row")
-            rows = (values for values in reader if values)
-            for lineno, values in enumerate(rows, start=2):
+            for values in reader:
+                if not values:
+                    continue
+                lineno = reader.line_num  # physical, as for record lines
                 if len(values) != len(header):
                     failures.append(f"line {lineno}: {len(values)} values "
                                     f"for {len(header)} header columns")
@@ -196,7 +197,7 @@ def record_to_mapping(record):
         if value is not None:
             row[column] = value
     if record.lattice is not None:
-        for name in _LATTICE_COLUMNS:
+        for name in LATTICE_FIELDS:
             row[name] = getattr(record.lattice, name)
     if record.target is not None:
         row["target"] = record.target
@@ -421,37 +422,3 @@ def kb_corpus(formula="Si"):
                           spacegroup=number)
             for number in range(1, 231)]
 
-
-def dedup_average(records):
-    """Collapse duplicate (formula, spacegroup) pairs, averaging repeats.
-
-    Lattice parameters and targets of repeated entries are averaged;
-    the first record's id and informatics are kept.
-    """
-    groups = {}
-    order = []
-    for record in records:
-        key = (record.formula, record.spacegroup)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
-    out = []
-    for key in order:
-        group = groups[key]
-        first = group[0]
-        if len(group) == 1:
-            out.append(first)
-            continue
-        lattices = [r.lattice for r in group if r.lattice is not None]
-        lattice = None
-        if lattices:
-            mean = np.mean([lat.as_array() for lat in lattices], axis=0)
-            lattice = LatticeParameters(*mean.tolist())
-        targets = [r.target for r in group if r.target is not None]
-        target = float(np.mean(targets)) if targets else None
-        out.append(CrystalRecord(
-            id=first.id, formula=first.formula, spacegroup=first.spacegroup,
-            informatics=first.informatics, lattice=lattice, target=target,
-            target_unit=first.target_unit))
-    return out

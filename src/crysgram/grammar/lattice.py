@@ -35,24 +35,11 @@ class LatticeConstraints:
     """Equality classes over cell lengths plus pinned angle values.
 
     ``length_classes`` partitions a subset of {a, b, c} into groups that
-    must be equal; ``fixed_angles`` pins angles to exact degree values;
-    ``angle_classes`` expresses angle equalities without a pinned value
-    (unused by the seven standard systems on hexagonal axes but kept for
-    completeness).
+    must be equal; ``fixed_angles`` pins angles to exact degree values.
     """
 
     length_classes: tuple = ()
     fixed_angles: dict = field(default_factory=dict)
-    angle_classes: tuple = ()
-
-    def free_lengths(self) -> tuple:
-        constrained = {n for group in self.length_classes for n in group}
-        return tuple(n for n in LENGTH_NAMES if n not in constrained)
-
-    def free_angles(self) -> tuple:
-        pinned = set(self.fixed_angles)
-        grouped = {n for group in self.angle_classes for n in group}
-        return tuple(n for n in ANGLE_NAMES if n not in pinned | grouped)
 
     def violations(self, lengths, angles, rtol=1e-3, atol_deg=0.1):
         """Return human-readable constraint violations for one cell.
@@ -72,12 +59,6 @@ class LatticeConstraints:
         for name, target in self.fixed_angles.items():
             if abs(values[name] - target) > atol_deg:
                 problems.append(f"{name}={values[name]:g} != {target:g}")
-        for group in self.angle_classes:
-            ref = values[group[0]]
-            for name in group[1:]:
-                if abs(values[name] - ref) > atol_deg:
-                    problems.append(
-                        f"{name}={values[name]:g} != {group[0]}={ref:g}")
         return problems
 
 

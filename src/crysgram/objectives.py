@@ -7,7 +7,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, VocabularyError
-from .grammar import CrystalSystem, lattice_constraints
+from .grammar import (
+    ANGLE_NAMES,
+    LENGTH_NAMES,
+    CrystalSystem,
+    lattice_constraints,
+)
 from .nn.encoder import encoder_forward
 from .nn.tensor import dropout, linear, log_softmax, silu
 # kept as a module name: bench/tracing.py wraps objectives.matmul
@@ -16,7 +21,7 @@ from .tokens.embedding import assemble_batch
 from .tokens.tokenizer import N_SG_TOKENS, SG_POSITIONS
 from .tokens.vocab import MASK_ID
 
-LATTICE_FIELDS = ("a", "b", "c", "alpha", "beta", "gamma")
+LATTICE_FIELDS = LENGTH_NAMES + ANGLE_NAMES
 
 
 @dataclass(frozen=True)
@@ -31,10 +36,10 @@ class LatticeParameters:
     gamma: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
+        for name in LENGTH_NAMES:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"lattice length {name} must be positive")
-        for name in ("alpha", "beta", "gamma"):
+        for name in ANGLE_NAMES:
             if not 0.0 < getattr(self, name) < 180.0:
                 raise ConfigError(
                     f"lattice angle {name} must lie in (0, 180) degrees")
@@ -59,8 +64,6 @@ class MaskingPlan:
 
     positions: tuple
     original_ids: tuple
-    ratio: float
-    seed: int = None
 
 
 def apply_masking(seq, ratio=0.25, rng=None):
@@ -72,16 +75,14 @@ def apply_masking(seq, ratio=0.25, rng=None):
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"masking ratio must lie in (0, 1], got {ratio}")
-    seed = None
     if rng is None or isinstance(rng, (int, np.integer)):
-        seed = 0 if rng is None else int(rng)
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        rng = np.random.default_rng(np.random.PCG64(int(rng or 0)))
     count = round(ratio * N_SG_TOKENS)
     count = max(count, 1)
     chosen = tuple(int(p) for p in np.sort(
         rng.choice(np.array(SG_POSITIONS), size=count, replace=False)))
     masked, original = _masked_copy(seq, chosen)
-    return masked, MaskingPlan(chosen, original, ratio, seed)
+    return masked, MaskingPlan(chosen, original)
 
 
 def _masked_copy(seq, positions):
@@ -378,7 +379,7 @@ def masked_position_accuracy(state, corpus, positions, batch_size=64):
         for seq in batch.sequences:
             m, original = _masked_copy(seq, positions)
             masked.append(m)
-            plans.append(MaskingPlan(tuple(positions), original, 0.0))
+            plans.append(MaskingPlan(tuple(positions), original))
         hidden, _, _ = encode_batch(state, masked, batch.formula_matrices,
                                     mode="eval", rows=max(positions) + 1)
         logits, labels = mlm_logits(state, hidden, plans)

@@ -57,25 +57,21 @@ class ElementEmbeddingTable:
                 from None
 
     @classmethod
-    def deterministic(cls, dimension=D_ELEMENT, seed=7, symbols=SYMBOLS):
+    def deterministic(cls, dimension=D_ELEMENT, seed=7):
         rng = np.random.default_rng(np.random.PCG64(seed))
         scale = 1.0 / np.sqrt(dimension)
-        return cls({s: rng.normal(0.0, scale, size=dimension) for s in symbols})
+        return cls({s: rng.normal(0.0, scale, size=dimension)
+                    for s in SYMBOLS})
 
     @classmethod
-    def from_file(cls, path, dimension=None):
+    def from_file(cls, path):
         vectors = {}
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for line in fh:
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                symbol, values = parts[0], parts[1:]
-                if dimension is not None and len(values) != dimension:
-                    raise EmbeddingError(
-                        f"{path}:{lineno}: {symbol} has {len(values)} "
-                        f"components, expected {dimension}")
-                vectors[symbol] = np.array([float(v) for v in values])
+                vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
         return cls(vectors)
 
     def save(self, path):

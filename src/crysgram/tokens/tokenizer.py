@@ -5,7 +5,7 @@ Layout: [CLS] + 12 space-group tokens + n_info informatics tokens +
 past the element count are [PAD] and masked out of attention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import VocabularyError
 from ..grammar import EMPTY_SLOT, lookup_space_group
@@ -27,8 +27,6 @@ N_FORMULA_SLOTS = 20
 SG_POSITIONS = tuple(range(1, 1 + N_SG_TOKENS))
 
 _STRING_FIELDS = ("topology", "organic_cation")
-_NUMERIC_FIELDS = ("unit_cell_volume", "atom_count", "porosity_fraction",
-                   "accessible_void_fraction")
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class TokenSequence:
     token_labels: tuple
     n_info: int
     provenance: str = None
-    formula_elements: tuple = field(default=(), repr=False)
 
     def __len__(self):
         return len(self.ids)
@@ -145,5 +142,4 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
         token_labels=tuple(labels),
         n_info=len(vocab.info_layout),
         provenance=provenance,
-        formula_elements=tuple(elements),
     )

@@ -33,6 +33,8 @@ CATEGORY_ORDER = (SPECIAL, "full_symbol", "number", "order", "point_group",
                   "crystal_system", "laue_class", "symmetry", "polarity",
                   "centering", "directional", *INFO_FIELDS, ELEMENT)
 
+N_VOLUME_BINS = 64
+
 
 @dataclass(frozen=True)
 class InformaticsBinning:
@@ -48,17 +50,15 @@ class InformaticsBinning:
     porosity_bins: int = 20
 
     @classmethod
-    def from_observations(cls, volumes=(), n_volume_bins=64,
-                          atom_count_max=512, porosity_bins=20):
+    def from_observations(cls, volumes=()):
         volumes = [v for v in volumes if v is not None and np.isfinite(v) and v > 0]
         lo = min(volumes) if volumes else 1.0
         hi = max(volumes) if volumes else 1e5
         if hi <= lo:
             hi = lo * 10.0
         edges = np.exp(np.linspace(math.log(lo), math.log(hi),
-                                   n_volume_bins + 1))
-        return cls(volume_edges=tuple(float(e) for e in edges),
-                   atom_count_max=atom_count_max, porosity_bins=porosity_bins)
+                                   N_VOLUME_BINS + 1))
+        return cls(volume_edges=tuple(float(e) for e in edges))
 
     @property
     def n_volume_bins(self):
@@ -211,8 +211,7 @@ class TokenVocabulary:
             return cls.from_text(fh.read())
 
 
-def build_vocabulary(kb_records=None, datasets=(), info_layout=(),
-                     binning=None):
+def build_vocabulary(datasets=(), info_layout=()):
     """Vocabulary covering the knowledge base plus observed dataset tokens.
 
     ``datasets`` is any iterable of records carrying an ``informatics``
@@ -220,8 +219,6 @@ def build_vocabulary(kb_records=None, datasets=(), info_layout=(),
     organic-cation strings and the observed volume range for binning.
     Deterministic given identical inputs.
     """
-    kb_records = list(kb_records) if kb_records is not None else all_space_groups()
-
     by_category = {category: [] for category in CATEGORY_ORDER
                    if category != SPECIAL}
     seen = {category: set() for category in by_category}
@@ -231,7 +228,7 @@ def build_vocabulary(kb_records=None, datasets=(), info_layout=(),
             seen[category].add(token)
             by_category[category].append(token)
 
-    for record in kb_records:
+    for record in all_space_groups():
         for category, token in zip(SG_CATEGORIES, record.token_strings()):
             if category == "directional" and token == EMPTY_SLOT:
                 continue
@@ -248,8 +245,7 @@ def build_vocabulary(kb_records=None, datasets=(), info_layout=(),
             cations.add(info.organic_cation)
         if getattr(info, "unit_cell_volume", None) is not None:
             volumes.append(info.unit_cell_volume)
-    if binning is None:
-        binning = InformaticsBinning.from_observations(volumes)
+    binning = InformaticsBinning.from_observations(volumes)
 
     for topology in sorted(topologies):
         add("topology", topology)

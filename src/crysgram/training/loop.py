@@ -48,6 +48,8 @@ from .schedule import ScheduleSpec, lr_at
 CONFIG_VERSION = 1
 OBJECTIVES = ("mlm", "lpp", "mlm+lpp", "regression")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# records per forward pass of evaluate, predict_lattice and encode_corpus
+EVAL_BATCH_SIZE = 64
 
 
 def derive_seed(*parts):
@@ -463,27 +465,27 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
     return result
 
 
-def encode_corpus(state, corpus, batch_size=64, encode=None):
+def encode_corpus(state, corpus, encode=None):
     """Eval-mode [CLS] vectors of a prepared corpus, one batch at a time.
 
     Yields (Batch, cls Tensor) pairs in corpus order. ``encode`` replaces
     ``encode_batch`` as the function that runs the encoder.
     """
     encode = encode or encode_batch
-    for batch in corpus.batches(batch_size):
+    for batch in corpus.batches(EVAL_BATCH_SIZE):
         _, cls, _ = encode(state, batch.sequences, batch.formula_matrices,
                            mode="eval", rows=1)
         yield batch, cls
 
 
-def evaluate(state, corpus, scaler, batch_size=64):
+def evaluate(state, corpus, scaler):
     """Eval-mode MAE in natural units plus per-record predictions."""
     if len(corpus) == 0:
         raise ConfigError("cannot evaluate an empty split")
     if scaler is None:
         raise ConfigError("evaluation requires the fitted target scaler")
     predictions = []
-    for batch, cls in encode_corpus(state, corpus, batch_size):
+    for batch, cls in encode_corpus(state, corpus):
         pred_std = finetune_head(cls, state, mode="eval").data.reshape(-1)
         pred_nat = scaler.inverse(pred_std.astype(np.float64))
         targets = ([None] * len(batch.ids) if batch.targets is None
@@ -495,12 +497,12 @@ def evaluate(state, corpus, scaler, batch_size=64):
     return mae, predictions
 
 
-def predict_lattice(state, corpus, scaler, batch_size=64):
+def predict_lattice(state, corpus, scaler):
     """Natural-unit (n, 6) lattice predictions for a prepared corpus."""
     return np.concatenate([
         scaler.inverse(lpp_head(cls, state, mode="eval").data
                        .astype(np.float64))
-        for _, cls in encode_corpus(state, corpus, batch_size)], axis=0)
+        for _, cls in encode_corpus(state, corpus)], axis=0)
 
 
 @dataclass

@@ -25,20 +25,18 @@ class AdamW:
     """
 
     def __init__(self, state, base_lr, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8,
-                 exempt_suffixes=DECAY_EXEMPT_SUFFIXES):
+                 beta1=0.9, beta2=0.999, eps=1e-8):
         self.state = state
         self.base_lr = float(base_lr)
         self.weight_decay = float(weight_decay)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.exempt_suffixes = tuple(exempt_suffixes)
         self.step_count = 0
         # first and second moments, built from each parameter's first gradient
         self.m = {}
         self.v = {}
 
     def is_exempt(self, name):
-        return any(name.endswith(suffix) for suffix in self.exempt_suffixes)
+        return name.endswith(DECAY_EXEMPT_SUFFIXES)
 
     def step(self, lr=None):
         """Apply one update using gradients accumulated by backward().

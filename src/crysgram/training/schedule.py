@@ -1,5 +1,5 @@
 """Warmup-cosine learning-rate schedule: linear 0 -> base over the first
-warmup fraction of steps, then cosine decay from base to the floor."""
+warmup fraction of steps, then cosine decay from base to zero."""
 
 import math
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ class ScheduleSpec:
     total_steps: int
     base_rate: float
     warmup_fraction: float = 0.05
-    floor: float = 0.0
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -20,8 +19,8 @@ class ScheduleSpec:
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError(
                 f"warmup fraction must lie in [0, 1), got {self.warmup_fraction}")
-        if self.base_rate < 0 or self.floor < 0:
-            raise ConfigError("rates must be non-negative")
+        if self.base_rate < 0:
+            raise ConfigError("base rate must be non-negative")
 
     @property
     def warmup_steps(self):
@@ -37,5 +36,4 @@ def lr_at(step, spec):
     if step < w:
         return spec.base_rate * step / w
     progress = (step - w) / (spec.total_steps - w)
-    return spec.floor + (spec.base_rate - spec.floor) * 0.5 * (
-        1.0 + math.cos(math.pi * progress))
+    return spec.base_rate * 0.5 * (1.0 + math.cos(math.pi * progress))

@@ -1,4 +1,4 @@
-"""Dataset loading, splitting, synthetic corpora, and dedup utilities."""
+"""Dataset loading, splitting, and synthetic corpora."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ from crysgram.datasets import (
     KFoldSplit,
     SplitSpec,
     dataset_checksum,
-    dedup_average,
     generate_synthetic_corpus,
     kb_corpus,
     load_dataset,
@@ -23,7 +22,6 @@ from crysgram.grammar import (
     lattice_constraints,
     parse_formula,
 )
-from crysgram.objectives import LatticeParameters
 from crysgram.tokens import InformaticsFields
 
 CSV_HEADER = ("id,formula,spacegroup,topology,volume,natoms,porosity,"
@@ -50,6 +48,33 @@ class TestLoading:
                         "bad,SiO2,231,,,,,,,,,,,,,0.1,\n")
         with pytest.raises(DatasetError, match="line 3"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("data.csv", "id,formula,spacegroup\nr1,Si,1\n\nr3,Si,999\n", 4),
+        ("data.jsonl", '{"id": "r1", "formula": "Si", "spacegroup": 1}\n\n'
+                       '{"id": "r3", "formula": "Si", "spacegroup": 999}\n',
+         3),
+    ])
+    def test_error_names_physical_line_after_blank(self, tmp_path, name,
+                                                    text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DatasetError,
+                           match=f"1 invalid rows: line {line}:"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name, text, ids", [
+        ("data.csv", "formula,spacegroup\nSi,1\n\nSi,2\n", ["row2", "row4"]),
+        ("data.tsv", "formula\tspacegroup\nSi\t1\n\nSi\t2\n",
+         ["row2", "row4"]),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n\n'
+                       '{"formula": "Si", "spacegroup": 2}\n',
+         ["row1", "row3"]),
+    ])
+    def test_default_ids_name_physical_lines(self, tmp_path, name, text, ids):
+        path = tmp_path / name
+        path.write_text(text)
+        assert [record.id for record in load_dataset(path)] == ids
 
     def test_hmof_style_row_carries_informatics(self, tmp_path):
         path = tmp_path / "mofs.csv"
@@ -111,7 +136,7 @@ class TestLoading:
                         "r1\tSi\n\nr2\tSi\t1\nr3\tSi\t1\t\n")
         with pytest.raises(DatasetError,
                            match="2 invalid rows: line 2: 2 values .*; "
-                                 "line 4: 4 values"):
+                                 "line 5: 4 values"):
             load_dataset(path)
 
     def test_jsonl_missing_keys_still_load(self, tmp_path):
@@ -292,27 +317,3 @@ class TestKbCorpus:
         records = kb_corpus()
         assert len(records) == 230
         assert [r.spacegroup for r in records] == list(range(1, 231))
-
-
-class TestDedup:
-    def test_averages_repeats(self):
-        base = dict(formula="NaCl", spacegroup=225)
-        records = [
-            CrystalRecord(id="a", lattice=LatticeParameters(4, 4, 4, 90, 90, 90),
-                          target=1.0, **base),
-            CrystalRecord(id="b", lattice=LatticeParameters(6, 6, 6, 90, 90, 90),
-                          target=3.0, **base),
-            CrystalRecord(id="c", formula="CsCl", spacegroup=221, target=9.0),
-        ]
-        out = dedup_average(records)
-        assert len(out) == 2
-        merged = out[0]
-        assert merged.id == "a"
-        assert merged.lattice.a == 5.0
-        assert merged.target == 2.0
-        assert out[1].target == 9.0
-
-    def test_no_duplicates_is_identity(self):
-        records = generate_synthetic_corpus(20, seed=11, task="regression")
-        assert dataset_checksum(dedup_average(records)) \
-            == dataset_checksum(records)

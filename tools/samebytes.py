@@ -12,6 +12,8 @@ hexagonal cell and a rotated cube with no zero lattice entry, so that
 every zero pattern of the clearance-field sums is covered) and runs
 ``porosity --format json`` on each at two grid densities, with and
 without flood fill, and once with a radius override file.
+Last it runs every script in the checkout's ``demos/``, whose standard
+output is saved as ``demo-<name>.txt``.
 Every file and standard output must be equal; manifests are compared
 without their wall time and git commit. Exits 1 on any difference.
 """
@@ -99,17 +101,24 @@ def content(path):
 
 
 def run_all(checkout, work):
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    checkout = Path(checkout).resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     work.mkdir()
     for script in (DATA, STRUCTURES):
         subprocess.run([sys.executable, "-c", script], cwd=work, env=env,
                        check=True)
-    for n, command in enumerate(commands()):
-        done = subprocess.run([sys.executable, "-m", "crysgram.cli", *command],
-                              cwd=work, env=env, capture_output=True)
+
+    def run(argv, stdout_name):
+        done = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                              capture_output=True)
         if done.returncode:
-            sys.exit(f"{done.stderr.decode()}{checkout}: {command} failed")
-        (work / f"stdout-{n}.txt").write_bytes(done.stdout)
+            sys.exit(f"{done.stderr.decode()}{checkout}: {argv} failed")
+        (work / stdout_name).write_bytes(done.stdout)
+
+    for n, command in enumerate(commands()):
+        run(["-m", "crysgram.cli", *command], f"stdout-{n}.txt")
+    for demo in sorted((checkout / "demos").glob("*.py")):
+        run([str(demo)], f"demo-{demo.stem}.txt")
 
 
 def main(argv=None):
