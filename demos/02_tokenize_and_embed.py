@@ -44,8 +44,9 @@ print(f"zero-padding rows: {np.count_nonzero(~matrix.any(axis=1))}")
 config = desk_config(vocab.size)
 state = EncoderState(config, seed=0)
 x, mask = assemble_batch(
-    [seq], [matrix], state["embed.token"], state["embed.formula.w"],
-    state["embed.formula.b"], state["embed.position"])
+    np.array([seq.ids]), [matrix], state["embed.token"],
+    state["embed.formula.w"], state["embed.formula.b"],
+    state["embed.position"])
 print(f"\nembedded input: {x.shape[1:]} "
       f"(d_model {config.d_model}), "
       f"attended positions {int(np.sum(mask))}")

@@ -23,9 +23,10 @@ print(f"desk preset: {config.n_layers} layers, {config.n_heads} heads, "
 
 comp = parse_formula("NaCl")
 seq = tokenize_crystal(225, comp, None, vocab)
+tokens = np.array([seq.ids])
 matrix = embed_formula(comp, table)
 
-hidden, cls, attn = encode_batch(state, [seq], matrix[None], mode="eval",
+hidden, cls, attn = encode_batch(state, tokens, matrix[None], mode="eval",
                                  record_attention=True)
 print(f"\nhidden {hidden.shape}, cls {cls.shape}")
 weights = attn.layers[-1][0]
@@ -34,7 +35,7 @@ print(f"last-layer attention: {weights.shape}, "
 
 # gradient of a scalar loss vs central finite differences on one weight
 state.zero_grads()
-_, cls, _ = encode_batch(state, [seq], matrix[None], mode="eval")
+_, cls, _ = encode_batch(state, tokens, matrix[None], mode="eval")
 loss = (lpp_head(cls, state) ** 2).sum()
 loss.backward()
 param = state["layers.0.attn.q.w"]
@@ -44,7 +45,7 @@ eps = 1e-5
 orig = param.data[i]
 for sign in (+1, -1):
     param.data[i] = orig + sign * eps
-    _, cls, _ = encode_batch(state, [seq], matrix[None], mode="eval")
+    _, cls, _ = encode_batch(state, tokens, matrix[None], mode="eval")
     value = (lpp_head(cls, state) ** 2).sum().item()
     if sign > 0:
         plus = value

@@ -12,7 +12,11 @@ import numpy as np
 from crysgram.datasets import generate_synthetic_corpus
 from crysgram.nn.export import export_attention, export_cls_rows
 from crysgram.objectives import encode_batch
-from crysgram.tokens import ElementEmbeddingTable
+from crysgram.tokens import (
+    ElementEmbeddingTable,
+    embed_formula,
+    tokenize_crystal,
+)
 from crysgram.training import TrainConfig, prepare_corpus, pretrain
 
 records = generate_synthetic_corpus(128, seed=6, task="lpp")
@@ -21,11 +25,13 @@ config = TrainConfig(objective="lpp", epochs=10, batch_size=64,
 table = ElementEmbeddingTable.deterministic()
 result = pretrain(records, config, table=table)
 
-corpus = prepare_corpus(records[:8], result.vocab, table)
-batch = corpus.batch(np.arange(1))
-_, _, attn = encode_batch(result.state, batch.sequences,
-                          batch.formula_matrices, mode="eval",
-                          record_attention=True)
+first = records[0]
+seq = tokenize_crystal(first.spacegroup, first.composition, first.informatics,
+                       result.vocab)
+_, _, attn = encode_batch(result.state, np.array([seq.ids]),
+                          embed_formula(first.composition, table)[None],
+                          mode="eval", record_attention=True)
+attn.token_labels = [seq.token_labels]
 
 document = export_attention(attn, layers=[-1])
 (key,) = document["layers"]
@@ -43,8 +49,9 @@ print(f"head 0 strongest link: "
 cls_rows = export_cls_rows(attn, layer=-1)
 print(f"\n[CLS] attention rows: {cls_rows.shape} (heads x positions)")
 
+corpus = prepare_corpus(records[:8], result.vocab, table)
 batch_all = corpus.batch(np.arange(len(corpus)))
-_, cls, _ = encode_batch(result.state, batch_all.sequences,
+_, cls, _ = encode_batch(result.state, batch_all.tokens,
                          batch_all.formula_matrices, mode="eval")
 print(f"[CLS] embeddings for external projection: {cls.shape} "
       f"(records x d_model)")

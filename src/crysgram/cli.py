@@ -24,6 +24,7 @@ from .objectives import TargetScaler, encode_batch
 from .porosity import (
     GridSpec,
     accessible_void_fraction,
+    default_radius_table,
     load_radius_table,
     load_structure,
 )
@@ -32,6 +33,7 @@ from .tokens import (
     InformaticsFields,
     TokenVocabulary,
     build_vocabulary,
+    embed_formula,
     tokenize_crystal,
 )
 from .training import (
@@ -144,7 +146,10 @@ def cmd_tokenize(args):
 
 def cmd_porosity(args):
     structure = load_structure(args.structure)
-    radius_table = load_radius_table(args.radii) if args.radii else None
+    radius_table = None
+    if args.radii:
+        radius_table = {**default_radius_table(),
+                        **load_radius_table(args.radii)}
     result = accessible_void_fraction(
         structure, GridSpec(args.rho_grid), r_probe=args.r_probe,
         flood_fill=not args.no_floodfill, radius_table=radius_table)
@@ -315,19 +320,20 @@ def _export_attention(args):
     records = _load_records(args.data)
     if not records:
         raise CrysgramError(f"{args.data}: no record to export")
-    index = 0
+    record = records[0]
     if args.record_id:
-        ids = [record.id for record in records]
-        if args.record_id not in ids:
+        record = next((r for r in records if r.id == args.record_id), None)
+        if record is None:
             raise CrysgramError(f"record {args.record_id!r} not in dataset")
-        index = ids.index(args.record_id)
-    one = prepare_corpus(records[index:index + 1], vocab,
-                         _element_table(args)).batch([0])
-    _, _, attn = encode_batch(state, one.sequences, one.formula_matrices,
+    seq = tokenize_crystal(record.spacegroup, record.composition,
+                           record.informatics, vocab, provenance=record.id)
+    matrix = embed_formula(record.composition, _element_table(args))
+    _, _, attn = encode_batch(state, np.array([seq.ids]), matrix[None],
                               mode="eval", record_attention=True)
+    attn.token_labels = [seq.token_labels]
     layers = None if args.layer is None else [args.layer]
     document = export_attention(attn, layers=layers)
-    document["record_id"] = one.ids[0]
+    document["record_id"] = record.id
     emit(json.dumps(document, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -343,11 +349,9 @@ def _add_format(parser):
 
 
 def _add_train_flags(parser):
+    """The config-key flags that both pretrain and finetune read."""
     parser.add_argument("--config", help="JSON config file; CLI flags "
                         "override config values")
-    parser.add_argument("--objective", choices=("mlm", "lpp", "mlm+lpp",
-                                                "regression"),
-                        help="config key: objective")
     parser.add_argument("--preset", choices=("desk", "paper"),
                         help="config key: preset")
     parser.add_argument("--epochs", type=int, help="config key: epochs")
@@ -359,15 +363,7 @@ def _add_train_flags(parser):
     parser.add_argument("--warmup-fraction", type=float,
                         dest="warmup_fraction",
                         help="config key: warmup_fraction")
-    parser.add_argument("--masking-ratio", type=float, dest="masking_ratio",
-                        help="config key: masking_ratio")
-    parser.add_argument("--lambda-mlm", type=float, dest="lambda_mlm",
-                        help="config key: lambda_mlm")
     parser.add_argument("--seed", type=int, help="config key: seed")
-    parser.add_argument("--split", help="config key: split "
-                        "(kfold5 or ratio:0.7,0.15,0.15)")
-    parser.add_argument("--patience", type=int,
-                        help="config key: early_stopping_patience")
     parser.add_argument("--info-layout", dest="info_layout",
                         help="config key: info_layout (comma-separated)")
     parser.add_argument("--dropout", type=float, help="config key: dropout")
@@ -428,6 +424,13 @@ def build_parser():
                    help="dataset path or 'kb-corpus'")
     p.add_argument("--out", required=True, help="output directory")
     _add_train_flags(p)
+    p.add_argument("--objective", choices=("mlm", "lpp", "mlm+lpp",
+                                           "regression"),
+                   help="config key: objective")
+    p.add_argument("--masking-ratio", type=float, dest="masking_ratio",
+                   help="config key: masking_ratio")
+    p.add_argument("--lambda-mlm", type=float, dest="lambda_mlm",
+                   help="config key: lambda_mlm")
     p.set_defaults(fn=cmd_pretrain)
 
     p = commands.add_parser("finetune", help="property-regression finetuning")
@@ -437,6 +440,12 @@ def build_parser():
                    "(default: random initialization)")
     p.add_argument("--vocab", help="vocabulary file for the checkpoint")
     _add_train_flags(p)
+    # no --objective, --masking-ratio or --lambda-mlm: finetuning always
+    # runs the regression objective
+    p.add_argument("--split", help="config key: split "
+                   "(kfold5 or ratio:0.7,0.15,0.15)")
+    p.add_argument("--patience", type=int,
+                   help="config key: early_stopping_patience")
     p.set_defaults(fn=cmd_finetune)
 
     for name, fn, help_text in (

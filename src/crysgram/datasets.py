@@ -148,7 +148,7 @@ def load_dataset(path, fmt=None):
         delimiter = "\t" if path.endswith(".tsv") else ","
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader, None)
+            header = next((row for row in reader if row), None)
             if header is None:
                 raise DatasetError(f"{path}: missing header row")
             for values in reader:

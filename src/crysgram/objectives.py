@@ -1,12 +1,11 @@
 """Pretraining objectives (masked tokens, lattice-parameter regression,
 their combination) and the finetuning regression head."""
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, VocabularyError
+from .errors import ConfigError
 from .grammar import (
     ANGLE_NAMES,
     LENGTH_NAMES,
@@ -19,7 +18,7 @@ from .nn.tensor import dropout, linear, log_softmax, silu
 from .nn.tensor import matmul  # noqa: F401
 from .tokens.embedding import assemble_batch
 from .tokens.tokenizer import N_SG_TOKENS, SG_POSITIONS
-from .tokens.vocab import MASK_ID
+from .tokens.vocab import MASK_ID, PAD_ID
 
 LATTICE_FIELDS = LENGTH_NAMES + ANGLE_NAMES
 
@@ -58,51 +57,31 @@ class LatticeParameters:
 # -- masking ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskingPlan:
-    """Masked space-group positions and the labels they hid."""
+def mask_batch(tokens, ratio, seed):
+    """Mask a fixed-count uniform sample of each row's space-group positions.
 
-    positions: tuple
-    original_ids: tuple
-
-
-def apply_masking(seq, ratio=0.25, rng=None):
-    """Replace a fixed-count uniform sample of space-group positions by [MASK].
-
-    Exactly round(ratio * 12) positions are masked, drawn without
-    replacement from the 12 space-group positions only; [CLS], informatics,
-    and formula positions are never touched.
+    ``tokens`` is a (B, L) array of ids. Every row gets exactly
+    round(ratio * 12) positions (at least one) replaced by [MASK], drawn
+    without replacement from the 12 space-group positions only; [CLS],
+    informatics and formula positions are never touched. Returns the
+    masked (B, L) ids and the sorted (B, k) masked positions.
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"masking ratio must lie in (0, 1], got {ratio}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.PCG64(int(rng or 0)))
-    count = round(ratio * N_SG_TOKENS)
-    count = max(count, 1)
-    chosen = tuple(int(p) for p in np.sort(
-        rng.choice(np.array(SG_POSITIONS), size=count, replace=False)))
-    masked, original = _masked_copy(seq, chosen)
-    return masked, MaskingPlan(chosen, original)
-
-
-def _masked_copy(seq, positions):
-    """``seq`` with [MASK] at ``positions``, plus the ids it replaced."""
-    ids = list(seq.ids)
-    original = tuple(ids[p] for p in positions)
-    for p in positions:
-        ids[p] = MASK_ID
-    return dataclasses.replace(seq, ids=tuple(ids)), original
-
-
-def mask_batch(sequences, ratio, seed):
-    """Deterministic per-sample masking for one step; returns (seqs, plans)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    masked, plans = [], []
-    for seq in sequences:
-        m, plan = apply_masking(seq, ratio, rng)
-        masked.append(m)
-        plans.append(plan)
-    return masked, plans
+    count = max(round(ratio * N_SG_TOKENS), 1)
+    candidates = np.array(SG_POSITIONS)
+    positions = np.array(
+        [np.sort(rng.choice(candidates, size=count, replace=False))
+         for _ in range(len(tokens))], dtype=np.intp).reshape(-1, count)
+    return _masked(tokens, positions), positions
+
+
+def _masked(tokens, positions):
+    """A copy of ``tokens`` with [MASK] at each row's ``positions``."""
+    masked = tokens.copy()
+    np.put_along_axis(masked, positions, MASK_ID, axis=1)
+    return masked
 
 
 # -- target standardization ----------------------------------------------------
@@ -187,45 +166,43 @@ def lpp_scaler(lattice_targets):
 
 @dataclass
 class Batch:
-    """One training batch: token sequences plus aligned targets."""
+    """One training batch: (B, L) token ids plus aligned targets."""
 
-    sequences: list
+    tokens: np.ndarray
     formula_matrices: np.ndarray
     lattice_targets: np.ndarray = None
     targets: np.ndarray = None
     ids: list = field(default_factory=list)
 
 
-def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
+def encode_batch(state, tokens, formula_matrices, mode="eval", rng=None,
                  record_attention=False, rows=None):
     """Assemble embeddings and run the encoder; returns (hidden, cls, attn).
 
-    The batch is embedded and encoded only up to its last attended
-    column: trailing [PAD] slots that no row attends to cannot change an
-    attended row, so they are never built. ``rows`` is how many leading
-    positions the caller reads (1 for [CLS]); the last block computes
-    only those, or ``MIN_QUERY_ROWS`` if that is more, so ``hidden`` is
-    (B, R, d_model) with R no wider than the attended width. Training
-    dropout still draws at the padded full-width shapes, so a seed gives
-    the masks of the untrimmed batch. ``attn`` is None unless attention
-    is recorded; its map keeps every row, the full width and each
-    record's token labels, which its maps are laid out against.
+    ``tokens`` is the (B, L) array of token ids; [PAD] ids are masked
+    out of attention. The batch is embedded and encoded only up to its
+    last attended column: trailing [PAD] slots that no row attends to
+    cannot change an attended row, so they are never built. ``rows`` is
+    how many leading positions the caller reads (1 for [CLS]); the last
+    block computes only those, or ``MIN_QUERY_ROWS`` if that is more, so
+    ``hidden`` is (B, R, d_model) with R no wider than the attended
+    width. Training dropout still draws at the padded full-width shapes,
+    so a seed gives the masks of the untrimmed batch. ``attn`` is None
+    unless attention is recorded; its map keeps every row and the full
+    width, and the caller sets its ``token_labels``.
     """
-    mask = np.array([seq.attention_mask for seq in sequences], dtype=bool)
-    padded = mask.shape[1]
-    attended = np.flatnonzero(mask.any(axis=0))
+    padded = tokens.shape[1]
+    attended = np.flatnonzero((tokens != PAD_ID).any(axis=0))
     width = (padded if record_attention or not attended.size
              else int(attended[-1]) + 1)
     x, mask = assemble_batch(
-        sequences, formula_matrices,
+        tokens, formula_matrices,
         state["embed.token"], state["embed.formula.w"],
         state["embed.formula.b"], state["embed.position"], width=width)
     hidden, cls, attn = encoder_forward(
         x, mask, state, mode=mode, rng=rng,
         record_attention=record_attention,
         rows=None if record_attention else rows, _padded_len=padded)
-    if attn is not None:
-        attn.token_labels = [seq.token_labels for seq in sequences]
     return hidden, cls, attn
 
 
@@ -233,23 +210,19 @@ def encode_batch(state, sequences, formula_matrices, mode="eval", rng=None,
 MLM_ROWS = 1 + N_SG_TOKENS
 
 
-def mlm_logits(state, hidden, plans):
+def mlm_logits(state, hidden, tokens, positions):
     """Tied-weight vocabulary logits at every masked position.
 
-    Returns (logits Tensor of shape (K, vocab), labels array of K ids)
-    where K is the total number of masked positions in the batch.
+    ``tokens`` holds the unmasked (B, L) ids and ``positions`` the (B, k)
+    masked positions. Returns (logits Tensor of shape (B * k, vocab),
+    labels array of the B * k hidden ids), row by row.
     """
-    rows_b, rows_p, labels = [], [], []
-    for b, plan in enumerate(plans):
-        for position, original in zip(plan.positions, plan.original_ids):
-            rows_b.append(b)
-            rows_p.append(position)
-            labels.append(original)
-    if not labels:
+    if positions.size == 0:
         raise ConfigError("empty masking plan: no positions to score")
-    rows = hidden[np.array(rows_b), np.array(rows_p)]
+    rows = hidden[np.repeat(np.arange(len(positions)), positions.shape[1]),
+                  positions.reshape(-1)]
     logits = linear(rows, state["embed.token"].swap_last2(), state["mlm.bias"])
-    return logits, np.array(labels)
+    return logits, np.take_along_axis(tokens, positions, axis=1).reshape(-1)
 
 
 def mlm_loss(logits, labels):
@@ -308,10 +281,10 @@ def mae_loss(pred, target, scaler):
 
 def mlm_objective(state, batch, ratio=0.25, seed=0, mode="train", rng=None):
     """Masked-token objective; returns (loss Tensor, stats dict)."""
-    masked, plans = mask_batch(batch.sequences, ratio, seed)
+    masked, positions = mask_batch(batch.tokens, ratio, seed)
     hidden, _, _ = encode_batch(state, masked, batch.formula_matrices,
                                 mode=mode, rng=rng, rows=MLM_ROWS)
-    logits, labels = mlm_logits(state, hidden, plans)
+    logits, labels = mlm_logits(state, hidden, batch.tokens, positions)
     loss = mlm_loss(logits, labels)
     predicted = np.argmax(logits.data, axis=-1)
     stats = {"mlm_accuracy": float((predicted == labels).mean()),
@@ -323,7 +296,7 @@ def lpp_objective(state, batch, scaler, mode="train", rng=None):
     """Lattice-parameter regression objective; returns (loss, stats)."""
     if batch.lattice_targets is None:
         raise ConfigError("batch carries no lattice targets")
-    _, cls, _ = encode_batch(state, batch.sequences, batch.formula_matrices,
+    _, cls, _ = encode_batch(state, batch.tokens, batch.formula_matrices,
                              mode=mode, rng=rng, rows=1)
     pred = lpp_head(cls, state, mode=mode, rng=rng)
     loss = lpp_loss(pred, batch.lattice_targets, scaler)
@@ -338,12 +311,12 @@ def combined_objective(state, batch, scaler, ratio=0.25, lam=1.0, seed=0,
     """
     if batch.lattice_targets is None:
         raise ConfigError("batch carries no lattice targets")
-    masked, plans = mask_batch(batch.sequences, ratio, seed)
+    masked, positions = mask_batch(batch.tokens, ratio, seed)
     hidden, cls, _ = encode_batch(state, masked, batch.formula_matrices,
                                   mode=mode, rng=rng, rows=MLM_ROWS)
     pred = lpp_head(cls, state, mode=mode, rng=rng)
     loss_lpp = lpp_loss(pred, batch.lattice_targets, scaler)
-    logits, labels = mlm_logits(state, hidden, plans)
+    logits, labels = mlm_logits(state, hidden, batch.tokens, positions)
     loss_mlm = mlm_loss(logits, labels)
     loss = loss_lpp + loss_mlm * lam if lam != 0.0 else loss_lpp
     predicted = np.argmax(logits.data, axis=-1)
@@ -357,7 +330,7 @@ def regression_objective(state, batch, scaler, mode="train", rng=None):
     """Finetuning objective: MAE between head output and standardized target."""
     if batch.targets is None:
         raise ConfigError("batch carries no regression targets")
-    _, cls, _ = encode_batch(state, batch.sequences, batch.formula_matrices,
+    _, cls, _ = encode_batch(state, batch.tokens, batch.formula_matrices,
                              mode=mode, rng=rng, rows=1)
     pred = finetune_head(cls, state, mode=mode, rng=rng)
     loss = mae_loss(pred, batch.targets, scaler)
@@ -375,16 +348,14 @@ def masked_position_accuracy(state, corpus, positions, batch_size=64):
         raise ConfigError("cannot score masked positions of an empty corpus")
     correct = {p: 0 for p in positions}
     for batch in corpus.batches(batch_size):
-        masked, plans = [], []
-        for seq in batch.sequences:
-            m, original = _masked_copy(seq, positions)
-            masked.append(m)
-            plans.append(MaskingPlan(tuple(positions), original))
-        hidden, _, _ = encode_batch(state, masked, batch.formula_matrices,
-                                    mode="eval", rows=max(positions) + 1)
-        logits, labels = mlm_logits(state, hidden, plans)
+        chosen = np.broadcast_to(np.array(positions, dtype=np.intp),
+                                 (len(batch.tokens), len(positions)))
+        hidden, _, _ = encode_batch(state, _masked(batch.tokens, chosen),
+                                    batch.formula_matrices, mode="eval",
+                                    rows=max(positions) + 1)
+        logits, labels = mlm_logits(state, hidden, batch.tokens, chosen)
         predicted = np.argmax(logits.data, axis=-1)
-        hits = (predicted == labels).reshape(len(masked), len(positions))
+        hits = (predicted == labels).reshape(chosen.shape)
         for j, p in enumerate(positions):
             correct[p] += int(hits[:, j].sum())
     per_position = {p: correct[p] / len(corpus) for p in positions}

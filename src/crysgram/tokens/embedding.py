@@ -10,6 +10,7 @@ from ..nn.tensor import as_tensor, concat, gather_rows, linear
 # kept as a module name: bench/tracing.py wraps tokens.embedding.matmul
 from ..nn.tensor import matmul  # noqa: F401
 from .tokenizer import N_FORMULA_SLOTS
+from .vocab import PAD_ID
 
 D_ELEMENT = 200
 
@@ -127,19 +128,20 @@ def embed_formula(composition, table):
     return embed_formulas(*formula_rows([composition], table))[0]
 
 
-def assemble_batch(sequences, formula_matrices, token_embedding,
+def assemble_batch(tokens, formula_matrices, token_embedding,
                    formula_projection_w, formula_projection_b,
                    positional_table, width=None):
     """Embed the first ``width`` positions (default: all) of a batch.
 
-    Discrete positions pull rows from the token-embedding table; formula
-    slots get linearly projected (fraction || vector) rows; learned
-    positional embeddings are added, and [PAD] rows are all-zero. Tables
-    may be Tensors (training) or plain arrays. ``width`` must reach into
-    the formula slots. All 20 slots are projected at any width, so the
-    projection's weight gradient is always the same (B * 20)-row GEMM.
-    Returns the (B, width, d_model) input and its (B, width) attention
-    mask.
+    ``tokens`` is the (B, L) array of token ids. Discrete positions
+    pull rows from the token-embedding table; formula slots get linearly
+    projected (fraction || vector) rows; learned positional embeddings
+    are added, and [PAD] rows are all-zero. Tables may be Tensors
+    (training) or plain arrays. ``width`` must reach into the formula
+    slots. All 20 slots are projected at any width, so the projection's
+    weight gradient is always the same (B * 20)-row GEMM. Returns the
+    (B, width, d_model) input and its (B, width) attention mask, which
+    is 0 exactly at [PAD] ids.
     """
     token_embedding = as_tensor(token_embedding)
     w = as_tensor(formula_projection_w)
@@ -147,10 +149,7 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
     positional = as_tensor(positional_table)
     dtype = token_embedding.data.dtype
 
-    lengths = {len(seq) for seq in sequences}
-    if len(lengths) != 1:
-        raise EmbeddingError(f"mixed sequence lengths in one batch: {lengths}")
-    (L,) = lengths
+    L = tokens.shape[1]
     start = L - N_FORMULA_SLOTS
     width = L if width is None else width
     if not start < width <= L:
@@ -164,9 +163,7 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
             f"positional table covers {positional.data.shape[0]} positions, "
             f"sequence needs {L}")
 
-    ids = np.array([seq.ids[:start] for seq in sequences], dtype=np.intp)
-    mask = np.array([seq.attention_mask[:width] for seq in sequences],
-                    dtype=np.int8)
+    mask = (tokens[:, :width] != PAD_ID).astype(np.int8)
     formula = np.asarray(formula_matrices, dtype=dtype)
     if formula.shape[1] != N_FORMULA_SLOTS:
         raise EmbeddingError(
@@ -178,7 +175,7 @@ def assemble_batch(sequences, formula_matrices, token_embedding,
             f"{w.data.shape[0]}")
 
     nonpad = mask[..., None].astype(dtype)
-    discrete = gather_rows(token_embedding, ids)
+    discrete = gather_rows(token_embedding, tokens[:, :start])
     projected = linear(formula, w, b)[:, :width - start]
     combined = concat([discrete, projected], axis=1)
     return (combined + positional[:width]) * nonpad, mask

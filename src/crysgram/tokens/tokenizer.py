@@ -58,17 +58,21 @@ class InformaticsFields:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Token ids plus per-position category tags and attention mask."""
+    """Token ids plus per-position category tags and token labels."""
 
     ids: tuple
     categories: tuple
-    attention_mask: tuple
     token_labels: tuple
     n_info: int
     provenance: str = None
 
     def __len__(self):
         return len(self.ids)
+
+    @property
+    def attention_mask(self):
+        """1 at every position the encoder attends to, 0 at [PAD]."""
+        return tuple(int(i != PAD_ID) for i in self.ids)
 
 
 def sequence_length(n_info):
@@ -93,7 +97,6 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
     ids = [CLS_ID]
     categories = [SPECIAL]
     labels = [CLS]
-    mask = [1]
 
     for category, token in zip(SG_CATEGORIES, record.token_strings()):
         if category == "directional" and token == EMPTY_SLOT:
@@ -103,7 +106,6 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
             ids.append(vocab.id_of(category, token))
             labels.append(token)
         categories.append(category)
-        mask.append(1)
 
     for field_name in vocab.info_layout:
         value = getattr(info, field_name)
@@ -118,7 +120,6 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
             ids.append(vocab.id_of(field_name, token))
             labels.append(token)
         categories.append(field_name)
-        mask.append(1)
 
     elements = formula.elements
     if len(elements) > N_FORMULA_SLOTS:
@@ -128,17 +129,14 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
         if i < len(elements):
             ids.append(vocab.id_of("element", elements[i]))
             labels.append(elements[i])
-            mask.append(1)
         else:
             ids.append(PAD_ID)
             labels.append(PAD)
-            mask.append(0)
         categories.append("element")
 
     return TokenSequence(
         ids=tuple(ids),
         categories=tuple(categories),
-        attention_mask=tuple(mask),
         token_labels=tuple(labels),
         n_info=len(vocab.info_layout),
         provenance=provenance,

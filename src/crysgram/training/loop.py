@@ -136,12 +136,13 @@ class TrainConfig:
 class PreparedCorpus:
     """Records tokenized once, reused every epoch.
 
-    Formulas are kept compact (``tokens.formula_rows``: 320 bytes a
-    record); ``batch`` builds only that batch's formula matrices.
+    ``tokens`` is the (N, L) array of token ids. Formulas are kept
+    compact (``tokens.formula_rows``: 320 bytes a record); ``batch``
+    builds only that batch's formula matrices.
     """
 
     ids: list
-    sequences: list
+    tokens: np.ndarray
     formula_fractions: np.ndarray
     formula_index: np.ndarray
     element_rows: np.ndarray
@@ -149,11 +150,11 @@ class PreparedCorpus:
     targets: np.ndarray = None
 
     def __len__(self):
-        return len(self.sequences)
+        return len(self.tokens)
 
     def batch(self, indices):
         return Batch(
-            sequences=[self.sequences[i] for i in indices],
+            tokens=self.tokens[indices],
             formula_matrices=embed_formulas(self.formula_fractions[indices],
                                             self.formula_index[indices],
                                             self.element_rows),
@@ -171,13 +172,13 @@ class PreparedCorpus:
 
 
 def prepare_corpus(records, vocab, table):
-    sequences, compositions, ids = [], [], []
+    rows, compositions, ids = [], [], []
     lattices, targets = [], []
     for record in records:
         comp = record.composition
-        sequences.append(tokenize_crystal(record.spacegroup, comp,
-                                          record.informatics, vocab,
-                                          provenance=record.id))
+        rows.append(tokenize_crystal(record.spacegroup, comp,
+                                     record.informatics, vocab,
+                                     provenance=record.id).ids)
         compositions.append(comp)
         ids.append(record.id)
         lattices.append(None if record.lattice is None
@@ -190,7 +191,9 @@ def prepare_corpus(records, vocab, table):
     if targets and all(t is not None for t in targets):
         target_arr = np.array(targets, dtype=np.float64)
     fractions, index, element_rows = formula_rows(compositions, table)
-    return PreparedCorpus(ids=ids, sequences=sequences,
+    tokens = np.array(rows, dtype=np.intp).reshape(
+        len(rows), sequence_length(len(vocab.info_layout)))
+    return PreparedCorpus(ids=ids, tokens=tokens,
                           formula_fractions=fractions, formula_index=index,
                           element_rows=element_rows,
                           lattice_targets=lattice_arr, targets=target_arr)
@@ -473,7 +476,7 @@ def encode_corpus(state, corpus, encode=None):
     """
     encode = encode or encode_batch
     for batch in corpus.batches(EVAL_BATCH_SIZE):
-        _, cls, _ = encode(state, batch.sequences, batch.formula_matrices,
+        _, cls, _ = encode(state, batch.tokens, batch.formula_matrices,
                            mode="eval", rows=1)
         yield batch, cls
 

@@ -67,7 +67,7 @@ def test_traced_encode_records_the_encoder_spans():
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        _, cls, _ = cli.encode_batch(state, [seq],
+        _, cls, _ = cli.encode_batch(state, np.array([seq.ids]),
                                      embed_formula(comp, table)[None], rows=1)
     finally:
         restore()

@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from crysgram import cli
 from crysgram.cli import main
 from crysgram.datasets import generate_synthetic_corpus, write_dataset
-from crysgram.porosity import PeriodicStructure, save_structure
+from crysgram.porosity import (
+    PeriodicStructure,
+    default_radius_table,
+    save_structure,
+)
 from crysgram.tokens import tokenize_crystal
 from crysgram.training import loop
 
@@ -161,6 +166,28 @@ class TestPorosity:
         assert "'C'" in err and "nan" in err
 
 
+    def test_partial_radius_file_overrides_the_bundled_table(self, capsys,
+                                                              tmp_path):
+        path = tmp_path / "s.json"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 8.0,
+            sites=[("C", np.array([0.25, 0.25, 0.25])),
+                   ("Zn", np.array([0.75, 0.5, 0.5]))]), path)
+        partial, full = tmp_path / "partial.txt", tmp_path / "full.txt"
+        partial.write_text("Zn 2.5\n")
+        table = {**default_radius_table(), "Zn": 2.5}
+        full.write_text("".join(f"{s} {r!r}\n" for s, r in table.items()))
+        outputs = []
+        for radii in ((), ("--radii", str(partial)), ("--radii", str(full))):
+            code, out, err = run(capsys, "porosity", str(path), *radii,
+                                 "--rho-grid", "3", "--format", "json")
+            assert code == 0, err
+            outputs.append(json.loads(out))
+        bundled, partial_out, full_out = outputs
+        assert partial_out == full_out
+        assert partial_out["phi_void_percent"] < bundled["phi_void_percent"]
+
+
 class TestTrainingCommands:
     def test_pretrain_writes_metrics_lines(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -254,6 +281,23 @@ class TestTrainingCommands:
                            "--epochs", "1", flag, "-1")
         assert code == 2, err
         assert field in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--split", "kfold5"),
+        ("pretrain", "--patience", "2"),
+        ("finetune", "--masking-ratio", "0.5"),
+        ("finetune", "--lambda-mlm", "0.5"),
+        ("finetune", "--objective", "mlm")])
+    def test_flag_the_command_ignores_exits_1(self, capsys, tmp_path,
+                                              regression_csv, command, flag,
+                                              value):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, command, "--data", regression_csv,
+                           "--out", str(out), "--epochs", "1", flag, value)
+        assert code == 1
+        assert flag in err
         assert not out.exists()
 
 
@@ -351,6 +395,7 @@ class TestExport:
             return tokenize_crystal(*args, **kwargs)
 
         monkeypatch.setattr(loop, "tokenize_crystal", counting)
+        monkeypatch.setattr(cli, "tokenize_crystal", counting)
         code, _, _ = run(capsys, "export", "attention",
                          "--checkpoint", str(finetuned / "checkpoint.ckpt"),
                          "--data", regression_csv,
@@ -392,11 +437,19 @@ class TestExport:
 
 
 class TestHelp:
+    # each training command lists the config keys it reads, and only those
+    KEYS = {"pretrain": ("objective", "masking_ratio", "lambda_mlm"),
+            "finetune": ("split", "early_stopping_patience")}
+
     def test_help_lists_config_keys(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["pretrain", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        for key in ("learning_rate", "masking_ratio", "warmup_fraction",
-                    "lambda_mlm", "early_stopping_patience"):
-            assert key in out
+        for command, other in (("pretrain", "finetune"),
+                               ("finetune", "pretrain")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            for key in ("learning_rate", "warmup_fraction",
+                        *self.KEYS[command]):
+                assert key in out
+            for key in self.KEYS[other]:
+                assert key not in out

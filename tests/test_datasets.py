@@ -51,6 +51,7 @@ class TestLoading:
 
     @pytest.mark.parametrize("name, text, line", [
         ("data.csv", "id,formula,spacegroup\nr1,Si,1\n\nr3,Si,999\n", 4),
+        ("data.csv", "\nid,formula,spacegroup\nr1,Si,1\nr3,Si,999\n", 4),
         ("data.jsonl", '{"id": "r1", "formula": "Si", "spacegroup": 1}\n\n'
                        '{"id": "r3", "formula": "Si", "spacegroup": 999}\n',
          3),
@@ -67,6 +68,7 @@ class TestLoading:
         ("data.csv", "formula,spacegroup\nSi,1\n\nSi,2\n", ["row2", "row4"]),
         ("data.tsv", "formula\tspacegroup\nSi\t1\n\nSi\t2\n",
          ["row2", "row4"]),
+        ("data.csv", "\nid,formula,spacegroup\nr1,Si,1\n", ["r1"]),
         ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n\n'
                        '{"formula": "Si", "spacegroup": 2}\n',
          ["row1", "row3"]),

@@ -55,7 +55,8 @@ def tiny_batch():
     lattice = np.concatenate([rng.uniform(3, 9, size=(len(seqs), 3)),
                               rng.uniform(60, 120, size=(len(seqs), 3))],
                              axis=1)
-    return Batch(sequences=seqs, formula_matrices=mats,
+    return Batch(tokens=np.array([s.ids for s in seqs]),
+                 formula_matrices=mats,
                  lattice_targets=lattice, targets=rng.normal(size=len(seqs)))
 
 

@@ -17,7 +17,6 @@ from crysgram.objectives import (
     Batch,
     LatticeParameters,
     TargetScaler,
-    apply_masking,
     combined_objective,
     encode_batch,
     finetune_head,
@@ -35,6 +34,7 @@ from crysgram.objectives import (
 )
 from crysgram.tokens import (
     MASK_ID,
+    PAD_ID,
     ElementEmbeddingTable,
     build_vocabulary,
     embed_formula,
@@ -52,19 +52,23 @@ def make_seq(sg=225, formula="NaCl"):
     return tokenize_crystal(sg, parse_formula(formula), None, VOCAB)
 
 
+def make_tokens(records=((225, "NaCl"),)):
+    return np.array([make_seq(sg, f).ids for sg, f in records])
+
+
 def make_batch(records=((225, "NaCl"), (14, "Fe2O3"), (194, "Ca(OH)2")),
                lattice=True, targets=False):
-    seqs = [make_seq(sg, f) for sg, f in records]
+    tokens = make_tokens(records)
     mats = np.stack([embed_formula(parse_formula(f), TABLE)
                      for _, f in records])
     rng = np.random.default_rng(0)
     lattice_targets = None
     if lattice:
-        lengths = rng.uniform(3, 9, size=(len(seqs), 3))
-        angles = rng.uniform(60, 120, size=(len(seqs), 3))
+        lengths = rng.uniform(3, 9, size=(len(tokens), 3))
+        angles = rng.uniform(60, 120, size=(len(tokens), 3))
         lattice_targets = np.concatenate([lengths, angles], axis=1)
-    target_values = rng.normal(size=len(seqs)) if targets else None
-    return Batch(sequences=seqs, formula_matrices=mats,
+    target_values = rng.normal(size=len(tokens)) if targets else None
+    return Batch(tokens=tokens, formula_matrices=mats,
                  lattice_targets=lattice_targets, targets=target_values)
 
 
@@ -81,50 +85,69 @@ def desk_state(dtype):
     return EncoderState(config, seed=5)
 
 
+TWO_ROWS = ((225, "NaCl"), (14, "Fe2O3"))
+
+
 class TestMasking:
     def test_default_ratio_masks_three(self):
-        masked, plan = apply_masking(make_seq(), 0.25, rng=0)
-        assert len(plan.positions) == 3
-        assert all(masked.ids[p] == MASK_ID for p in plan.positions)
+        masked, positions = mask_batch(make_tokens(), 0.25, seed=0)
+        assert positions.shape == (1, 3)
+        assert (np.take_along_axis(masked, positions, axis=1)
+                == MASK_ID).all()
 
     def test_full_ratio_masks_all_twelve(self):
-        masked, plan = apply_masking(make_seq(), 1.0, rng=0)
-        assert plan.positions == tuple(range(1, 13))
+        _, positions = mask_batch(make_tokens(TWO_ROWS), 1.0, seed=0)
+        assert positions.tolist() == [list(range(1, 13))] * 2
 
     def test_same_seed_same_plan(self):
-        _, p1 = apply_masking(make_seq(), 0.25, rng=42)
-        _, p2 = apply_masking(make_seq(), 0.25, rng=42)
-        assert p1 == p2
+        _, p1 = mask_batch(make_tokens(), 0.25, seed=42)
+        _, p2 = mask_batch(make_tokens(), 0.25, seed=42)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_labels_match_original_ids(self):
-        seq = make_seq()
-        masked, plan = apply_masking(seq, 0.5, rng=9)
-        for position, original in zip(plan.positions, plan.original_ids):
-            assert seq.ids[position] == original
-            assert masked.ids[position] == MASK_ID
+        tokens = make_tokens(TWO_ROWS)
+        masked, positions = mask_batch(tokens, 0.5, seed=9)
+        state = tiny_state()
+        hidden = Tensor(np.zeros(tokens.shape + (state.config.d_model,)))
+        _, labels = mlm_logits(state, hidden, tokens, positions)
+        rows = np.repeat(np.arange(len(tokens)), positions.shape[1])
+        for row, position, original in zip(rows, positions.reshape(-1),
+                                           labels):
+            assert tokens[row, position] == original
+            assert masked[row, position] == MASK_ID
 
     @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
     def test_invalid_ratio(self, ratio):
         with pytest.raises(ConfigError):
-            apply_masking(make_seq(), ratio)
+            mask_batch(make_tokens(), ratio, seed=0)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.sampled_from([0.25, 0.5, 0.75, 1.0]))
     @settings(max_examples=60, deadline=None)
     def test_only_space_group_positions_touched(self, seed, ratio):
-        seq = make_seq()
-        masked, plan = apply_masking(seq, ratio, rng=seed)
-        assert set(plan.positions) <= set(range(1, 13))
-        for position in range(len(seq)):
-            if position not in plan.positions:
-                assert masked.ids[position] == seq.ids[position]
-        assert masked.ids[0] == seq.ids[0]  # [CLS] untouched
+        tokens = make_tokens(TWO_ROWS)
+        masked, positions = mask_batch(tokens, ratio, seed)
+        assert set(positions.reshape(-1)) <= set(range(1, 13))
+        untouched = np.ones(tokens.shape, dtype=bool)
+        np.put_along_axis(untouched, positions, False, axis=1)
+        np.testing.assert_array_equal(masked[untouched], tokens[untouched])
+        np.testing.assert_array_equal(masked[:, 0], tokens[:, 0])  # [CLS]
 
     def test_mask_batch_deterministic(self):
-        seqs = [make_seq(), make_seq(14, "Fe2O3")]
-        _, plans1 = mask_batch(seqs, 0.25, seed=5)
-        _, plans2 = mask_batch(seqs, 0.25, seed=5)
-        assert plans1 == plans2
+        tokens = make_tokens(TWO_ROWS)
+        masked1, positions1 = mask_batch(tokens, 0.25, seed=5)
+        masked2, positions2 = mask_batch(tokens, 0.25, seed=5)
+        np.testing.assert_array_equal(positions1, positions2)
+        np.testing.assert_array_equal(masked1, masked2)
+
+    @pytest.mark.parametrize("seed, ratio, expected", [
+        (5, 0.25, [[1, 7, 9], [4, 6, 7], [3, 5, 7]]),
+        (7, 0.5, [[6, 7, 9, 10, 11, 12], [1, 2, 5, 7, 8, 10],
+                  [3, 6, 7, 8, 10, 11]]),
+    ])
+    def test_drawn_positions_are_pinned(self, seed, ratio, expected):
+        _, positions = mask_batch(make_batch().tokens, ratio, seed)
+        assert positions.tolist() == expected
 
 
 class TestMlmLoss:
@@ -341,9 +364,9 @@ class TestObjectives:
         scaler = lpp_scaler(batch.lattice_targets)
         loss, stats = combined_objective(state, batch, scaler, ratio=0.25,
                                          lam=0.0, seed=7, mode="eval")
-        masked, _ = mask_batch(batch.sequences, 0.25, seed=7)
+        masked, _ = mask_batch(batch.tokens, 0.25, seed=7)
         ref, _ = lpp_objective(state,
-                               dataclasses.replace(batch, sequences=masked),
+                               dataclasses.replace(batch, tokens=masked),
                                scaler, mode="eval")
         np.testing.assert_allclose(loss.item(), ref.item(), rtol=1e-12)
 
@@ -360,7 +383,7 @@ class TestObjectives:
     def test_combined_gradients_are_sum_of_component_gradients(self):
         batch = make_batch()
         scaler = lpp_scaler(batch.lattice_targets)
-        masked, plans = mask_batch(batch.sequences, 0.25, seed=11)
+        masked, positions = mask_batch(batch.tokens, 0.25, seed=11)
 
         def grads_for(lam_lpp, lam_mlm):
             state = tiny_state()
@@ -370,7 +393,8 @@ class TestObjectives:
                                           batch.formula_matrices, mode="eval")
             pred = lpp_head(cls, state, mode="eval")
             loss_lpp = lpp_loss(pred, batch.lattice_targets, scaler)
-            logits, labels = mlm_logits(state, hidden, plans)
+            logits, labels = mlm_logits(state, hidden, batch.tokens,
+                                        positions)
             loss_mlm = mlm_loss(logits, labels)
             total = loss_lpp * lam_lpp + loss_mlm * lam_mlm
             total.backward()
@@ -439,18 +463,20 @@ class TestTrimmedEncoder:
         return EncoderState(config, seed=5)
 
     @staticmethod
-    def untrimmed(state, seqs, mats, mode, rng):
+    def untrimmed(state, tokens, mats, mode, rng):
         x, mask = assemble_batch(
-            seqs, mats, state["embed.token"], state["embed.formula.w"],
+            tokens, mats, state["embed.token"], state["embed.formula.w"],
             state["embed.formula.b"], state["embed.position"])
         hidden, cls, _ = encoder_forward(x, mask, state, mode=mode, rng=rng,
                                          record_attention=False)
         return hidden, cls
 
     @staticmethod
-    def loss(state, hidden, cls, plans, real, rng):
-        """Masked-token loss + head on [CLS] + every real hidden row."""
-        logits, labels = mlm_logits(state, hidden, plans)
+    def loss(state, hidden, cls, plan, real, rng):
+        """Masked-token loss + head on [CLS] + every real hidden row.
+
+        ``plan`` is the unmasked ids and the masked positions."""
+        logits, labels = mlm_logits(state, hidden, *plan)
         pred = lpp_head(cls, state, mode="train", rng=rng)
         rows = hidden[np.nonzero(real)]
         return mlm_loss(logits, labels) + (pred * pred).mean() \
@@ -458,9 +484,9 @@ class TestTrimmedEncoder:
 
     def inputs(self, name):
         batch = make_batch(self.BATCHES[name], lattice=False)
-        masked, plans = mask_batch(batch.sequences, 0.25, seed=2)
-        mask = np.array([s.attention_mask for s in masked], dtype=bool)
-        return masked, batch.formula_matrices, plans, mask
+        masked, positions = mask_batch(batch.tokens, 0.25, seed=2)
+        mask = masked != PAD_ID
+        return masked, batch.formula_matrices, (batch.tokens, positions), mask
 
     def test_short_batch_is_trimmed_full_row_is_not(self):
         state = self.state()
@@ -474,26 +500,26 @@ class TestTrimmedEncoder:
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_eval_cls_equals_untrimmed(self, name):
         state = self.state()
-        seqs, mats, _, _ = self.inputs(name)
-        _, cls, _ = encode_batch(state, seqs, mats, mode="eval")
-        _, ref = self.untrimmed(state, seqs, mats, "eval", None)
+        tokens, mats, _, _ = self.inputs(name)
+        _, cls, _ = encode_batch(state, tokens, mats, mode="eval")
+        _, ref = self.untrimmed(state, tokens, mats, "eval", None)
         np.testing.assert_allclose(cls.data, ref.data, rtol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_train_rows_loss_and_gradients_equal_untrimmed(self, name):
-        seqs, mats, plans, mask = self.inputs(name)
+        tokens, mats, plan, mask = self.inputs(name)
         results = []
         for trimmed in (True, False):
             state = self.state()
             state.zero_grads()
             rng = np.random.default_rng(9)
             if trimmed:
-                hidden, cls, _ = encode_batch(state, seqs, mats, mode="train",
-                                              rng=rng)
+                hidden, cls, _ = encode_batch(state, tokens, mats,
+                                              mode="train", rng=rng)
             else:
-                hidden, cls = self.untrimmed(state, seqs, mats, "train", rng)
+                hidden, cls = self.untrimmed(state, tokens, mats, "train", rng)
             real = mask[:, :hidden.shape[1]]
-            loss = self.loss(state, hidden, cls, plans, real, rng)
+            loss = self.loss(state, hidden, cls, plan, real, rng)
             loss.backward()
             results.append((hidden.data[real], loss.item(), rng.random(),
                             {n: p.grad.copy()
@@ -527,16 +553,16 @@ class TestLastBlockRows:
     def test_rows_and_cls_equal_full_width(self, name, rows, mode):
         state = TestTrimmedEncoder.state()
         batch = self.inputs(name)
-        seqs, mats = batch.sequences, batch.formula_matrices
+        tokens, mats = batch.tokens, batch.formula_matrices
         out = []
         for cut in (True, False):
             rng = np.random.default_rng(6)
             if cut:
-                hidden, cls, _ = encode_batch(state, seqs, mats, mode=mode,
+                hidden, cls, _ = encode_batch(state, tokens, mats, mode=mode,
                                               rng=rng, rows=rows)
                 assert hidden.shape[1] == max(rows, MIN_QUERY_ROWS)
             else:
-                hidden, cls = TestTrimmedEncoder.untrimmed(state, seqs, mats,
+                hidden, cls = TestTrimmedEncoder.untrimmed(state, tokens, mats,
                                                            mode, rng)
             out.append((hidden.data[:, :rows], cls.data, rng.random()))
         (rows_cut, cls_cut, after), (rows_ref, cls_ref, ref_after) = out
@@ -548,15 +574,15 @@ class TestLastBlockRows:
         """The objective's loss through the full-width encoder."""
         mats = batch.formula_matrices
         if objective == "regression":
-            _, cls = TestTrimmedEncoder.untrimmed(state, batch.sequences,
+            _, cls = TestTrimmedEncoder.untrimmed(state, batch.tokens,
                                                   mats, "train", rng)
             pred = finetune_head(cls, state, mode="train", rng=rng)
             return mae_loss(pred, batch.targets, scaler)
-        masked, plans = mask_batch(batch.sequences, 0.25, self.MASK_SEED)
+        masked, positions = mask_batch(batch.tokens, 0.25, self.MASK_SEED)
         hidden, cls = TestTrimmedEncoder.untrimmed(state, masked, mats,
                                                    "train", rng)
         pred = lpp_head(cls, state, mode="train", rng=rng)
-        logits, labels = mlm_logits(state, hidden, plans)
+        logits, labels = mlm_logits(state, hidden, batch.tokens, positions)
         return (lpp_loss(pred, batch.lattice_targets, scaler)
                 + mlm_loss(logits, labels) * 1.0)
 
@@ -600,9 +626,9 @@ class TestLastBlockRows:
         rows = SHORT_ROWS + ((1, TWENTY_ELEMENTS),)
         batch = make_batch([rows[i % len(rows)] for i in range(size)],
                            lattice=False)
-        seqs, mats = batch.sequences, batch.formula_matrices
-        _, cls, _ = encode_batch(state, seqs, mats, rows=1)
-        _, ref, _ = encode_batch(state, seqs, mats)
+        tokens, mats = batch.tokens, batch.formula_matrices
+        _, cls, _ = encode_batch(state, tokens, mats, rows=1)
+        _, ref, _ = encode_batch(state, tokens, mats)
         assert cls.dtype == np.float32
         np.testing.assert_array_equal(cls.data, ref.data)
 
@@ -610,15 +636,13 @@ class TestLastBlockRows:
     def test_recorded_attention_keeps_full_width(self, name):
         state = TestTrimmedEncoder.state()
         batch = self.inputs(name)
-        hidden, _, attn = encode_batch(state, batch.sequences,
+        hidden, _, attn = encode_batch(state, batch.tokens,
                                        batch.formula_matrices,
                                        record_attention=True, rows=1)
-        padded = batch.sequences[0].attention_mask
-        B, L = len(batch.sequences), len(padded)
+        B, L = batch.tokens.shape
         assert hidden.shape[:2] == (B, L)
         assert [w.shape for w in attn.layers] == \
             [(B, state.config.n_heads, L, L)] * state.config.n_layers
-        assert attn.token_labels == [s.token_labels for s in batch.sequences]
         assert attn.attention_mask.shape == (B, L)
 
 
@@ -664,7 +688,7 @@ class TestDtypeKept:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_eval_encode_batch(self, dtype):
         batch = make_batch(SHORT_ROWS)
-        hidden, cls, _ = encode_batch(desk_state(dtype), batch.sequences,
+        hidden, cls, _ = encode_batch(desk_state(dtype), batch.tokens,
                                       batch.formula_matrices, rows=1)
         nodes = graph_nodes(hidden) + graph_nodes(cls)
         assert {n.data.dtype for n in nodes} == {np.dtype(dtype)}

@@ -234,9 +234,9 @@ class TestAssembleInput:
         comp = parse_formula(formula)
         seq = tokenize_crystal(sg, comp, None, VOCAB)
         matrix = embed_formula(comp, self.TABLE)
-        return (seq, *assemble_batch([seq], [matrix], self.token_embedding,
-                                     self.proj_w, self.proj_b,
-                                     self.positional))
+        return (seq, *assemble_batch(np.array([seq.ids]), [matrix],
+                                     self.token_embedding, self.proj_w,
+                                     self.proj_b, self.positional))
 
     def test_output_shape(self):
         _, x, mask = self.assemble()
@@ -296,12 +296,12 @@ class TestAssemblyWidth:
                "short-x13": SHORT_ROWS * 13}
 
     def inputs(self, name):
-        seqs, mats = [], []
+        ids, mats = [], []
         for sg, formula in self.BATCHES[name]:
             comp = parse_formula(formula)
-            seqs.append(tokenize_crystal(sg, comp, None, VOCAB))
+            ids.append(tokenize_crystal(sg, comp, None, VOCAB).ids)
             mats.append(embed_formula(comp, self.TABLE))
-        return seqs, mats
+        return np.array(ids), mats
 
     def params(self, dtype):
         rng = np.random.default_rng(5)
@@ -311,8 +311,8 @@ class TestAssemblyWidth:
                 for name, shape in zip(EMBED_PARAMS, shapes)]
 
     @staticmethod
-    def widths(seqs):
-        mask = np.array([s.attention_mask for s in seqs], dtype=bool)
+    def widths(tokens):
+        mask = tokens != PAD_ID
         attended = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
         start = mask.shape[1] - N_FORMULA_SLOTS
         return sorted({start + 1, attended, mask.shape[1]})
@@ -320,16 +320,16 @@ class TestAssemblyWidth:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_width_equals_leading_columns_of_full_width(self, name, dtype):
-        seqs, mats = self.inputs(name)
-        for width in self.widths(seqs):
+        tokens, mats = self.inputs(name)
+        for width in self.widths(tokens):
             results = []
             for narrow in (False, True):
                 params = self.params(dtype)
                 if narrow:
-                    matrix, mask = assemble_batch(seqs, mats, *params,
+                    matrix, mask = assemble_batch(tokens, mats, *params,
                                                   width=width)
                 else:
-                    matrix, mask = assemble_batch(seqs, mats, *params)
+                    matrix, mask = assemble_batch(tokens, mats, *params)
                     matrix = matrix[:, :width]
                 g = np.random.default_rng(6).normal(size=matrix.shape)
                 data = matrix.data.tobytes()
@@ -337,7 +337,7 @@ class TestAssemblyWidth:
                 results.append((data, mask[:, :width],
                                 [p.grad.tobytes() for p in params]))
             (full, full_mask, full_grads), (data, mask, grads) = results
-            assert matrix.shape == (len(seqs), width, 16)
+            assert matrix.shape == (len(tokens), width, 16)
             assert data == full, width
             np.testing.assert_array_equal(mask, full_mask)
             for param, grad, ref in zip(EMBED_PARAMS, grads, full_grads):
@@ -345,7 +345,8 @@ class TestAssemblyWidth:
 
     @pytest.mark.parametrize("width", [0, 13, 34])
     def test_width_outside_formula_slots_raises(self, width):
-        seqs, mats = self.inputs("short")
-        assert len(seqs[0]) - N_FORMULA_SLOTS == 13
+        tokens, mats = self.inputs("short")
+        assert tokens.shape[1] - N_FORMULA_SLOTS == 13
         with pytest.raises(EmbeddingError):
-            assemble_batch(seqs, mats, *self.params(np.float64), width=width)
+            assemble_batch(tokens, mats, *self.params(np.float64),
+                           width=width)

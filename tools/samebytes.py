@@ -11,7 +11,9 @@ cell, a triclinic cell, a cell whose stamps wrap the grid twice, a
 hexagonal cell and a rotated cube with no zero lattice entry, so that
 every zero pattern of the clearance-field sums is covered) and runs
 ``porosity --format json`` on each at two grid densities, with and
-without flood fill, and once with a radius override file.
+without flood fill, and once with a radius override file. It prints
+one crystal's token sequence with informatics values (``tokenize``, in
+text and json), whose ids, labels and attention mask must not move.
 Last it runs every script in the checkout's ``demos/``, whose standard
 output is saved as ``demo-<name>.txt``.
 Every file and standard output must be equal; manifests are compared
@@ -64,6 +66,9 @@ with open("radii.txt", "w", encoding="utf-8") as fh:
     fh.write("C 1.9\nH 1.0\nO 1.6\nN 1.7\nZn 1.2\n")
 """
 TRAIN = ("--epochs", "3", "--seed", "3", "--weight-decay", "0.01")
+TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
+            "--topology", "pcu", "--volume", "4823.5", "--natoms", "112",
+            "--porosity", "61.2")
 READERS = {"predict": ("predict",),
            "cls-embeddings": ("export", "cls-embeddings"),
            "attention": ("export", "attention"),
@@ -90,6 +95,8 @@ def commands():
                        "--rho-grid", rho, *flood]
     yield ["porosity", "framework.json", "--format", "json", "--radii",
            "radii.txt"]
+    for fmt in ("text", "json"):
+        yield [*TOKENIZE, "--format", fmt]
 
 
 def content(path):
