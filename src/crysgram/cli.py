@@ -37,6 +37,7 @@ from .tokens import (
     tokenize_crystal,
 )
 from .training import (
+    PRETRAIN_OBJECTIVES,
     TrainConfig,
     encode_corpus,
     evaluate,
@@ -424,8 +425,7 @@ def build_parser():
                    help="dataset path or 'kb-corpus'")
     p.add_argument("--out", required=True, help="output directory")
     _add_train_flags(p)
-    p.add_argument("--objective", choices=("mlm", "lpp", "mlm+lpp",
-                                           "regression"),
+    p.add_argument("--objective", choices=PRETRAIN_OBJECTIVES,
                    help="config key: objective")
     p.add_argument("--masking-ratio", type=float, dest="masking_ratio",
                    help="config key: masking_ratio")

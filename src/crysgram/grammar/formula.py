@@ -1,5 +1,6 @@
 """Stoichiometric formula parsing with exact rational accumulation."""
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -16,13 +17,7 @@ class FormulaComposition:
 
     elements: tuple
     fractions: tuple
-    exact_fractions: tuple = field(repr=False, default=())
-
-    def __post_init__(self):
-        if not self.exact_fractions:
-            object.__setattr__(
-                self, "exact_fractions",
-                tuple(Fraction(f).limit_denominator(10**9) for f in self.fractions))
+    exact_fractions: tuple = field(repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -46,85 +41,14 @@ class FormulaComposition:
         return "".join(parts)
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
+# An opening bracket, or an element symbol or closing bracket and its count.
+_PART = re.compile(r"\(|([A-Z][a-z]?|\))(\d*(?:\.\d+)?)")
 
 
-def _parse_count(scanner):
-    start = scanner.pos
-    digits = ""
-    while scanner.peek().isdigit():
-        digits += scanner.take()
-    if scanner.peek() == ".":
-        digits += scanner.take()
-        if not scanner.peek().isdigit():
-            raise FormulaError(
-                f"{scanner.text!r}: bare decimal point at position {start}")
-        while scanner.peek().isdigit():
-            digits += scanner.take()
+def _count(digits):
     if not digits:
         return 1
     return Fraction(digits) if "." in digits else int(digits)
-
-
-def _parse_group(scanner, depth):
-    """Parse a bracketed or top-level run; returns {element: count}.
-
-    Counts stay ints until a decimal count turns one into a Fraction.
-    """
-    counts = {}
-    order = []
-
-    def bump(element, amount):
-        if element not in counts:
-            counts[element] = 0
-            order.append(element)
-        counts[element] += amount
-
-    while True:
-        ch = scanner.peek()
-        if ch == "":
-            if depth > 0:
-                raise FormulaError(
-                    f"{scanner.text!r}: unbalanced parentheses (missing ')')")
-            break
-        if ch == ")":
-            if depth == 0:
-                raise FormulaError(
-                    f"{scanner.text!r}: unbalanced parentheses "
-                    f"(')' at position {scanner.pos})")
-            break
-        if ch == "(":
-            scanner.take()
-            inner, inner_order = _parse_group(scanner, depth + 1)
-            scanner.take()  # ')'
-            multiplier = _parse_count(scanner)
-            for element in inner_order:
-                bump(element, inner[element] * multiplier)
-            continue
-        if ch.isupper():
-            symbol = scanner.take()
-            if scanner.peek().islower():
-                symbol += scanner.take()
-            if not is_element(symbol):
-                raise FormulaError(
-                    f"{scanner.text!r}: unknown element {symbol!r}")
-            bump(symbol, _parse_count(scanner))
-            continue
-        raise FormulaError(
-            f"{scanner.text!r}: unexpected character {ch!r} "
-            f"at position {scanner.pos}")
-    return counts, order
 
 
 def parse_formula(text: str) -> FormulaComposition:
@@ -136,17 +60,38 @@ def parse_formula(text: str) -> FormulaComposition:
     """
     if not isinstance(text, str) or not text.strip():
         raise FormulaError("empty formula")
-    scanner = _Scanner(text.strip())
-    counts, order = _parse_group(scanner, 0)
-    if scanner.pos != len(scanner.text):
-        raise FormulaError(f"{text!r}: trailing input at position {scanner.pos}")
+    body = text.strip()
+    # Counts stay ints until a decimal count turns one into a Fraction.
+    stack = [{}]
+    pos = 0
+    while pos < len(body):
+        match = _PART.match(body, pos)
+        if match is None:
+            raise FormulaError(f"{body!r}: unexpected character "
+                               f"{body[pos]!r} at position {pos}")
+        symbol, digits = match.groups()
+        if symbol is None:
+            stack.append({})
+        elif symbol == ")":
+            if len(stack) == 1:
+                raise FormulaError(f"{body!r}: unbalanced parentheses "
+                                   f"(')' at position {pos})")
+            multiplier = _count(digits)
+            for element, count in stack.pop().items():
+                stack[-1][element] = (stack[-1].get(element, 0)
+                                      + count * multiplier)
+        elif not is_element(symbol):
+            raise FormulaError(f"{body!r}: unknown element {symbol!r}")
+        else:
+            stack[-1][symbol] = stack[-1].get(symbol, 0) + _count(digits)
+        pos = match.end()
+    if len(stack) > 1:
+        raise FormulaError(f"{body!r}: unbalanced parentheses (missing ')')")
+    counts = stack[0]
     total = sum(counts.values())
     if total == 0:
         raise FormulaError(f"{text!r}: zero total element count")
-    positive = [(el, Fraction(counts[el], total)) for el in order
-                if counts[el] > 0]
-    if not positive:
-        raise FormulaError(f"{text!r}: no elements with positive count")
+    positive = [(el, Fraction(n, total)) for el, n in counts.items() if n > 0]
     if len(positive) > MAX_ELEMENTS:
         raise FormulaError(
             f"{text!r}: {len(positive)} distinct elements, "

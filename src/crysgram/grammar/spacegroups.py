@@ -8,6 +8,7 @@ computed from symmetry operations at runtime.
 
 import enum
 import hashlib
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -18,9 +19,11 @@ EMPTY_SLOT = "."
 
 CENTERING_LETTERS = frozenset("PABCIFR")
 
-_SCREWS = {"21": "2", "31": "3", "32": "3", "41": "4", "42": "4", "43": "4",
-           "61": "6", "62": "6", "63": "6", "64": "6", "65": "6"}
-_GLIDE_OR_MIRROR = frozenset("mabcden")
+# One directional component: a rotoinversion, a rotation or screw axis with
+# an optional mirror or glide, or a lone mirror or glide. Screw pairs come
+# first in the alternation, so a valid pair is read as one component.
+_COMPONENT = re.compile(
+    r"-[12346]|(?:21|3[12]|4[1-3]|6[1-5]|[12346])(?:/[mabcden])?|[mabcden]")
 
 
 class Symmetry(enum.Enum):
@@ -176,40 +179,14 @@ def _scan_components(body: str, symbol: str):
     be resolved via the knowledge base before reaching this scanner.
     """
     comps = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "-":
-            if i + 1 >= len(body) or body[i + 1] not in "12346":
-                raise SymbolGrammarError(
-                    f"{symbol!r}: dangling '-' at position {i}")
-            comps.append(body[i:i + 2])
-            i += 2
-            continue
-        if ch.isdigit():
-            if ch == "0" or ch == "5" or ch == "7" or ch == "8" or ch == "9":
-                raise SymbolGrammarError(
-                    f"{symbol!r}: invalid rotation {ch!r} at position {i}")
-            comp = ch
-            i += 1
-            if i < len(body) and body[i].isdigit() and comp + body[i] in _SCREWS:
-                comp += body[i]
-                i += 1
-            if i < len(body) and body[i] == "/":
-                if i + 1 >= len(body) or body[i + 1] not in _GLIDE_OR_MIRROR:
-                    raise SymbolGrammarError(
-                        f"{symbol!r}: '/' not followed by a mirror or glide "
-                        f"at position {i}")
-                comp += body[i:i + 2]
-                i += 2
-            comps.append(comp)
-            continue
-        if ch in _GLIDE_OR_MIRROR:
-            comps.append(ch)
-            i += 1
-            continue
-        raise SymbolGrammarError(
-            f"{symbol!r}: unexpected character {ch!r} at position {i}")
+    pos = 0
+    while pos < len(body):
+        match = _COMPONENT.match(body, pos)
+        if match is None:
+            raise SymbolGrammarError(f"{symbol!r}: unexpected character "
+                                     f"{body[pos]!r} at position {pos}")
+        comps.append(match.group())
+        pos = match.end()
     return comps
 
 
@@ -235,12 +212,9 @@ def split_hm_symbol(symbol: str):
         raise SymbolGrammarError(
             f"{symbol!r}: centering letter expected first, got {head[0]!r}")
     centering = head[0]
-    if len(pieces) > 1:
-        comps = [] if len(head) == 1 else _scan_components(head[1:], symbol)
-        for piece in pieces[1:]:
-            comps.extend(_scan_components(piece, symbol))
-    else:
-        comps = _scan_components(head[1:], symbol)
+    comps = []
+    for body in (head[1:], *pieces[1:]):
+        comps += _scan_components(body, symbol)
     if not comps:
         raise SymbolGrammarError(f"{symbol!r}: no directional symbols")
     if len(comps) > 3:

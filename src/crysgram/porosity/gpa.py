@@ -30,27 +30,25 @@ DEFAULT_RHO_GRID = 5.0
 DEFAULT_R_PROBE = 1.2
 
 
-def _load_default_radii():
+def _parse_radii(text, source):
+    """Element -> radius from 'symbol radius' lines of ``text``; blank lines
+    and '#' comments are skipped, and errors name ``source`` and the line."""
     table = {}
-    text = resources.files("crysgram.porosity").joinpath(
-        "data", "vdw_radii.tsv").read_text(encoding="utf-8")
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
             continue
-        symbol, radius = line.split("\t")
-        table[symbol] = float(radius)
+        parts = line.split()
+        if len(parts) != 2:
+            raise PorosityError(f"{source}:{lineno}: expected 'symbol radius'")
+        table[parts[0]] = float(parts[1])
     return table
 
 
-_DEFAULT_RADII = None
-
-
+@functools.cache
 def _default_radii():
     """The bundled table itself, loaded once; callers must not modify it."""
-    global _DEFAULT_RADII
-    if _DEFAULT_RADII is None:
-        _DEFAULT_RADII = _load_default_radii()
-    return _DEFAULT_RADII
+    return _parse_radii(resources.files("crysgram.porosity").joinpath(
+        "data", "vdw_radii.tsv").read_text(encoding="utf-8"), "vdw_radii.tsv")
 
 
 def default_radius_table():
@@ -59,16 +57,8 @@ def default_radius_table():
 
 def load_radius_table(path):
     """Element -> radius override file: 'Symbol<TAB or space>radius' lines."""
-    table = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise PorosityError(f"{path}:{lineno}: expected 'symbol radius'")
-            table[parts[0]] = float(parts[1])
-    return table
+        return _parse_radii(fh.read(), path)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from .loop import (
     CONFIG_VERSION,
+    PRETRAIN_OBJECTIVES,
     FinetuneResult,
     PreparedCorpus,
     PretrainResult,
@@ -23,9 +24,10 @@ from .optimizer import DECAY_EXEMPT_SUFFIXES, AdamW
 from .schedule import ScheduleSpec, lr_at
 
 __all__ = [
-    "CONFIG_VERSION", "FinetuneResult", "PreparedCorpus", "PretrainResult",
-    "RunManifest", "TrainConfig", "derive_seed", "encode_corpus", "evaluate",
-    "finetune", "format_predictions", "load_pretrained", "predict_lattice",
+    "CONFIG_VERSION", "PRETRAIN_OBJECTIVES", "FinetuneResult",
+    "PreparedCorpus", "PretrainResult", "RunManifest", "TrainConfig",
+    "derive_seed", "encode_corpus", "evaluate", "finetune",
+    "format_predictions", "load_pretrained", "predict_lattice",
     "prepare_corpus", "pretrain", "write_metrics", "write_predictions",
     "DECAY_EXEMPT_SUFFIXES", "AdamW", "ScheduleSpec", "lr_at",
 ]

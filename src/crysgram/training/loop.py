@@ -46,7 +46,8 @@ from .optimizer import AdamW
 from .schedule import ScheduleSpec, lr_at
 
 CONFIG_VERSION = 1
-OBJECTIVES = ("mlm", "lpp", "mlm+lpp", "regression")
+PRETRAIN_OBJECTIVES = ("mlm", "lpp", "mlm+lpp")
+OBJECTIVES = (*PRETRAIN_OBJECTIVES, "regression")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # records per forward pass of evaluate, predict_lattice and encode_corpus
 EVAL_BATCH_SIZE = 64
@@ -414,6 +415,13 @@ class PretrainResult:
     checkpoint_path: str = None
 
 
+def _new_state(config, vocab, table):
+    """A seeded encoder whose formula projection takes the table's width."""
+    encoder = dataclasses.replace(config.encoder_config(vocab.size),
+                                  d_formula=table.dimension + 1)
+    return EncoderState(encoder, seed=config.seed)
+
+
 def pretrain(records, config, vocab=None, table=None, out_dir=None,
              log=None):
     """Train under one of the pretraining objectives; returns PretrainResult.
@@ -422,7 +430,7 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
     corpus. Checkpoints, metrics, vocabulary, and the run manifest are
     written to ``out_dir`` when given.
     """
-    if config.objective not in ("mlm", "lpp", "mlm+lpp"):
+    if config.objective not in PRETRAIN_OBJECTIVES:
         raise ConfigError(f"pretrain cannot run objective {config.objective!r}")
     records = list(records)
     vocab = vocab or build_vocabulary(datasets=records,
@@ -440,7 +448,7 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
                 "on every record")
         scaler = lpp_scaler(corpus.lattice_targets)
 
-    state = EncoderState(config.encoder_config(vocab.size), seed=config.seed)
+    state = _new_state(config, vocab, table)
 
     def step(batch, global_step, rng):
         mask_seed = derive_seed(config.seed, "mask", global_step)
@@ -588,8 +596,7 @@ def finetune(records, config, init_state=None, vocab=None, table=None,
     spec = SplitSpec.parse(config.split, seed=config.seed)
 
     if init_state is None:
-        init_state = EncoderState(config.encoder_config(vocab.size),
-                                  seed=config.seed)
+        init_state = _new_state(config, vocab, table)
     elif init_state.config.vocab_size != vocab.size:
         raise ConfigError(
             f"checkpoint vocab size {init_state.config.vocab_size} != "

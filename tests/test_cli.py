@@ -13,7 +13,7 @@ from crysgram.porosity import (
     default_radius_table,
     save_structure,
 )
-from crysgram.tokens import tokenize_crystal
+from crysgram.tokens import ElementEmbeddingTable, tokenize_crystal
 from crysgram.training import loop
 
 
@@ -165,6 +165,17 @@ class TestPorosity:
         assert out == ""
         assert "'C'" in err and "nan" in err
 
+    def test_malformed_radius_file_exits_2(self, capsys, tmp_path):
+        path, radii = tmp_path / "s.json", tmp_path / "radii.txt"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 6.0,
+            sites=[("C", np.array([0.25, 0.25, 0.25]))]), path)
+        radii.write_text("# symbol radius\nC 1.7\nZn 1.2 extra\n")
+        code, out, err = run(capsys, "porosity", str(path), "--radii",
+                             str(radii), "--rho-grid", "2")
+        assert code == 2
+        assert out == ""
+        assert f"{radii}:3" in err
 
     def test_partial_radius_file_overrides_the_bundled_table(self, capsys,
                                                               tmp_path):
@@ -289,7 +300,8 @@ class TestTrainingCommands:
         ("pretrain", "--patience", "2"),
         ("finetune", "--masking-ratio", "0.5"),
         ("finetune", "--lambda-mlm", "0.5"),
-        ("finetune", "--objective", "mlm")])
+        ("finetune", "--objective", "mlm"),
+        ("pretrain", "--objective", "regression")])
     def test_flag_the_command_ignores_exits_1(self, capsys, tmp_path,
                                               regression_csv, command, flag,
                                               value):
@@ -337,6 +349,28 @@ class TestRunRoundTrip:
             for name in ("checkpoint.ckpt", "vocab.txt", "metrics.csv",
                          "predictions.csv", "manifest.json"):
                 assert (out / f"fold{k}" / name).exists()
+
+    def test_narrow_element_table_round_trip(self, capsys, tmp_path,
+                                             regression_csv):
+        table = tmp_path / "elements.txt"
+        ElementEmbeddingTable.deterministic(dimension=50).save(table)
+        flag = ("--element-embeddings", str(table))
+        pre, ft = tmp_path / "pre", tmp_path / "ft"
+        for argv in (["pretrain", "--out", str(pre)],
+                     ["finetune", "--out", str(tmp_path / "scratch")],
+                     ["finetune", "--out", str(ft), "--checkpoint",
+                      str(pre / "checkpoint.ckpt")]):
+            code, _, err = run(capsys, *argv, "--data", regression_csv,
+                               "--epochs", "1", *flag)
+            assert code == 0, f"{argv}: {err}"
+        predict = ("predict", "--checkpoint", str(ft / "checkpoint.ckpt"),
+                   "--data", regression_csv)
+        code, stdout, err = run(capsys, *predict, *flag)
+        assert code == 0, err
+        assert stdout
+        code, _, err = run(capsys, *predict)
+        assert code == 2
+        assert "201" in err and "51" in err
 
 
 class TestNonFinite:

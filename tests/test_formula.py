@@ -49,9 +49,19 @@ class TestExamples:
 
 class TestErrors:
     @pytest.mark.parametrize("bad", ["", "   ", "()", "3", "Fe2O3)", "(Fe2O3",
-                                     "Fe2(O3", "fe2O3", "Fe2O3.", "Fe 2"])
+                                     "Fe2(O3", "fe2O3", "Fe2O3.", "Fe 2",
+                                     "Fe\u00b2O3"])
     def test_rejected(self, bad):
         with pytest.raises(FormulaError):
+            parse_formula(bad)
+
+    @pytest.mark.parametrize("bad, char, position", [
+        ("Fe2O3.", ".", 5), ("(2H)", "2", 1), ("Fe 2", " ", 2),
+        ("Fe2.5.1", ".", 5), ("Ca(OH]2", "]", 5)])
+    def test_error_names_character_and_position(self, bad, char, position):
+        with pytest.raises(FormulaError,
+                           match=f"unexpected character '{re.escape(char)}' "
+                           f"at position {position}$"):
             parse_formula(bad)
 
     def test_zero_total(self):
@@ -76,6 +86,25 @@ def integer_formulas(draw):
                            min_size=n, max_size=n))
     text = "".join(f"{s}{c}" for s, c in zip(symbols, counts))
     return text, list(symbols), counts
+
+
+# empty, integer or decimal counts, all positive
+COUNTS = st.one_of(st.just(""), st.integers(1, 12).map(str),
+                   st.from_regex(r"[0-3]\.[0-9]{0,2}[1-9]", fullmatch=True))
+
+
+@st.composite
+def nested_formulas(draw, depth=0):
+    """Formulas with brackets nested up to three deep; SYMBOLS[:20] keeps
+    every draw within MAX_ELEMENTS."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if depth < 3 and draw(st.booleans()):
+            parts.append(f"({draw(nested_formulas(depth + 1))})")
+        else:
+            parts.append(draw(st.sampled_from(SYMBOLS[:20])))
+        parts.append(draw(COUNTS))
+    return "".join(parts)
 
 
 class TestProperties:
@@ -153,3 +182,12 @@ class TestAgainstFractionAccumulator:
         comp = parse_formula(text)
         assert list(zip(comp.elements, comp.exact_fractions)) == \
             reference_composition(text)
+
+    @given(nested_formulas())
+    def test_nested_decimal_formulas_equal_reference(self, text):
+        comp = parse_formula(text)
+        ref = reference_composition(text)
+        assert comp.elements == tuple(el for el, _ in ref)
+        assert pickle.dumps(comp.exact_fractions) == \
+            pickle.dumps(tuple(f for _, f in ref))
+        assert comp.fractions == tuple(float(f) for _, f in ref)

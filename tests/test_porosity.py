@@ -20,6 +20,7 @@ from crysgram.porosity import (
     PeriodicStructure,
     accessible_void_fraction,
     default_radius_table,
+    load_radius_table,
     load_structure,
     porosity_tokens,
     save_structure,
@@ -443,6 +444,17 @@ class TestVoidFraction:
                                      ("H", np.full(3, 0.5))])
         assert s.radius_of("C") == carbon == default_radius_table()["C"]
         assert s.radius_of("H") == default_radius_table()["H"]
+
+    def test_malformed_radius_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "radii.txt"
+        path.write_text("C 1.7\n\n# comment\nZn\t1.2 0.5\n")
+        with pytest.raises(PorosityError, match=f"^{path}:4: "):
+            load_radius_table(path)
+
+    def test_radius_file_reads_tabs_spaces_and_comments(self, tmp_path):
+        path = tmp_path / "radii.txt"
+        path.write_text("# symbol radius\nC\t1.7\n\n  \nZn   1.25\n")
+        assert load_radius_table(path) == {"C": 1.7, "Zn": 1.25}
 
     def test_default_radius_table_used(self):
         s = PeriodicStructure(lattice=np.eye(3) * 6.0,

@@ -1,5 +1,7 @@
 """Knowledge-base fidelity and Hermann-Mauguin grammar tests."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from crysgram.grammar import (
     Symmetry,
     all_space_groups,
     crystal_system_of,
+    find_by_symbol,
     lattice_constraints,
     lookup_space_group,
     split_hm_symbol,
@@ -161,7 +164,19 @@ class TestSplitSymbol:
     def test_screw_axes_unspaced(self):
         assert split_hm_symbol("P212121")[1] == ("21", "21", "21")
 
-    @pytest.mark.parametrize("bad", ["", "  ", "Q23", "P4/q", "Pmmmm", "P1!"])
+    @pytest.mark.parametrize("symbol, expected", [
+        ("P 1 1 2/m", ("P", ("1", "1", "2/m"))),
+        ("Pbnm", ("P", ("b", "n", "m"))),
+        ("A 1 2/m 1", ("A", ("1", "2/m", "1"))),
+        ("Pn21a", ("P", ("n", "21", "a"))),
+        ("P 1 1 21/b", ("P", ("1", "1", "21/b")))])
+    def test_non_standard_settings_scan_outside_the_kb(self, symbol,
+                                                       expected):
+        assert find_by_symbol(symbol) is None
+        assert split_hm_symbol(symbol) == expected
+
+    @pytest.mark.parametrize("bad", ["", "  ", "Q23", "P4/q", "Pmmmm", "P1!",
+                                     "P\u00b2", "P\u0663"])
     def test_grammar_errors(self, bad):
         with pytest.raises(SymbolGrammarError):
             split_hm_symbol(bad)
@@ -169,6 +184,15 @@ class TestSplitSymbol:
     def test_error_names_offender(self):
         with pytest.raises(SymbolGrammarError, match="'!'"):
             split_hm_symbol("P1!")
+
+    @pytest.mark.parametrize("bad, char, position", [
+        ("P4/q", "/", 1), ("P-", "-", 0), ("P 1 5", "5", 0),
+        ("P2/m 21/", "/", 2)])
+    def test_error_names_character_and_position(self, bad, char, position):
+        with pytest.raises(SymbolGrammarError,
+                           match=f"'{re.escape(char)}' at position "
+                           f"{position}$"):
+            split_hm_symbol(bad)
 
 
 class TestLatticeConstraints:

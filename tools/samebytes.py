@@ -13,7 +13,9 @@ every zero pattern of the clearance-field sums is covered) and runs
 ``porosity --format json`` on each at two grid densities, with and
 without flood fill, and once with a radius override file. It prints
 one crystal's token sequence with informatics values (``tokenize``, in
-text and json), whose ids, labels and attention mask must not move.
+text and json), whose ids, labels and attention mask must not move,
+and, in text and json, ``parse-formula`` on four nested or decimal
+formulas and ``lookup`` on space groups 1, 14 and 225.
 Last it runs every script in the checkout's ``demos/``, whose standard
 output is saved as ``demo-<name>.txt``.
 Every file and standard output must be equal; manifests are compared
@@ -69,6 +71,8 @@ TRAIN = ("--epochs", "3", "--seed", "3", "--weight-decay", "0.01")
 TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
             "--topology", "pcu", "--volume", "4823.5", "--natoms", "112",
             "--porosity", "61.2")
+FORMULAS = ("K(Al(OH)2)3", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5",
+            "Li0.33Fe0.5Mn0.17PO4", "(NH4)2SO4")
 READERS = {"predict": ("predict",),
            "cls-embeddings": ("export", "cls-embeddings"),
            "attention": ("export", "attention"),
@@ -97,6 +101,10 @@ def commands():
            "radii.txt"]
     for fmt in ("text", "json"):
         yield [*TOKENIZE, "--format", fmt]
+        for formula in FORMULAS:
+            yield ["parse-formula", formula, "--format", fmt]
+        for number in ("1", "14", "225"):
+            yield ["lookup", number, "--format", fmt]
 
 
 def content(path):
