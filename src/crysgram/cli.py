@@ -166,38 +166,19 @@ def cmd_porosity(args):
 # -- training commands ---------------------------------------------------------
 
 
-_CONFIG_FLAGS = {
-    # flag destination -> TrainConfig field (the config-file key)
-    "objective": "objective",
-    "preset": "preset",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "lr": "learning_rate",
-    "weight_decay": "weight_decay",
-    "warmup_fraction": "warmup_fraction",
-    "masking_ratio": "masking_ratio",
-    "lambda_mlm": "lambda_mlm",
-    "seed": "seed",
-    "split": "split",
-    "patience": "early_stopping_patience",
-    "info_layout": "info_layout",
-    "dropout": "dropout",
-    "dtype": "dtype",
-}
-
-
 def _train_config(args, default_objective):
     if args.config:
         config = TrainConfig.from_json(Path(args.config).read_text())
     else:
         config = TrainConfig(objective=default_objective)
+    # each config-key flag's destination is its TrainConfig field
     overrides = {}
-    for flag, field_name in _CONFIG_FLAGS.items():
-        value = getattr(args, flag, None)
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            if field_name == "info_layout":
+            if f.name == "info_layout":
                 value = tuple(v for v in value.split(",") if v)
-            overrides[field_name] = value
+            overrides[f.name] = value
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -358,7 +339,8 @@ def _add_train_flags(parser):
     parser.add_argument("--epochs", type=int, help="config key: epochs")
     parser.add_argument("--batch-size", type=int, dest="batch_size",
                         help="config key: batch_size")
-    parser.add_argument("--lr", type=float, help="config key: learning_rate")
+    parser.add_argument("--lr", type=float, dest="learning_rate",
+                        help="config key: learning_rate")
     parser.add_argument("--weight-decay", type=float, dest="weight_decay",
                         help="config key: weight_decay")
     parser.add_argument("--warmup-fraction", type=float,
@@ -444,7 +426,7 @@ def build_parser():
     # runs the regression objective
     p.add_argument("--split", help="config key: split "
                    "(kfold5 or ratio:0.7,0.15,0.15)")
-    p.add_argument("--patience", type=int,
+    p.add_argument("--patience", type=int, dest="early_stopping_patience",
                    help="config key: early_stopping_patience")
     p.set_defaults(fn=cmd_finetune)
 

@@ -126,25 +126,18 @@ def _record_from_mapping(row, lineno):
     return record
 
 
-def load_dataset(path, fmt=None):
+def load_dataset(path):
     """Read records from a delimited table or record-lines file.
 
-    Every row is validated; any malformed row rejects the whole load and
-    the error names the offending line numbers. Constraint mismatches
-    between lattice and space group are warnings, not rejections.
+    The suffix picks the reader: ``.csv`` or ``.tsv`` for a table,
+    ``.jsonl`` or ``.ndjson`` for record lines. Every row is validated;
+    any malformed row rejects the whole load and the error names the
+    offending line numbers. Constraint mismatches between lattice and
+    space group are warnings, not rejections.
     """
     path = str(path)
-    if fmt is None:
-        if path.endswith((".jsonl", ".ndjson")):
-            fmt = "record-lines"
-        elif path.endswith((".csv", ".tsv")):
-            fmt = "delimited-table"
-        else:
-            raise DatasetError(f"{path}: cannot infer format from suffix; "
-                               f"pass fmt='delimited-table' or 'record-lines'")
-
     records, failures = [], []
-    if fmt == "delimited-table":
+    if path.endswith((".csv", ".tsv")):
         delimiter = "\t" if path.endswith(".tsv") else ","
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
@@ -164,7 +157,7 @@ def load_dataset(path, fmt=None):
                         dict(zip(header, values)), lineno))
                 except Exception as exc:
                     failures.append(f"line {lineno}: {exc}")
-    elif fmt == "record-lines":
+    elif path.endswith((".jsonl", ".ndjson")):
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -175,7 +168,8 @@ def load_dataset(path, fmt=None):
                 except Exception as exc:
                     failures.append(f"line {lineno}: {exc}")
     else:
-        raise DatasetError(f"unknown dataset format {fmt!r}")
+        raise DatasetError(f"{path}: unknown dataset suffix; expected .csv, "
+                           ".tsv, .jsonl or .ndjson")
 
     if failures:
         preview = "; ".join(failures[:5])

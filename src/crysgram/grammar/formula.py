@@ -42,7 +42,7 @@ class FormulaComposition:
 
 
 # An opening bracket, or an element symbol or closing bracket and its count.
-_PART = re.compile(r"\(|([A-Z][a-z]?|\))(\d*(?:\.\d+)?)")
+_PART = re.compile(r"\(|([A-Z][a-z]?|\))([0-9]*(?:\.[0-9]+)?)")
 
 
 def _count(digits):

@@ -12,6 +12,7 @@ from .loop import (
     encode_corpus,
     evaluate,
     finetune,
+    finetune_corpora,
     format_predictions,
     load_pretrained,
     predict_lattice,
@@ -27,7 +28,8 @@ __all__ = [
     "CONFIG_VERSION", "PRETRAIN_OBJECTIVES", "FinetuneResult",
     "PreparedCorpus", "PretrainResult", "RunManifest", "TrainConfig",
     "derive_seed", "encode_corpus", "evaluate", "finetune",
-    "format_predictions", "load_pretrained", "predict_lattice",
-    "prepare_corpus", "pretrain", "write_metrics", "write_predictions",
+    "finetune_corpora", "format_predictions", "load_pretrained",
+    "predict_lattice", "prepare_corpus", "pretrain", "write_metrics",
+    "write_predictions",
     "DECAY_EXEMPT_SUFFIXES", "AdamW", "ScheduleSpec", "lr_at",
 ]

@@ -99,7 +99,7 @@ class TrainConfig:
                 isinstance(self.dropout, (int, float))
                 and 0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
-        for name in ("weight_decay", "lambda_mlm"):
+        for name in ("weight_decay", "lambda_mlm", "early_stopping_patience"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
         object.__setattr__(self, "info_layout", tuple(self.info_layout))
@@ -153,17 +153,27 @@ class PreparedCorpus:
     def __len__(self):
         return len(self.tokens)
 
-    def batch(self, indices):
-        return Batch(
+    def subset(self, indices):
+        """The records at ``indices``, in order; shares ``element_rows``."""
+        def take(values):
+            return None if values is None else values[indices]
+
+        return dataclasses.replace(
+            self, ids=[self.ids[i] for i in indices],
             tokens=self.tokens[indices],
-            formula_matrices=embed_formulas(self.formula_fractions[indices],
-                                            self.formula_index[indices],
-                                            self.element_rows),
-            lattice_targets=(None if self.lattice_targets is None
-                             else self.lattice_targets[indices]),
-            targets=None if self.targets is None else self.targets[indices],
-            ids=[self.ids[i] for i in indices],
-        )
+            formula_fractions=self.formula_fractions[indices],
+            formula_index=self.formula_index[indices],
+            lattice_targets=take(self.lattice_targets),
+            targets=take(self.targets))
+
+    def batch(self, indices):
+        part = self.subset(indices)
+        return Batch(tokens=part.tokens,
+                     formula_matrices=embed_formulas(part.formula_fractions,
+                                                     part.formula_index,
+                                                     part.element_rows),
+                     lattice_targets=part.lattice_targets,
+                     targets=part.targets, ids=part.ids)
 
     def batches(self, batch_size):
         """Consecutive batches of at most ``batch_size`` in corpus order."""
@@ -189,7 +199,7 @@ def prepare_corpus(records, vocab, table):
     if lattices and all(lat is not None for lat in lattices):
         lattice_arr = np.stack(lattices)
     target_arr = None
-    if targets and all(t is not None for t in targets):
+    if all(t is not None for t in targets):
         target_arr = np.array(targets, dtype=np.float64)
     fractions, index, element_rows = formula_rows(compositions, table)
     tokens = np.array(rows, dtype=np.intp).reshape(
@@ -269,11 +279,11 @@ def _environment():
     }
 
 
-def _manifest(config, records, metrics, start, checkpoints=()):
+def _manifest(config, checksum, metrics, start, checkpoints=()):
     return RunManifest(
         config=json.loads(config.to_json()),
         seed=config.seed,
-        dataset_checksum=dataset_checksum(records),
+        dataset_checksum=checksum,
         metrics=metrics,
         checkpoints=list(checkpoints),
         wall_clock_seconds=time.perf_counter() - start,
@@ -466,7 +476,7 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
     start = time.perf_counter()
     state, metrics, steps = _fit(state, corpus, config, step,
                                  ("shuffle", "drop"), log=log)
-    manifest = _manifest(config, records, metrics, start)
+    manifest = _manifest(config, dataset_checksum(records), metrics, start)
     result = PretrainResult(state=state, vocab=vocab, scaler=scaler,
                             metrics=metrics, manifest=manifest)
     if out_dir is not None:
@@ -526,10 +536,10 @@ class FoldResult:
 @dataclass
 class FinetuneResult:
     state: EncoderState
-    vocab: object
     scaler: TargetScaler
     metrics: list
-    manifest: RunManifest
+    vocab: object = None
+    manifest: RunManifest = None
     test_mae: float = None
     predictions: list = field(default_factory=list)
     fold_results: list = field(default_factory=list)
@@ -546,43 +556,40 @@ class FinetuneResult:
         return float(np.mean(maes)), float(np.std(maes))
 
 
-def _finetune_split(records, train_recs, val_recs, test_recs, config,
-                    init_state, vocab, table, out_dir, log):
-    """Train on one split, test it, and write its run when ``out_dir``.
+def finetune_corpora(train, val, test, config, init_state, log=None):
+    """Regression-train a clone of ``init_state`` on prepared corpora.
 
-    Returns (state, scaler, manifest, test MAE, test predictions); the
-    manifest's metrics are the epoch rows.
+    The target scaler is fitted on ``train``; ``val`` (or None) scores
+    each epoch and drives early stopping, which needs it. The trained
+    state is tested on ``test``. Returns a FinetuneResult whose metrics
+    are the epoch rows; it carries no vocabulary and no manifest.
     """
-    start = time.perf_counter()
-    scaler = TargetScaler.fit([r.target for r in train_recs])
-    train_corpus = prepare_corpus(train_recs, vocab, table)
-    val_corpus = prepare_corpus(val_recs, vocab, table) if val_recs else None
-    test_corpus = prepare_corpus(test_recs, vocab, table)
+    if config.early_stopping_patience and val is None:
+        raise ConfigError("early_stopping_patience needs a validation split "
+                          "(a ratio split of three fractions)")
+    scaler = TargetScaler.fit(train.targets)
     state = init_state.clone()
 
     def step(batch, global_step, rng):
         loss, _ = regression_objective(state, batch, scaler, rng=rng)
         return loss, {}
 
-    state, metrics, _ = _fit(state, train_corpus, config, step,
-                             ("ft-shuffle", "ft-drop"), val_corpus, scaler,
-                             log)
-    test_mae, predictions = evaluate(state, test_corpus, scaler)
-    manifest = _manifest(config, records, metrics, start)
-    if out_dir is not None:
-        _write_run(out_dir, manifest, vocab, state,
-                   {"target_scaler": scaler.to_dict()},
-                   predictions=predictions)
-    return state, scaler, manifest, test_mae, predictions
+    state, metrics, _ = _fit(state, train, config, step,
+                             ("ft-shuffle", "ft-drop"), val, scaler, log)
+    test_mae, predictions = evaluate(state, test, scaler)
+    return FinetuneResult(state=state, scaler=scaler, metrics=metrics,
+                          test_mae=test_mae, predictions=predictions)
 
 
 def finetune(records, config, init_state=None, vocab=None, table=None,
              out_dir=None, log=None):
     """Property-regression finetuning under the configured split protocol.
 
-    ``init_state`` carries pretrained weights; None trains from scratch.
-    It is cloned, never modified. k-fold splits return per-fold MAEs plus
-    mean and standard deviation; with ``out_dir`` each fold's run goes to
+    The records are prepared once and split by position; each split
+    trains through ``finetune_corpora``. ``init_state`` carries
+    pretrained weights; None trains from scratch. It is cloned, never
+    modified. k-fold splits return per-fold MAEs plus mean and standard
+    deviation; with ``out_dir`` each fold's run goes to
     ``out_dir/fold<k>/`` and the top level holds the fold-MAE metrics.
     """
     if config.objective != "regression":
@@ -602,35 +609,44 @@ def finetune(records, config, init_state=None, vocab=None, table=None,
             f"checkpoint vocab size {init_state.config.vocab_size} != "
             f"vocabulary size {vocab.size}")
 
-    parts = split_records(records, spec)
+    corpus = prepare_corpus(records, vocab, table)
+    checksum = dataset_checksum(records)
+    parts = split_records(range(len(corpus)), spec)
     out = None if out_dir is None else Path(out_dir)
-    if spec.kind == "kfold":
+
+    def run(train, val, test, run_dir):
         start = time.perf_counter()
-        result = FinetuneResult(state=None, vocab=vocab, scaler=None,
-                                metrics=[], manifest=None)
-        checkpoints = []
-        for k, (train_recs, test_recs) in enumerate(parts.folds):
-            _, _, fold_manifest, mae, predictions = _finetune_split(
-                records, train_recs, (), test_recs, config, init_state,
-                vocab, table, None if out is None else out / f"fold{k}", log)
-            checkpoints += fold_manifest.checkpoints
-            result.fold_results.append(FoldResult(k, mae, predictions))
-            result.metrics.append({"fold": k, "test_mae": mae})
-            if log:
-                log(f"fold {k}: test MAE {mae:.6g}")
-        result.test_mae = result.fold_summary[0]
-        result.manifest = _manifest(config, records, result.metrics, start,
-                                    checkpoints)
-        if out is not None:
-            _write_run(out, result.manifest, vocab)
+        result = finetune_corpora(
+            corpus.subset(train), corpus.subset(val) if val else None,
+            corpus.subset(test), config, init_state, log)
+        result.vocab = vocab
+        result.manifest = _manifest(config, checksum, result.metrics, start)
+        if run_dir is not None:
+            _write_run(run_dir, result.manifest, vocab, result.state,
+                       {"target_scaler": result.scaler.to_dict()},
+                       predictions=result.predictions)
         return result
 
-    state, scaler, manifest, test_mae, predictions = _finetune_split(
-        records, parts.train, parts.val, parts.test, config, init_state,
-        vocab, table, out, log)
-    return FinetuneResult(state=state, vocab=vocab, scaler=scaler,
-                          metrics=manifest.metrics, manifest=manifest,
-                          test_mae=test_mae, predictions=predictions)
+    if spec.kind == "ratio":
+        return run(parts.train, parts.val, parts.test, out)
+    start = time.perf_counter()
+    result = FinetuneResult(state=None, scaler=None, metrics=[], vocab=vocab)
+    checkpoints = []
+    for k, (train, test) in enumerate(parts.folds):
+        fold = run(train, None, test,
+                   None if out is None else out / f"fold{k}")
+        checkpoints += fold.manifest.checkpoints
+        result.fold_results.append(FoldResult(k, fold.test_mae,
+                                              fold.predictions))
+        result.metrics.append({"fold": k, "test_mae": fold.test_mae})
+        if log:
+            log(f"fold {k}: test MAE {fold.test_mae:.6g}")
+    result.test_mae = result.fold_summary[0]
+    result.manifest = _manifest(config, checksum, result.metrics, start,
+                                checkpoints)
+    if out is not None:
+        _write_run(out, result.manifest, vocab)
+    return result
 
 
 def format_predictions(predictions):

@@ -241,6 +241,16 @@ class TestTrainingCommands:
         assert payload["n_records"] == 48
         assert payload["mae"] >= 0
 
+    def test_predict_on_an_unknown_suffix_exits_2(self, capsys, finetuned,
+                                                  tmp_path):
+        data = tmp_path / "x.txt"
+        data.write_text("id,formula,spacegroup\nr1,Si,1\n")
+        code, _, err = run(capsys, "predict",
+                           "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                           "--data", str(data))
+        assert code == 2, err
+        assert ".csv, .tsv, .jsonl or .ndjson" in err
+
     def test_config_file_with_cli_override(self, capsys, tmp_path,
                                            regression_csv):
         config_path = tmp_path / "config.json"
@@ -294,6 +304,44 @@ class TestTrainingCommands:
         assert field in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--patience", "-1"), "early_stopping_patience"),
+        (("--patience", "1", "--split", "ratio:0.8,0.2"), "validation split"),
+        (("--patience", "1", "--split", "kfold3"), "validation split")])
+    def test_patience_that_cannot_act_exits_2(self, capsys, tmp_path,
+                                              regression_csv, flags, message):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "finetune", "--data", regression_csv,
+                           "--out", str(out), "--epochs", "1", *flags)
+        assert code == 2, err
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, field, expected", [
+        ("pretrain", "--objective", "lpp", "objective", "lpp"),
+        ("pretrain", "--preset", "paper", "preset", "paper"),
+        ("pretrain", "--epochs", "3", "epochs", 3),
+        ("finetune", "--batch-size", "5", "batch_size", 5),
+        ("finetune", "--lr", "0.25", "learning_rate", 0.25),
+        ("pretrain", "--weight-decay", "0.5", "weight_decay", 0.5),
+        ("finetune", "--warmup-fraction", "0.5", "warmup_fraction", 0.5),
+        ("pretrain", "--masking-ratio", "0.5", "masking_ratio", 0.5),
+        ("pretrain", "--lambda-mlm", "0.5", "lambda_mlm", 0.5),
+        ("finetune", "--seed", "11", "seed", 11),
+        ("finetune", "--split", "kfold3", "split", "kfold3"),
+        ("finetune", "--patience", "4", "early_stopping_patience", 4),
+        ("pretrain", "--info-layout", "topology,,atom_count", "info_layout",
+         ("topology", "atom_count")),
+        ("finetune", "--dropout", "0.5", "dropout", 0.5),
+        ("pretrain", "--dtype", "float64", "dtype", "float64")])
+    def test_config_key_flag_sets_its_field(self, command, flag, value,
+                                            field, expected):
+        args = cli.build_parser().parse_args(
+            [command, "--data", "d.csv", "--out", "o", flag, value])
+        config = cli._train_config(args, default_objective="mlm")
+        assert getattr(config, field) == expected
+        assert getattr(cli.TrainConfig(objective="mlm"), field) != expected
 
     @pytest.mark.parametrize("command, flag, value", [
         ("pretrain", "--split", "kfold5"),

@@ -156,10 +156,12 @@ class TestLoading:
             assert dataset_checksum(again) == dataset_checksum(records)
 
     def test_unknown_suffix_needs_fmt(self, tmp_path):
-        path = tmp_path / "data.dat"
-        path.write_text("")
-        with pytest.raises(DatasetError):
-            load_dataset(path)
+        for name in ("data.dat", "x.txt"):
+            path = tmp_path / name
+            path.write_text(CSV_HEADER + "\n")
+            with pytest.raises(DatasetError,
+                               match=r"\.csv, \.tsv, \.jsonl or \.ndjson"):
+                load_dataset(path)
 
 
 class TestRecordComposition:

@@ -50,7 +50,7 @@ class TestExamples:
 class TestErrors:
     @pytest.mark.parametrize("bad", ["", "   ", "()", "3", "Fe2O3)", "(Fe2O3",
                                      "Fe2(O3", "fe2O3", "Fe2O3.", "Fe 2",
-                                     "Fe\u00b2O3"])
+                                     "Fe\u00b2O3", "Fe\u0663O"])
     def test_rejected(self, bad):
         with pytest.raises(FormulaError):
             parse_formula(bad)

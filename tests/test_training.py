@@ -13,8 +13,10 @@ import scipy
 import crysgram
 from crysgram.datasets import (
     CrystalRecord,
+    SplitSpec,
     generate_synthetic_corpus,
     kb_corpus,
+    split,
 )
 from crysgram.errors import (
     CheckpointError,
@@ -33,10 +35,12 @@ from crysgram.training import (
     TrainConfig,
     evaluate,
     finetune,
+    finetune_corpora,
     load_pretrained,
     prepare_corpus,
     pretrain,
 )
+from crysgram.training import loop
 from crysgram.training.loop import _check_finite, _git_sha
 
 TABLE = ElementEmbeddingTable.deterministic()
@@ -214,6 +218,39 @@ class TestFinetune:
         for name, p in init.named_parameters():
             np.testing.assert_array_equal(p.data, before[name])
 
+    def test_kfold_tokenizes_each_record_once(self, monkeypatch):
+        calls = []
+        tokenize_crystal = loop.tokenize_crystal
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["provenance"])
+            return tokenize_crystal(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "tokenize_crystal", counted)
+        config = fast_config(objective="regression", epochs=0, split="kfold5")
+        result = finetune(self.RECORDS, config, table=TABLE)
+        assert len(result.fold_maes) == 5
+        assert sorted(calls) == sorted(r.id for r in self.RECORDS)
+
+    def test_corpora_entry_matches_finetune(self):
+        config = fast_config(objective="regression", epochs=3,
+                             split="ratio:0.6,0.2,0.2",
+                             early_stopping_patience=2)
+        vocab = build_vocabulary(datasets=self.RECORDS)
+        init = EncoderState(config.encoder_config(vocab.size), seed=4)
+        whole = finetune(self.RECORDS, config, init_state=init, vocab=vocab,
+                         table=TABLE)
+        parts = split(self.RECORDS, SplitSpec.parse(config.split,
+                                                    seed=config.seed))
+        train, val, test = (prepare_corpus(part, vocab, TABLE)
+                            for part in (parts.train, parts.val, parts.test))
+        result = finetune_corpora(train, val, test, config, init)
+        assert result.vocab is None and result.manifest is None
+        assert result.test_mae == whole.test_mae
+        assert result.predictions == whole.predictions
+        for name, p in whole.state.named_parameters():
+            assert result.state[name].data.tobytes() == p.data.tobytes(), name
+
     def test_early_stopping_restores_best(self):
         config = fast_config(objective="regression", epochs=30,
                              split="ratio:0.6,0.2,0.2",
@@ -255,6 +292,25 @@ class TestPreparedCorpus:
                     np.stack([slot_by_slot(c, TABLE) for c in comps])):
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed, size", [(0, 0), (1, 1), (2, 7), (3, 41),
+                                            (4, 60)])
+    def test_subset_equals_preparing_those_records(self, seed, size):
+        corpus = self.corpus()
+        vocab = build_vocabulary(datasets=self.RECORDS)
+        # with repeats, in any order
+        idx = np.random.default_rng(seed).integers(
+            0, len(self.RECORDS), size=size).tolist()
+        got = corpus.subset(idx).batch(range(len(idx)))
+        want = prepare_corpus([self.RECORDS[i] for i in idx], vocab,
+                              TABLE).batch(range(len(idx)))
+        assert got.tokens.shape == want.tokens.shape
+        assert np.array_equal(got.tokens, want.tokens)
+        assert got.formula_matrices.shape == want.formula_matrices.shape
+        assert got.formula_matrices.tobytes() == \
+            want.formula_matrices.tobytes()
+        assert np.array_equal(got.targets, want.targets)
+        assert got.ids == want.ids
 
     def test_consecutive_batches_cover_the_corpus_in_order(self):
         corpus = self.corpus()
