@@ -290,7 +290,7 @@ def cmd_export(args):
              for batch, cls in encode_corpus(state, corpus,
                                              encode=encode_batch)
              for record_id, row in zip(batch.ids, np.asarray(
-                 cls.data, dtype=np.float64).tolist())]
+                 cls, dtype=np.float64).tolist())]
     emit("\n".join(lines), args.out)
     return EXIT_OK
 

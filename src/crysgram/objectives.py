@@ -104,6 +104,9 @@ class TargetScaler:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
+        if len(values) == 0:
+            raise ConfigError("cannot fit a target scaler on zero rows "
+                              "(empty training split)")
         k = values.shape[1]
         log_mask = tuple(bool(b) for b in (log_mask or (False,) * k))
         work = values.copy()
@@ -348,16 +351,22 @@ def masked_position_accuracy(state, corpus, positions, batch_size=64):
         raise ConfigError("cannot score masked positions of an empty corpus")
     correct = {p: 0 for p in positions}
     for batch in corpus.batches(batch_size):
-        chosen = np.broadcast_to(np.array(positions, dtype=np.intp),
-                                 (len(batch.tokens), len(positions)))
-        hidden, _, _ = encode_batch(state, _masked(batch.tokens, chosen),
-                                    batch.formula_matrices, mode="eval",
-                                    rows=max(positions) + 1)
-        logits, labels = mlm_logits(state, hidden, batch.tokens, chosen)
-        predicted = np.argmax(logits.data, axis=-1)
-        hits = (predicted == labels).reshape(chosen.shape)
+        hits = _masked_hits(state, batch, positions)
         for j, p in enumerate(positions):
             correct[p] += int(hits[:, j].sum())
     per_position = {p: correct[p] / len(corpus) for p in positions}
     overall = sum(correct.values()) / (len(corpus) * len(positions))
     return overall, per_position
+
+
+def _masked_hits(state, batch, positions):
+    """(B, len(positions)) bools: which masked tokens the eval-mode encoder
+    recovers. Its hidden rows and logits die on return, so the next batch
+    is encoded without them."""
+    chosen = np.broadcast_to(np.array(positions, dtype=np.intp),
+                             (len(batch.tokens), len(positions)))
+    hidden, _, _ = encode_batch(state, _masked(batch.tokens, chosen),
+                                batch.formula_matrices, mode="eval",
+                                rows=max(positions) + 1)
+    logits, labels = mlm_logits(state, hidden, batch.tokens, chosen)
+    return (np.argmax(logits.data, axis=-1) == labels).reshape(chosen.shape)

@@ -442,6 +442,9 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
     """
     if config.objective not in PRETRAIN_OBJECTIVES:
         raise ConfigError(f"pretrain cannot run objective {config.objective!r}")
+    if config.early_stopping_patience:
+        raise ConfigError("early_stopping_patience needs a validation split, "
+                          "which pretraining does not have")
     records = list(records)
     vocab = vocab or build_vocabulary(datasets=records,
                                       info_layout=config.info_layout)
@@ -489,14 +492,16 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
 def encode_corpus(state, corpus, encode=None):
     """Eval-mode [CLS] vectors of a prepared corpus, one batch at a time.
 
-    Yields (Batch, cls Tensor) pairs in corpus order. ``encode`` replaces
+    Yields (batch, array) pairs in corpus order: the Batch and its
+    (B, d_model) [CLS] rows as a plain array. Neither the generator nor
+    the caller holds the encoder's output Tensor, so a batch's autodiff
+    graph is freed before the next batch is encoded. ``encode`` replaces
     ``encode_batch`` as the function that runs the encoder.
     """
     encode = encode or encode_batch
     for batch in corpus.batches(EVAL_BATCH_SIZE):
-        _, cls, _ = encode(state, batch.tokens, batch.formula_matrices,
-                           mode="eval", rows=1)
-        yield batch, cls
+        yield batch, encode(state, batch.tokens, batch.formula_matrices,
+                            mode="eval", rows=1)[1].data
 
 
 def evaluate(state, corpus, scaler):

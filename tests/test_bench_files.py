@@ -1,5 +1,6 @@
 """Committed benchmark records: every root ``BENCH_*.json`` written by
-``tools/pairs.py --json`` must recompute its summary from its own pairs.
+``tools/pairs.py --json`` must recompute its summary, and its verdicts
+where it records them, from its own pairs.
 
 Reads committed files only and runs no benchmark."""
 
@@ -13,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m["better"] for m in DECLARED["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in DECLARED["end_to_end"]}
 WORKLOADS = {w["name"] for w in DECLARED["workloads"]}
 RECORDS = [(path.name, workload, record)
            for path in sorted(ROOT.glob("BENCH_*.json"))
@@ -24,6 +26,35 @@ def quartiles(values):
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def expected_verdict(parent, change, better, bound):
+    """The verdict from both sides' values, written out per direction."""
+    p, c = quartiles(parent), quartiles(change)
+    iqr = p["q3"] - p["q1"]
+    if better == "higher":
+        wins = sum(new > old for old, new in zip(parent, change))
+        gained = c["median"] - p["median"]
+        separated = min(change) > max(parent)
+    else:
+        wins = sum(new < old for old, new in zip(parent, change))
+        gained = p["median"] - c["median"]
+        separated = max(change) < min(parent)
+    if wins / len(parent) >= 0.9 and gained > iqr:
+        return "gain"
+    if gained < -bound * abs(p["median"]):
+        return "regression"
+    if iqr > bound * abs(p["median"]) and not separated:
+        return "unresolved"
+    return "no change"
+
+
+def load_pairs_tool():
+    spec = importlib.util.spec_from_file_location(
+        "pairs", ROOT / "tools" / "pairs.py")
+    pairs_tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs_tool)
+    return pairs_tool
 
 
 @pytest.mark.parametrize("name, workload, record", RECORDS,
@@ -57,14 +88,14 @@ def test_summary_recomputes_from_pairs(name, workload, record):
                 <= max(values)
         assert row["ratio"] == pytest.approx(
             row["change"]["median"] / row["parent"]["median"], rel=1e-12)
+        if "verdict" in row:
+            assert row["verdict"] == expected_verdict(
+                sides["parent"], sides["change"], better, BOUNDS[metric])
 
 
 def test_pairs_tool_summary_stays_inside_two_pairs():
     # the exclusive method put q1 below the minimum of two values
-    spec = importlib.util.spec_from_file_location(
-        "pairs", ROOT / "tools" / "pairs.py")
-    pairs_tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs_tool)
+    pairs_tool = load_pairs_tool()
     pairs = [{side: {"correct": True, "metrics": {"m": value}}
               for side, value in (("parent", old), ("change", new))}
              for old, new in ((1.0, 3.0), (2.0, 1.5))]
@@ -73,3 +104,33 @@ def test_pairs_tool_summary_stays_inside_two_pairs():
     assert row["change"] == quartiles([3.0, 1.5])
     assert row["wins"] == 1 and row["pairs"] == 2
     assert row["ratio"] == 2.25 / 1.5
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # 9 of 10 lower by far more than the parent's IQR
+    ([10.0 + i / 10 for i in range(10)], [9.0] * 9 + [11.0], "lower",
+     "gain"),
+    # 8 of 10 wins is not enough
+    ([10.0 + i / 10 for i in range(10)], [9.0] * 8 + [11.0] * 2, "lower",
+     "no change"),
+    # 10 of 10 wins, but by less than the parent's IQR
+    ([10.0, 10.5, 11.0, 11.5, 12.0], [9.9, 10.4, 10.9, 11.4, 11.9], "lower",
+     "no change"),
+    # median 30% worse against a 25% bound; ties count for neither side
+    ([100.0] * 5, [70.0] * 4 + [100.0], "higher", "regression"),
+    ([100.0] * 5, [80.0] * 5, "higher", "no change"),
+    # parent IQR of 50% against a 25% bound, the sides overlap
+    ([50.0, 75.0, 100.0, 125.0, 150.0], [60.0, 80.0, 95.0, 120.0, 140.0],
+     "higher", "unresolved"),
+    # IQR wider than the bound, but every change run beats every parent
+    # run (by less than the IQR in the median, so no gain either)
+    ([0.0, 1.0, 99.0, 100.0, 100.0], [101.0] * 5, "higher", "no change"),
+])
+def test_pairs_tool_verdicts(parent, change, better, expected):
+    pairs = [{side: {"correct": True, "metrics": {"m": value}}
+              for side, value in (("parent", old), ("change", new))}
+             for old, new in zip(parent, change)]
+    row = load_pairs_tool().summarize(pairs, [("m", better)],
+                                      {"m": 0.25})["m"]
+    assert row["verdict"] == expected
+    assert expected_verdict(parent, change, better, 0.25) == expected

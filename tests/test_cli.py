@@ -318,6 +318,32 @@ class TestTrainingCommands:
         assert message in err
         assert not out.exists()
 
+    def test_pretrain_patience_from_config_exits_2(self, capsys, tmp_path,
+                                                   regression_csv):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"config_version": 1,
+                                           "objective": "mlm",
+                                           "early_stopping_patience": 1}))
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "pretrain", "--data", regression_csv,
+                           "--out", str(out), "--config", str(config_path),
+                           "--epochs", "1")
+        assert code == 2, err
+        assert "early_stopping_patience" in err
+        assert not out.exists()
+
+    def test_empty_training_split_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "three.csv"
+        write_dataset(generate_synthetic_corpus(3, seed=21,
+                                                task="regression"), data)
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "finetune", "--data", str(data),
+                           "--out", str(out), "--epochs", "1",
+                           "--split", "ratio:0.1,0.45,0.45")
+        assert code == 2, err
+        assert "zero rows" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value, field, expected", [
         ("pretrain", "--objective", "lpp", "objective", "lpp"),
         ("pretrain", "--preset", "paper", "preset", "paper"),

@@ -191,6 +191,12 @@ class TestTargetScaler:
         with pytest.raises(ConfigError):
             TargetScaler.fit(np.ones((10, 1)))
 
+    @pytest.mark.parametrize("values", [[], np.empty((0, 6))])
+    def test_zero_rows_rejected(self, values):
+        # the mean and std of no values are nan, which no later check sees
+        with pytest.raises(ConfigError, match="zero rows"):
+            TargetScaler.fit(values)
+
     def test_standardized_moments(self):
         rng = np.random.default_rng(2)
         values = rng.normal(5, 3, size=(200, 1))

@@ -25,6 +25,7 @@ from crysgram.errors import (
     NonFiniteError,
 )
 from crysgram.nn import EncoderState, Tensor, desk_config, load_state
+from crysgram.objectives import TargetScaler, masked_position_accuracy
 from crysgram.tokens import (
     N_FORMULA_SLOTS,
     ElementEmbeddingTable,
@@ -37,6 +38,7 @@ from crysgram.training import (
     finetune,
     finetune_corpora,
     load_pretrained,
+    predict_lattice,
     prepare_corpus,
     pretrain,
 )
@@ -132,6 +134,13 @@ class TestPretrain:
                           table=TABLE)
         assert "mlm_accuracy" in result.metrics[0]
 
+    def test_patience_refused_without_validation_split(self, tmp_path):
+        config = fast_config(epochs=2, early_stopping_patience=1)
+        with pytest.raises(ConfigError, match="early_stopping_patience"):
+            pretrain(kb_corpus(), config, table=TABLE,
+                     out_dir=tmp_path / "pt")
+        assert not (tmp_path / "pt").exists()
+
 
 class TestManifest:
     def test_environment_recorded(self, tmp_path):
@@ -194,6 +203,15 @@ class TestFinetune:
         records = generate_synthetic_corpus(30, seed=2, task="lpp")
         with pytest.raises(ConfigError):
             finetune(records, fast_config(objective="regression"), table=TABLE)
+
+    def test_empty_training_split_raises(self, tmp_path):
+        # round(3 * 0.1) == 0 records to train on
+        config = fast_config(objective="regression", epochs=1,
+                             split="ratio:0.1,0.45,0.45")
+        with pytest.raises(ConfigError, match="zero rows"):
+            finetune(self.RECORDS[:3], config, table=TABLE,
+                     out_dir=tmp_path / "ft")
+        assert not (tmp_path / "ft").exists()
 
     def test_identical_seeds_byte_identical_artifacts(self, tmp_path):
         config = fast_config(objective="regression", epochs=4, seed=9,
@@ -391,6 +409,48 @@ class TestEvaluate:
         with pytest.raises(CheckpointError):
             load_pretrained(tmp_path / "ft" / "checkpoint.ckpt",
                             vocab=other_vocab)
+
+
+class TestInferenceMemory:
+    """An inference loop holds one batch's autodiff graph at a time, so
+    four batches peak about where one does: at most 1.25x, where keeping
+    the previous batch's graph while encoding the next doubles the peak."""
+
+    RECORDS = generate_synthetic_corpus(4 * loop.EVAL_BATCH_SIZE, seed=5,
+                                        task="regression")
+    CALLS = {
+        "evaluate": lambda state, corpus: evaluate(
+            state, corpus, TargetScaler((1.0,), (2.0,), (False,))),
+        "predict_lattice": lambda state, corpus: predict_lattice(
+            state, corpus, TargetScaler((0.0,) * 6, (1.0,) * 6,
+                                        (False,) * 6)),
+        "masked_position_accuracy": lambda state, corpus:
+            masked_position_accuracy(state, corpus, (4, 5, 9)),
+    }
+
+    @staticmethod
+    def traced_peak(call, state, corpus):
+        call(state, corpus)  # warm caches
+        tracemalloc.start()
+        try:
+            call(state, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_four_batches_peak_near_one(self, name):
+        vocab = build_vocabulary(datasets=self.RECORDS)
+        corpus = prepare_corpus(self.RECORDS, vocab, TABLE)
+        state = EncoderState(desk_config(vocab.size,
+                                         d_formula=TABLE.dimension + 1,
+                                         dtype="float32"), seed=1)
+        call = self.CALLS[name]
+        one = self.traced_peak(call, state,
+                               corpus.subset(range(loop.EVAL_BATCH_SIZE)))
+        four = self.traced_peak(call, state, corpus)
+        assert four <= 1.25 * one, (four, one)
 
 
 class TestNonFiniteGuard:

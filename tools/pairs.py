@@ -11,10 +11,10 @@ once in this checkout, one after the other; which side runs first
 alternates from pair to pair, so slow drift of the host falls on both
 sides alike. It prints every pair, then for each end-to-end metric
 declared in ``BENCHMARK.json`` the median and quartiles of both sides,
-the ratio of the medians, the parent's interquartile range and how many
-pairs the change won, and last whether every run was correct (no
-failed operation, references checked where recorded). Exits 1 if any
-run failed or was not correct.
+the ratio of the medians, the parent's interquartile range, how many
+pairs the change won and the verdict (see ``verdict``), and last whether
+every run was correct (no failed operation, references checked where
+recorded). Exits 1 if any run failed or was not correct.
 
 With ``--json PATH`` it also writes all of that to PATH, under the
 workload's name (other workloads already in the file are kept): the
@@ -86,10 +86,37 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(pairs, metrics):
+def verdict(row, sides, bound):
+    """One metric's verdict from its summary ``row``, both sides' values
+    and its ``BENCHMARK.json`` bound, a fraction of the parent's median.
+
+    ``gain``: the change won at least nine tenths of the pairs and its
+    median is better by more than the parent's interquartile range.
+    ``regression``: its median is worse than the bound allows.
+    ``unresolved``: the parent's interquartile range is wider than the
+    bound, unless every change run beats every parent run.
+    ``no change``: none of these.
+    """
+    sign = 1 if row["better"] == "higher" else -1
+    parent = row["parent"]
+    spread = parent["q3"] - parent["q1"]
+    allowed = bound * abs(parent["median"])
+    better_by = sign * (row["change"]["median"] - parent["median"])
+    if 10 * row["wins"] >= 9 * row["pairs"] and better_by > spread:
+        return "gain"
+    if -better_by > allowed:
+        return "regression"
+    if spread > allowed and (min(sign * v for v in sides["change"])
+                             <= max(sign * v for v in sides["parent"])):
+        return "unresolved"
+    return "no change"
+
+
+def summarize(pairs, metrics, bounds=None):
     """Per metric over the pairs where both sides gave a result: both
-    sides' quartiles, the ratio of the medians (change / parent) and how
-    many pairs the change won. ``metrics`` is [(name, better), ...]."""
+    sides' quartiles, the ratio of the medians (change / parent), how
+    many pairs the change won and, for a metric ``bounds`` maps to its
+    bound, the ``verdict``. ``metrics`` is [(name, better), ...]."""
     done = [p for p in pairs if p["parent"] and p["change"]]
     if not done:
         return {}
@@ -106,6 +133,8 @@ def summarize(pairs, metrics):
         row["wins"] = sum((new > old) if better == "higher" else (new < old)
                           for old, new in zip(sides["parent"],
                                               sides["change"]))
+        if bounds and name in bounds:
+            row["verdict"] = verdict(row, sides, bounds[name])
         summary[name] = row
     return summary
 
@@ -138,6 +167,7 @@ def main(argv=None):
         parser.error(f"no bench/run.py under {roots['parent']}")
     declared = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in declared["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
     pairs, machine = [], None
     all_correct = True
@@ -166,7 +196,7 @@ def main(argv=None):
         print(f"seed {seed} ({order[0]} first): {'; '.join(cells)}{flags}",
               flush=True)
 
-    summary = summarize(pairs, metrics)
+    summary = summarize(pairs, metrics, bounds)
     count = sum(1 for p in pairs if p["parent"] and p["change"])
     print(f"\n{args.workload}: {count} pairs, --seconds {args.seconds:g}")
     for name, row in summary.items():
@@ -177,7 +207,7 @@ def main(argv=None):
         print(f"  {name} ({row['better']} is better): parent {pm:.4g} "
               f"(q1 {p1:.4g}, q3 {p3:.4g}, IQR {p3 - p1:.4g}) -> change "
               f"{cm:.4g} (q1 {c1:.4g}, q3 {c3:.4g}); x{ratio:.3f}; "
-              f"change better in {row['wins']}/{count}")
+              f"change better in {row['wins']}/{count}; {row['verdict']}")
     print(f"every run correct: {'yes' if all_correct else 'NO'}")
     if args.json:
         write_json(args.json, args.workload, {
