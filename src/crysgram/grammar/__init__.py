@@ -16,6 +16,7 @@ from .spacegroups import (
     Symmetry,
     all_space_groups,
     crystal_system_of,
+    derive_fields,
     find_by_symbol,
     lookup_space_group,
     split_hm_symbol,
@@ -27,6 +28,6 @@ __all__ = [
     "ANGLE_NAMES", "LENGTH_NAMES", "CrystalSystem", "LatticeConstraints",
     "lattice_constraints",
     "EMPTY_SLOT", "Polarity", "SpaceGroupRecord", "Symmetry",
-    "all_space_groups", "crystal_system_of", "find_by_symbol",
-    "lookup_space_group", "split_hm_symbol",
+    "all_space_groups", "crystal_system_of", "derive_fields",
+    "find_by_symbol", "lookup_space_group", "split_hm_symbol",
 ]

@@ -298,8 +298,10 @@ def encoder_forward(x, mask, state, mode="eval", rng=None,
     config = state.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and rng is None:
-        rng = np.random.default_rng(0)
+    if (mode == "train" and rng is None
+            and (config.attention_dropout > 0 or config.hidden_dropout > 0)):
+        raise ValueError("a train-mode pass with dropout needs a generator: "
+                         "pass rng")
 
     x = as_tensor(x)
     if x.shape[1] > config.max_seq_len:

@@ -504,6 +504,8 @@ def dropout(x, rate, rng, train):
     """Inverted-scaling dropout; identity when not training or rate == 0."""
     if not train or rate <= 0.0:
         return as_tensor(x)
+    if rng is None:
+        raise ValueError(f"dropout at rate {rate} needs a generator: pass rng")
     x = as_tensor(x)
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     return x * (keep / (1.0 - rate))

@@ -349,6 +349,11 @@ def masked_position_accuracy(state, corpus, positions, batch_size=64):
     """
     if len(corpus) == 0:
         raise ConfigError("cannot score masked positions of an empty corpus")
+    if (not positions or len(set(positions)) != len(positions)
+            or not set(positions) <= set(SG_POSITIONS)):
+        raise ConfigError(f"positions must be distinct space-group positions "
+                          f"{SG_POSITIONS[0]}..{SG_POSITIONS[-1]}, got "
+                          f"{positions!r}")
     correct = {p: 0 for p in positions}
     for batch in corpus.batches(batch_size):
         hits = _masked_hits(state, batch, positions)

@@ -386,6 +386,18 @@ class TestObjectives:
                                    stats["lpp_mse"] + stats["mlm_loss"],
                                    rtol=1e-9)
 
+    @pytest.mark.parametrize("objective", [
+        lambda state, batch, scaler: mlm_objective(state, batch, seed=1),
+        lambda state, batch, scaler: lpp_objective(state, batch, scaler),
+        lambda state, batch, scaler: combined_objective(state, batch, scaler),
+        lambda state, batch, scaler: regression_objective(state, batch,
+                                                          scaler)],
+        ids=["mlm", "lpp", "mlm+lpp", "regression"])
+    def test_train_mode_without_generator_raises(self, objective):
+        batch = make_batch(targets=True)
+        with pytest.raises(ValueError, match="rng"):
+            objective(tiny_state(), batch, lpp_scaler(batch.lattice_targets))
+
     def test_combined_gradients_are_sum_of_component_gradients(self):
         batch = make_batch()
         scaler = lpp_scaler(batch.lattice_targets)
@@ -452,6 +464,13 @@ class TestMaskedPositionAccuracy:
         empty = prepare_corpus([], VOCAB, TABLE)
         with pytest.raises(ConfigError, match="empty"):
             masked_position_accuracy(tiny_state(), empty, (4,))
+
+    @pytest.mark.parametrize("positions", [(40,), (), (4, 4), (0,), (20,)],
+                             ids=["past-the-end", "none", "repeated", "cls",
+                                  "formula-slot"])
+    def test_unscorable_positions_raise(self, positions):
+        with pytest.raises(ConfigError, match="positions"):
+            masked_position_accuracy(tiny_state(), self.corpus(5), positions)
 
 
 class TestTrimmedEncoder:

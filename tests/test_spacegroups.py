@@ -1,5 +1,6 @@
 """Knowledge-base fidelity and Hermann-Mauguin grammar tests."""
 
+import hashlib
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from crysgram.grammar import (
     Symmetry,
     all_space_groups,
     crystal_system_of,
+    derive_fields,
     find_by_symbol,
     lattice_constraints,
     lookup_space_group,
@@ -120,6 +122,63 @@ class TestKnowledgeBaseInvariants:
         mult = {"P": 1, "A": 2, "B": 2, "C": 2, "I": 2, "F": 4, "R": 3}
         for rec in all_space_groups():
             assert rec.order % mult[rec.centering] == 0
+
+
+class TestDerivedTable:
+    # SHA-256 of the table in the layout it once shipped in as a TSV file
+    DIGEST = "17a92611a63e3dfb0085094a294d0e4ce7a12fde0cc11c15ea9f715cd29cb0c2"
+    HEADER = (
+        "# crysgram space-group knowledge base, format version 1",
+        "# standard settings: monoclinic unique axis b cell choice 1;"
+        " rhombohedral groups on hexagonal axes",
+        "# columns: full_symbol\tnumber\torder\tpoint_group\tcrystal_system"
+        "\tlaue_class\tsymmetry\tpolarity\tcentering\tdir0\tdir1\tdir2",
+        "# '.' marks an empty directional slot",
+    )
+
+    def test_table_digest_is_pinned(self):
+        rows = ["\t".join((rec.full_symbol, *rec.token_strings()[1:]))
+                for rec in all_space_groups()]
+        payload = "\n".join((*self.HEADER, *rows)) + "\n"
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("number, full, order, point_group, system", [
+        (1, "P 1", 1, "1", CrystalSystem.TRICLINIC),
+        (2, "P -1", 2, "-1", CrystalSystem.TRICLINIC),
+        (14, "P 1 21/c 1", 4, "2/m", CrystalSystem.MONOCLINIC),
+        (25, "P m m 2", 4, "mm2", CrystalSystem.ORTHORHOMBIC),
+        (62, "P 21/n 21/m 21/a", 8, "mmm", CrystalSystem.ORTHORHOMBIC),
+        (139, "I 4/m 2/m 2/m", 32, "4/mmm", CrystalSystem.TETRAGONAL),
+        (146, "R 3", 9, "3", CrystalSystem.TRIGONAL),
+        (166, "R -3 2/m", 36, "-3m", CrystalSystem.TRIGONAL),
+        (168, "P 6", 6, "6", CrystalSystem.HEXAGONAL),
+        (194, "P 63/m 2/m 2/c", 24, "6/mmm", CrystalSystem.HEXAGONAL),
+        (225, "F 4/m -3 2/m", 192, "m-3m", CrystalSystem.CUBIC),
+        (227, "F 41/d -3 2/m", 192, "m-3m", CrystalSystem.CUBIC),
+        (230, "I 41/a -3 2/d", 96, "m-3m", CrystalSystem.CUBIC)])
+    def test_spot_groups(self, number, full, order, point_group, system):
+        rec = lookup_space_group(number)
+        assert (rec.full_symbol, rec.order, rec.point_group,
+                rec.crystal_system) == (full, order, point_group, system)
+        if number == 225:
+            assert rec.laue_class == "m-3m"
+            assert rec.symmetry is Symmetry.CENTROSYMMETRIC
+            assert rec.polarity is Polarity.NON_POLAR
+            assert rec.directional_symbols == ("4/m", "-3", "2/m")
+
+    def test_derivation_reproduces_every_record(self):
+        for rec in all_space_groups():
+            assert derive_fields(rec.centering, rec.directional_symbols) == (
+                rec.order, rec.point_group, rec.crystal_system,
+                rec.laue_class, rec.symmetry, rec.polarity)
+
+    @pytest.mark.parametrize("centering, directional", [
+        ("Q", ("1", EMPTY_SLOT, EMPTY_SLOT)),
+        ("P", ("4", "3", EMPTY_SLOT)),
+        ("P", (EMPTY_SLOT,) * 3)])
+    def test_derivation_refuses_unknown_classes(self, centering, directional):
+        with pytest.raises(InvalidSpaceGroupError):
+            derive_fields(centering, directional)
 
 
 class TestCrystalSystemOf:

@@ -15,7 +15,8 @@ without flood fill, and once with a radius override file. It prints
 one crystal's token sequence with informatics values (``tokenize``, in
 text and json), whose ids, labels and attention mask must not move,
 and, in text and json, ``parse-formula`` on four nested or decimal
-formulas and ``lookup`` on space groups 1, 14 and 225.
+formulas and ``lookup`` on space groups of every crystal system and of
+every centering letter the table uses (P, A, C, I, R, F).
 Last it runs every script in the checkout's ``demos/``, whose standard
 output is saved as ``demo-<name>.txt``.
 Every file and standard output must be equal; manifests are compared
@@ -73,6 +74,8 @@ TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
             "--porosity", "61.2")
 FORMULAS = ("K(Al(OH)2)3", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5",
             "Li0.33Fe0.5Mn0.17PO4", "(NH4)2SO4")
+LOOKUPS = ("1", "2", "5", "14", "38", "62", "88", "146", "166", "194",
+           "225", "227", "230")
 READERS = {"predict": ("predict",),
            "cls-embeddings": ("export", "cls-embeddings"),
            "attention": ("export", "attention"),
@@ -103,7 +106,7 @@ def commands():
         yield [*TOKENIZE, "--format", fmt]
         for formula in FORMULAS:
             yield ["parse-formula", formula, "--format", fmt]
-        for number in ("1", "14", "225"):
+        for number in LOOKUPS:
             yield ["lookup", number, "--format", fmt]
 
 
