@@ -14,6 +14,7 @@ periodic wrap, and components that wrap around a lattice direction are
 accessible (when none wraps, the largest component counts).
 """
 
+import bisect
 import functools
 import json
 import math
@@ -150,8 +151,9 @@ class GridSpec:
     rho_grid: float = DEFAULT_RHO_GRID
 
     def __post_init__(self):
-        if not self.rho_grid > 0:
-            raise PorosityError(f"grid density must be positive: {self.rho_grid}")
+        if not 0.0 < self.rho_grid < np.inf:
+            raise PorosityError(
+                f"grid density must be finite and positive: {self.rho_grid}")
 
     def dims(self, structure):
         lengths = np.linalg.norm(structure.lattice, axis=1)
@@ -213,16 +215,24 @@ def _clearance_field(structure, dims, radii, pad):
     its slab bounds; points no stamp reaches keep +inf (their clearance
     is at least `pad`). A box longer than the cell wraps onto some indices
     more than once, and ``np.minimum.at`` keeps the nearest image. The
-    work per atom grows with (reach / slab width) cubed.
+    work per atom grows with (reach / slab width) cubed. A box whose
+    bounds do not fit int64 raises PorosityError.
 
     Every atom goes through one loop over rows of (atom, axis-0 box
-    index). Axes 1 and 2 are laid out once per atom, padded to the
-    largest box; a padded entry has an infinite offset, so its distance
-    is +inf and leaves the field as it is. Each pass stamps whole rows,
-    at most ``_STAMP_POINTS`` grid points (a single row, if one row is
-    larger), with one 1-D ``np.minimum.at``, so a call holds the field
-    plus a few chunk-sized arrays whatever the number of atoms or their
-    reach.
+    index), in box-shape order: the atoms are sorted by their axis-1,
+    then their axis-2 box length. Each pass stamps a run of whole rows,
+    padded only to the largest axis-1 by axis-2 box among them, at most
+    ``_STAMP_POINTS`` grid points (a single row, if one row is larger),
+    with one 1-D ``np.minimum.at``, so a call holds the field plus a few
+    chunk-sized arrays whatever the number of atoms or their reach. A
+    padded entry has an infinite offset, so its distance is +inf and
+    leaves the field as it is. A chunk's flat indices are its atoms'
+    (axis-1, axis-2) index planes plus each row's axis-0 stride.
+
+    The order in which atoms reach ``np.minimum.at`` cannot change a
+    bit: the minimum of numbers is the same in any order, and the field
+    holds neither NaN nor -0.0 (a distance is a square root of a sum of
+    squares, +0.0 or more, and ``d - r`` is +0.0 when d equals r).
 
     The summation order is fixed: each Cartesian component of an offset
     is (axis-0 + axis-1) + axis-2, and the squared distance is
@@ -249,8 +259,18 @@ def _clearance_field(structure, dims, radii, pad):
     n = np.asarray(dims)
     center = frac * n - 0.5  # in grid-index units
     half = (radius[:, None] + pad) / _perpendicular_widths(lattice) * n
+    # box bounds and lengths, in grid steps, must fit int64
+    if not (np.abs(center) + half < 2.0 ** 62).all():
+        raise PorosityError(
+            f"stamp boxes of reach {radius.max() + pad} A at {dims} grid "
+            "points do not fit the integer index range")
     lo = np.ceil(center - half).astype(np.int64)
     count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
+    # box-shape order (by axis-1, then axis-2 box length) over the atoms
+    # whose box holds a grid point
+    stamped = np.flatnonzero(count.all(axis=1))
+    order = stamped[np.lexsort((count[stamped, 2], count[stamped, 1]))]
+    frac, radius, lo, count = (v[order] for v in (frac, radius, lo, count))
 
     # axes 1 and 2: Cartesian offsets (component, atom, box index) from
     # the atom along the lattice row, and the wrapped grid index times
@@ -261,28 +281,42 @@ def _clearance_field(structure, dims, radii, pad):
         idx = lo[:, axis, None] + k
         offset = ((idx + 0.5) / dims[axis] - frac[:, axis, None]) \
             * lattice[axis][:, None, None]
-        offset[:, k >= count[:, axis, None]] = np.inf  # past the atom's box
+        # +inf past the atom's box
+        np.copyto(offset, np.inf, where=k >= count[:, axis, None])
         padded.append((offset, idx % dims[axis] * scale))
     (offset1, wrapped1), (offset2, wrapped2) = padded
     # axis 0: one row per (atom, box index)
     atom = np.repeat(np.arange(len(radius)), count[:, 0])
-    first = np.cumsum(count[:, 0]) - count[:, 0]
-    idx0 = lo[atom, 0] + np.arange(len(atom)) - first[atom]
+    ends = np.cumsum(count[:, 0])  # one past each atom's rows
+    idx0 = lo[atom, 0] + np.arange(len(atom)) - (ends - count[:, 0])[atom]
     offset0 = ((idx0 + 0.5) / dims[0] - frac[atom, 0]) * lattice[0][:, None]
     wrapped0 = idx0 % dims[0] * (dims[1] * dims[2])
 
-    # each axis's offsets, laid out along its own chunk axis, and the
-    # axes that enter each Cartesian component
-    offsets = (offset0[:, :, None, None], offset1[:, :, :, None],
-               offset2[:, :, None, :])
     terms = [np.flatnonzero(lattice[:, c]).tolist() for c in range(3)]
     flat = field.reshape(-1)
-    step = max(1, _STAMP_POINTS // max(1, offset1.shape[2]
-                                       * offset2.shape[2]))
-    for start in range(0, len(atom), step):
-        rows = slice(start, start + step)
-        a = atom[rows]
+    ends, box1, box2 = (v.tolist() for v in (ends, count[:, 1], count[:, 2]))
+
+    def chunk_box(start, stop):
+        """The atoms of rows start..stop-1 and their largest box, (k1, k2);
+        the atoms are in box-shape order, so the last has the largest k1."""
+        i = bisect.bisect(ends, start)
+        j = bisect.bisect(ends, min(stop, len(atom)) - 1)
+        return slice(i, j + 1), box1[j], max(box2[i:j + 1])
+
+    start = 0
+    while start < len(atom):
+        # as many rows as fit at the first row's box, then as many of
+        # those as fit at the largest box among them
+        stop = start + 1
+        for _ in range(2):
+            _, k1, k2 = chunk_box(start, stop)
+            stop = start + max(1, _STAMP_POINTS // (k1 * k2))
+        atoms, k1, k2 = chunk_box(start, stop)
+        rows = slice(start, stop)
+        a = atom[rows] - atoms.start
         take = (rows, a, a)
+        offsets = (offset0[:, :, None, None], offset1[:, atoms, :k1, None],
+                   offset2[:, atoms, None, :k2])
         # each component is a fresh array or a slice of offset0 that
         # nothing else reads, so the squares and their sums may
         # overwrite it
@@ -294,11 +328,14 @@ def _clearance_field(structure, dims, radii, pad):
                          np.multiply(z, z, out=z))
         clearance = _add(clearance, np.multiply(y, y, out=y))
         np.sqrt(clearance, out=clearance)
-        clearance -= radius[a, None, None]
-        index = (wrapped0[rows, None] + wrapped1[a])[:, :, None] \
-            + wrapped2[a, None, :]
+        clearance -= radius[atom[rows], None, None]
+        # the atoms' (axis-1, axis-2) index planes, one per row, plus
+        # the row's axis-0 stride
+        index = (wrapped1[atoms, :k1, None] + wrapped2[atoms, None, :k2])[a]
+        index += wrapped0[rows, None, None]
         np.minimum.at(flat, index.ravel(), clearance.ravel())
         del x, y, z, clearance, index  # before the next chunk is built
+        start = stop
     return field
 
 
@@ -376,8 +413,8 @@ def _accessible_count(admissible, dims):
     uf = _OffsetUnionFind(n_labels)
 
     for axis in range(3):
-        lo = np.take(labels, 0, axis=axis)
-        hi = np.take(labels, dims[axis] - 1, axis=axis)
+        face = (slice(None),) * axis  # the axes before `axis`, whole
+        lo, hi = labels[face + (0,)], labels[face + (-1,)]
         both = (lo > 0) & (hi > 0)
         if not both.any():
             continue
@@ -388,7 +425,7 @@ def _accessible_count(admissible, dims):
         for key in sorted(set(keys.tolist())):
             uf.union(*divmod(key, n_labels + 1), displacement)
 
-    counts = np.bincount(labels.ravel())  # counts[0] is background
+    counts = np.bincount(labels[grid], minlength=n_labels + 1)
     root_counts = {}
     root_percolates = {}
     for label in range(1, n_labels + 1):
@@ -406,8 +443,10 @@ def _accessible_count(admissible, dims):
 def _clearance(structure, grid, pad, radius_table):
     """(grid dims, clearance field exact below `pad`, unoccupied count)."""
     dims = grid.dims(structure)
-    radii = [structure.radius_of(element, radius_table)
-             for element, _ in structure.sites]
+    # each element's radius once, looked up in the order of first use
+    radius = {element: structure.radius_of(element, radius_table)
+              for element in dict.fromkeys(e for e, _ in structure.sites)}
+    radii = [radius[element] for element, _ in structure.sites]
     clearance = _clearance_field(structure, dims, radii, pad)
     return dims, clearance, int(np.count_nonzero(clearance >= 0.0))
 
@@ -430,8 +469,9 @@ def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
     probe-admissible count (pure overlap criterion), and the result
     carries no component facts.
     """
-    if r_probe < 0:
-        raise PorosityError(f"probe radius must be >= 0, got {r_probe}")
+    if not 0.0 <= r_probe < np.inf:
+        raise PorosityError(
+            f"probe radius must be finite and >= 0, got {r_probe}")
     dims, clearance, n_unoccupied = _clearance(
         structure, grid or GridSpec(), r_probe, radius_table)
     n_total = clearance.size

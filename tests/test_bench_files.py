@@ -1,6 +1,7 @@
 """Committed benchmark records: every root ``BENCH_*.json`` written by
 ``tools/pairs.py --json`` must recompute its summary, and its verdicts
-where it records them, from its own pairs.
+where it records them, from its own pairs. The summaries of
+``tools/pairs.py`` and ``tools/abops.py`` are checked on fixed values.
 
 Reads committed files only and runs no benchmark."""
 
@@ -49,12 +50,12 @@ def expected_verdict(parent, change, better, bound):
     return "no change"
 
 
-def load_pairs_tool():
+def load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "pairs", ROOT / "tools" / "pairs.py")
-    pairs_tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs_tool)
-    return pairs_tool
+        name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.mark.parametrize("name, workload, record", RECORDS,
@@ -95,7 +96,7 @@ def test_summary_recomputes_from_pairs(name, workload, record):
 
 def test_pairs_tool_summary_stays_inside_two_pairs():
     # the exclusive method put q1 below the minimum of two values
-    pairs_tool = load_pairs_tool()
+    pairs_tool = load_tool("pairs")
     pairs = [{side: {"correct": True, "metrics": {"m": value}}
               for side, value in (("parent", old), ("change", new))}
              for old, new in ((1.0, 3.0), (2.0, 1.5))]
@@ -130,7 +131,21 @@ def test_pairs_tool_verdicts(parent, change, better, expected):
     pairs = [{side: {"correct": True, "metrics": {"m": value}}
               for side, value in (("parent", old), ("change", new))}
              for old, new in zip(parent, change)]
-    row = load_pairs_tool().summarize(pairs, [("m", better)],
+    row = load_tool("pairs").summarize(pairs, [("m", better)],
                                       {"m": 0.25})["m"]
     assert row["verdict"] == expected
     assert expected_verdict(parent, change, better, 0.25) == expected
+
+
+def test_abops_summary():
+    # ratios 0.8, 0.9, 1.0, 1.2: inclusive quartiles stay inside them,
+    # and a tie (ratio 1.0) counts as not faster
+    summary = load_tool("abops").summarize([1.0, 2.0, 3.0, 0.5],
+                                           [0.8, 1.8, 3.0, 0.6])
+    assert summary["ops"] == 4
+    assert summary["ratio"] == pytest.approx(
+        quartiles([0.8, 0.9, 1.0, 1.2]), rel=1e-12)
+    assert summary["ratio"]["median"] == pytest.approx(0.95, rel=1e-12)
+    assert summary["change_faster"] == 2
+    assert summary["parent_median_cpu_s"] == 1.5
+    assert summary["change_median_cpu_s"] == 1.3

@@ -153,6 +153,24 @@ class TestPorosity:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--r-probe", "nan", "probe radius"),
+        ("--r-probe", "inf", "probe radius"),
+        ("--r-probe", "1e300", "integer index range"),
+        ("--rho-grid", "inf", "grid density"),
+        ("--rho-grid", "nan", "grid density"),
+    ])
+    def test_non_finite_probe_or_grid_exits_2(self, capsys, tmp_path, option,
+                                              value, message):
+        path = tmp_path / "s.json"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 6.0,
+            sites=[("C", np.array([0.25, 0.25, 0.25]))]), path)
+        code, out, err = run(capsys, "porosity", str(path), option, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_nan_radius_override_exits_2(self, capsys, tmp_path):
         path, radii = tmp_path / "s.json", tmp_path / "radii.txt"
         save_structure(PeriodicStructure(

@@ -347,6 +347,30 @@ class TestClearanceFieldOracle:
         assert field.shape == (4, 5, 6) and np.isposinf(field).all()
         assert_same_field(empty, 0.6, 1.2)
 
+    def test_mixed_radius_cell_whose_chunks_split_a_box_shape(self):
+        # atoms are stamped in box-shape order; here one shape's rows
+        # hold more than a chunk's points, so a chunk ends inside it
+        structure = framework_cell(400, 20.0, seed=41)
+        points = collections.Counter()
+        for k0, k1, k2 in box_counts(structure, 2.0, 1.2):
+            points[k1, k2] += k0 * k1 * k2
+        assert len(points) > 1 and max(points.values()) > _STAMP_POINTS
+        assert_same_field(structure, 2.0, 1.2)
+
+    @pytest.mark.parametrize("name", ["framework", "hexagonal"])
+    def test_field_independent_of_site_order(self, name):
+        lattice = {"framework": np.eye(3) * 14.0,
+                   "hexagonal": ZERO_PATTERNS["hexagonal"]}[name]
+        sites = framework_sites(150, seed=43)
+        dims = GridSpec(3.0).dims(PeriodicStructure(lattice, sites))
+        fields = set()
+        for seed_ in range(4):
+            order = np.random.default_rng(seed_).permutation(len(sites))
+            shuffled = PeriodicStructure(lattice, [sites[i] for i in order])
+            radii = [shuffled.radius_of(e) for e, _ in shuffled.sites]
+            fields.add(_clearance_field(shuffled, dims, radii, 1.2).tobytes())
+        assert len(fields) == 1
+
     def test_box_with_no_grid_point_along_an_axis(self):
         # a 0.01 A atom between grid points of a 2 A grid reaches none
         # along axis 0; the other atom's box is full
@@ -488,6 +512,27 @@ class TestAccessibleVoidFraction:
         with pytest.raises(PorosityError):
             accessible_void_fraction(single_sphere(), GridSpec(2),
                                      r_probe=-0.1)
+
+    @pytest.mark.parametrize("r_probe", [math.nan, math.inf])
+    def test_non_finite_probe_rejected(self, r_probe):
+        with pytest.raises(PorosityError, match="probe radius"):
+            accessible_void_fraction(single_sphere(), GridSpec(2),
+                                     r_probe=r_probe)
+
+    def test_box_beyond_the_integer_index_range_rejected(self):
+        # finite, but the stamp box bounds would overflow int64
+        with pytest.raises(PorosityError, match="integer index range"):
+            accessible_void_fraction(single_sphere(), GridSpec(2),
+                                     r_probe=1e300)
+        huge = single_sphere()
+        huge.radius_overrides["X"] = 1e300
+        with pytest.raises(PorosityError, match="integer index range"):
+            void_fraction(huge, GridSpec(2))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_grid_density_rejected(self, rho):
+        with pytest.raises(PorosityError, match="grid density"):
+            GridSpec(rho)
 
     def test_enclosed_pocket_is_excluded(self):
         # the cage's central pocket is admissible but sealed, so flood

@@ -1,0 +1,162 @@
+r"""Alternating single operations of one benchmark workload, parent
+against change, each in its own long-lived worker.
+
+Run from the repository root, with a second checkout of the parent
+commit in PARENT:
+
+    python3 tools/abops.py --parent PARENT --workload porosity-grid \
+        --seed 3 --ops 100
+
+One worker process per checkout imports that checkout's unchanged
+``bench/run.py`` and ``bench/workloads.py``, as ``tools/opstat.py``
+does: it runs BLAS on one thread, sets the workload up once and runs
+one warm-up operation. The main process then asks the workers for one
+operation at a time, both sides each round, and flips which side goes
+first from round to round. Only one worker runs at any moment, so the
+two do not compete for cores, and slow drift of the host falls on both
+sides alike. Each worker times its operation in process CPU seconds and
+passes the outputs through ``workload.check``.
+
+The main process prints each round, then the median, q1 and q3 of the
+per-round ratio change CPU / parent CPU, how many rounds the change was
+faster, and both sides' median operation CPU. Exits 1 if any operation
+failed its check. CPU time does not see set-up, memory or time spent
+waiting, so ``setup_s`` and ``peak_rss_mb`` still come from
+``bench/run.py`` pairs (``tools/pairs.py``).
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+WORKLOADS = ("pretrain-desk", "finetune-paper", "predict-desk",
+             "porosity-grid")
+
+
+def worker(checkout, name, seed):
+    """Serve operations of workload ``name`` from ``checkout``: one line
+    on standard input runs one, one JSON line on standard output answers
+    with its CPU seconds and the problems ``workload.check`` found."""
+    sys.path.insert(0, str(Path(checkout) / "bench"))
+    import run  # the checkout's bench/run.py: thread limit and import
+
+    run.limit_threads()  # before anything imports numpy
+    run.import_program()
+    import tracing
+    from workloads import WORKLOADS as BENCH_WORKLOADS
+
+    workload = BENCH_WORKLOADS[name]
+    spans = tracing.NullTracer()
+    workdir = tempfile.mkdtemp(prefix=f"abops-{name}-")
+    try:
+        ctx = workload.setup(seed, "full", workdir)
+        workload.run_op(ctx, spans)  # warm-up
+        print("ready", flush=True)
+        while sys.stdin.readline():
+            start = time.process_time()
+            result = workload.run_op(ctx, spans)
+            cpu = time.process_time() - start
+            problems = workload.check(ctx, result.outputs)
+            print(json.dumps({"cpu_s": cpu, "problems": problems}),
+                  flush=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def summarize(parent_cpu, change_cpu):
+    """Per-round ratios change / parent: their median and quartiles
+    (inclusive method), the rounds the change was faster, and both
+    sides' median CPU seconds. Needs at least two rounds."""
+    ratios = [new / old for old, new in zip(parent_cpu, change_cpu)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"ops": len(ratios),
+            "ratio": {"q1": q1, "median": median, "q3": q3},
+            "change_faster": sum(r < 1.0 for r in ratios),
+            "parent_median_cpu_s": statistics.median(parent_cpu),
+            "change_median_cpu_s": statistics.median(change_cpu)}
+
+
+def start_worker(root, args):
+    proc = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--worker",
+         str(root), "--workload", args.workload, "--seed", str(args.seed)],
+        cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    if proc.stdout.readline().strip() != "ready":
+        proc.kill()
+        sys.exit(f"{root}: worker failed to set up {args.workload}")
+    return proc
+
+
+def one_op(proc, root):
+    proc.stdin.write("op\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        sys.exit(f"{root}: worker exited (code {proc.wait()})")
+    return json.loads(line)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path,
+                        help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--ops", type=int, help="operations per side")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.worker, args.workload, args.seed)
+        return 0
+    if args.parent is None or args.ops is None:
+        parser.error("--parent and --ops are required")
+    if args.seed < 0 or args.ops < 2:
+        parser.error("--seed must be >= 0 and --ops >= 2")
+    roots = {"parent": args.parent.resolve(), "change": CHANGE}
+    if not (roots["parent"] / "bench" / "run.py").is_file():
+        parser.error(f"no bench/run.py under {roots['parent']}")
+
+    procs = {}
+    try:
+        for side in SIDES:  # one after the other: set-up competes too
+            procs[side] = start_worker(roots[side], args)
+        cpu = {side: [] for side in SIDES}
+        failed = 0
+        for op in range(args.ops):
+            order = SIDES if op % 2 == 0 else SIDES[::-1]
+            for side in order:
+                answer = one_op(procs[side], roots[side])
+                cpu[side].append(answer["cpu_s"])
+                for problem in answer["problems"]:
+                    failed += 1
+                    print(f"op {op} {side}: {problem}")
+            print(f"op {op} ({order[0]} first): parent "
+                  f"{cpu['parent'][-1]:.4f} s, change "
+                  f"{cpu['change'][-1]:.4f} s, ratio "
+                  f"{cpu['change'][-1] / cpu['parent'][-1]:.3f}", flush=True)
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    s = summarize(cpu["parent"], cpu["change"])
+    ratio = s["ratio"]
+    print(f"\n{args.workload} seed {args.seed}: {s['ops']} operations per "
+          f"side; CPU ratio change / parent: median {ratio['median']:.3f} "
+          f"(q1 {ratio['q1']:.3f}, q3 {ratio['q3']:.3f}); change faster in "
+          f"{s['change_faster']}/{s['ops']}; median operation "
+          f"{s['parent_median_cpu_s']:.4f} s -> "
+          f"{s['change_median_cpu_s']:.4f} s")
+    print(f"every operation correct: {'NO' if failed else 'yes'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

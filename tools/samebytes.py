@@ -11,7 +11,9 @@ cell, a triclinic cell, a cell whose stamps wrap the grid twice, a
 hexagonal cell and a rotated cube with no zero lattice entry, so that
 every zero pattern of the clearance-field sums is covered) and runs
 ``porosity --format json`` on each at two grid densities, with and
-without flood fill, and once with a radius override file. It prints
+without flood fill, and once with a radius override file; a 300-atom
+framework-like cell runs once at 5 points per angstrom, where the
+clearance field is stamped in many chunks of mixed box shapes. It prints
 one crystal's token sequence with informatics values (``tokenize``, in
 text and json), whose ids, labels and attention mask must not move,
 and, in text and json, ``parse-formula`` on four nested or decimal
@@ -65,6 +67,8 @@ turn = (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]))
 assert (turn != 0.0).all()
 save_structure(PeriodicStructure(12.0 * turn.T, sites(60)), "rotated.json")
+save_structure(PeriodicStructure(np.eye(3) * 22.0, sites(300)),
+               "framework300.json")
 with open("radii.txt", "w", encoding="utf-8") as fh:
     fh.write("C 1.9\nH 1.0\nO 1.6\nN 1.7\nZn 1.2\n")
 """
@@ -102,6 +106,8 @@ def commands():
                        "--rho-grid", rho, *flood]
     yield ["porosity", "framework.json", "--format", "json", "--radii",
            "radii.txt"]
+    yield ["porosity", "framework300.json", "--format", "json", "--rho-grid",
+           "5"]
     for fmt in ("text", "json"):
         yield [*TOKENIZE, "--format", fmt]
         for formula in FORMULAS:
