@@ -11,9 +11,13 @@ common crystal system (29.6%).
 """
 
 from crysgram.datasets import kb_corpus
-from crysgram.objectives import masked_position_accuracy
 from crysgram.tokens import ElementEmbeddingTable
-from crysgram.training import TrainConfig, prepare_corpus, pretrain
+from crysgram.training import (
+    TrainConfig,
+    masked_position_accuracy,
+    prepare_corpus,
+    pretrain,
+)
 
 config = TrainConfig(objective="mlm", epochs=200, batch_size=64,
                      learning_rate=2e-3, masking_ratio=0.25, seed=1)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from crysgram.datasets import generate_synthetic_corpus
-from crysgram.nn.export import export_attention, export_cls_rows
+from crysgram.nn.export import export_attention
 from crysgram.objectives import encode_batch
 from crysgram.tokens import (
     ElementEmbeddingTable,
@@ -46,13 +46,12 @@ print(f"head 0 strongest link: "
       f"{document['token_labels'][strongest[1]]} "
       f"(weight {weights[0][strongest]:.3f})")
 
-cls_rows = export_cls_rows(attn, layer=-1)
+cls_rows = attn.cls_attention(-1)
 print(f"\n[CLS] attention rows: {cls_rows.shape} (heads x positions)")
 
 corpus = prepare_corpus(records[:8], result.vocab, table)
-batch_all = corpus.batch(np.arange(len(corpus)))
-_, cls, _ = encode_batch(result.state, batch_all.tokens,
-                         batch_all.formula_matrices, mode="eval")
+_, cls, _ = encode_batch(result.state, corpus.tokens,
+                         corpus.formula_matrices, mode="eval")
 print(f"[CLS] embeddings for external projection: {cls.shape} "
       f"(records x d_model)")
 print("first row, first 5 dims:",

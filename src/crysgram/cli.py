@@ -287,10 +287,10 @@ def cmd_export(args):
     # cls embeddings: one hidden row per record. The encoder runs through
     # this module's encode_batch, which the traced benchmark run wraps.
     lines = [record_id + "," + ",".join(map(repr, row))
-             for batch, cls in encode_corpus(state, corpus,
-                                             encode=encode_batch)
+             for batch, hidden in encode_corpus(state, corpus,
+                                                encode=encode_batch)
              for record_id, row in zip(batch.ids, np.asarray(
-                 cls, dtype=np.float64).tolist())]
+                 hidden[:, 0], dtype=np.float64).tolist())]
     emit("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -31,10 +31,13 @@ COLUMNS = ("id", "formula", "spacegroup", "topology", "volume", "natoms",
            "porosity", "acc_porosity", "organic_cation",
            "a", "b", "c", "alpha", "beta", "gamma", "target", "target_unit")
 
-_INFO_COLUMNS = {"topology": "topology", "volume": "unit_cell_volume",
-                 "natoms": "atom_count", "porosity": "porosity_fraction",
-                 "acc_porosity": "accessible_void_fraction",
-                 "organic_cation": "organic_cation"}
+# informatics column -> (InformaticsFields attribute, type read)
+_INFO_COLUMNS = {"topology": ("topology", str),
+                 "volume": ("unit_cell_volume", float),
+                 "natoms": ("atom_count", int),
+                 "porosity": ("porosity_fraction", float),
+                 "acc_porosity": ("accessible_void_fraction", float),
+                 "organic_cation": ("organic_cation", str)}
 
 
 @dataclass
@@ -77,11 +80,13 @@ class CrystalRecord:
         return [f"record {self.id!r} ({system.value}): {p}" for p in problems]
 
 
-def _parse_optional_float(row, key):
-    raw = row.get(key, "")
+def _parse_optional(row, key, kind=float):
+    """``row[key]`` read as ``kind``; None when the cell is missing, null
+    or whitespace only, which is how every optional column reads blank."""
+    raw = row.get(key)
     if raw is None or str(raw).strip() == "":
         return None
-    return float(raw)
+    return kind(raw)
 
 
 def _record_from_mapping(row, lineno):
@@ -92,16 +97,10 @@ def _record_from_mapping(row, lineno):
     try:
         spacegroup_raw = known.get("spacegroup", "")
         spacegroup = int(spacegroup_raw)
-        info = InformaticsFields(
-            topology=(known.get("topology") or None),
-            unit_cell_volume=_parse_optional_float(known, "volume"),
-            atom_count=(int(known["natoms"])
-                        if str(known.get("natoms", "")).strip() else None),
-            porosity_fraction=_parse_optional_float(known, "porosity"),
-            accessible_void_fraction=_parse_optional_float(known, "acc_porosity"),
-            organic_cation=(known.get("organic_cation") or None),
-        )
-        cell = [_parse_optional_float(known, c) for c in LATTICE_FIELDS]
+        info = InformaticsFields(**{
+            attr: _parse_optional(known, column, kind)
+            for column, (attr, kind) in _INFO_COLUMNS.items()})
+        cell = [_parse_optional(known, c) for c in LATTICE_FIELDS]
         if any(v is not None for v in cell):
             if any(v is None for v in cell):
                 missing = [c for c, v in zip(LATTICE_FIELDS, cell)
@@ -111,13 +110,13 @@ def _record_from_mapping(row, lineno):
         else:
             lattice = None
         record = CrystalRecord(
-            id=str(known.get("id", f"row{lineno}")),
+            id=_parse_optional(known, "id", str) or f"row{lineno}",
             formula=str(known.get("formula", "")),
             spacegroup=spacegroup,
             informatics=info,
             lattice=lattice,
-            target=_parse_optional_float(known, "target"),
-            target_unit=str(known.get("target_unit", "") or ""),
+            target=_parse_optional(known, "target"),
+            target_unit=_parse_optional(known, "target_unit", str) or "",
         )
     except DatasetError:
         raise
@@ -186,7 +185,7 @@ def record_to_mapping(record):
     row = {"id": record.id, "formula": record.formula,
            "spacegroup": record.spacegroup}
     info = record.informatics
-    for column, attr in _INFO_COLUMNS.items():
+    for column, (attr, _) in _INFO_COLUMNS.items():
         value = getattr(info, attr)
         if value is not None:
             row[column] = value

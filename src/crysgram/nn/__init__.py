@@ -11,7 +11,7 @@ from .encoder import (
     paper_config,
     scaled_dot_attention,
 )
-from .export import export_attention, export_cls_rows
+from .export import export_attention
 from .tensor import (
     Tensor,
     as_tensor,
@@ -32,7 +32,7 @@ __all__ = [
     "AttentionMap", "EncoderConfig", "EncoderState", "desk_config",
     "encoder_forward", "multi_head_attention", "paper_config",
     "scaled_dot_attention",
-    "export_attention", "export_cls_rows",
+    "export_attention",
     "Tensor", "as_tensor", "concat", "dropout", "gather_rows", "gelu",
     "layer_norm", "linear", "log_softmax", "matmul", "silu", "softmax",
 ]

@@ -13,7 +13,9 @@ def export_attention(attn_map, layers=None):
     the end, -1 being the last layer); default is every recorded layer.
     Requires a forward pass run with attention recording enabled.
     """
-    record = _recorded(attn_map).one_record()
+    if attn_map is None:
+        raise CrysgramError("attention recording was disabled for this pass")
+    record = attn_map.one_record()
     n = len(record)
     if layers is None:
         selected = list(range(n))
@@ -30,15 +32,3 @@ def export_attention(attn_map, layers=None):
         "layers": {str(index): record[index].tolist() for index in selected},
         "attention_mask": mask.tolist(),
     }
-
-
-def export_cls_rows(attn_map, layer=-1):
-    """[CLS]-row extraction for one record: a length-L attention vector
-    per head."""
-    return _recorded(attn_map).cls_attention(layer)
-
-
-def _recorded(attn_map):
-    if attn_map is None:
-        raise CrysgramError("attention recording was disabled for this pass")
-    return attn_map

@@ -1,7 +1,7 @@
 """Pretraining objectives (masked tokens, lattice-parameter regression,
 their combination) and the finetuning regression head."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +74,10 @@ def mask_batch(tokens, ratio, seed):
     positions = np.array(
         [np.sort(rng.choice(candidates, size=count, replace=False))
          for _ in range(len(tokens))], dtype=np.intp).reshape(-1, count)
-    return _masked(tokens, positions), positions
+    return mask_positions(tokens, positions), positions
 
 
-def _masked(tokens, positions):
+def mask_positions(tokens, positions):
     """A copy of ``tokens`` with [MASK] at each row's ``positions``."""
     masked = tokens.copy()
     np.put_along_axis(masked, positions, MASK_ID, axis=1)
@@ -165,17 +165,6 @@ def lpp_scaler(lattice_targets):
 
 
 # -- forward helpers ------------------------------------------------------------
-
-
-@dataclass
-class Batch:
-    """One training batch: (B, L) token ids plus aligned targets."""
-
-    tokens: np.ndarray
-    formula_matrices: np.ndarray
-    lattice_targets: np.ndarray = None
-    targets: np.ndarray = None
-    ids: list = field(default_factory=list)
 
 
 def encode_batch(state, tokens, formula_matrices, mode="eval", rng=None,
@@ -280,6 +269,8 @@ def mae_loss(pred, target, scaler):
 
 
 # -- full objectives -------------------------------------------------------------
+# ``batch`` is a prepared corpus (``training.PreparedCorpus``, in training a
+# subset of one); each objective reads its ``formula_matrices`` once.
 
 
 def mlm_objective(state, batch, ratio=0.25, seed=0, mode="train", rng=None):
@@ -338,40 +329,3 @@ def regression_objective(state, batch, scaler, mode="train", rng=None):
     pred = finetune_head(cls, state, mode=mode, rng=rng)
     loss = mae_loss(pred, batch.targets, scaler)
     return loss, {"mae_std": float(loss.data)}
-
-
-def masked_position_accuracy(state, corpus, positions, batch_size=64):
-    """Accuracy of recovering tokens at specific masked positions.
-
-    Every sequence of the prepared corpus gets exactly the given
-    positions masked; predictions run in eval mode, ``batch_size``
-    records at a time. Returns overall accuracy plus per-position detail.
-    """
-    if len(corpus) == 0:
-        raise ConfigError("cannot score masked positions of an empty corpus")
-    if (not positions or len(set(positions)) != len(positions)
-            or not set(positions) <= set(SG_POSITIONS)):
-        raise ConfigError(f"positions must be distinct space-group positions "
-                          f"{SG_POSITIONS[0]}..{SG_POSITIONS[-1]}, got "
-                          f"{positions!r}")
-    correct = {p: 0 for p in positions}
-    for batch in corpus.batches(batch_size):
-        hits = _masked_hits(state, batch, positions)
-        for j, p in enumerate(positions):
-            correct[p] += int(hits[:, j].sum())
-    per_position = {p: correct[p] / len(corpus) for p in positions}
-    overall = sum(correct.values()) / (len(corpus) * len(positions))
-    return overall, per_position
-
-
-def _masked_hits(state, batch, positions):
-    """(B, len(positions)) bools: which masked tokens the eval-mode encoder
-    recovers. Its hidden rows and logits die on return, so the next batch
-    is encoded without them."""
-    chosen = np.broadcast_to(np.array(positions, dtype=np.intp),
-                             (len(batch.tokens), len(positions)))
-    hidden, _, _ = encode_batch(state, _masked(batch.tokens, chosen),
-                                batch.formula_matrices, mode="eval",
-                                rows=max(positions) + 1)
-    logits, labels = mlm_logits(state, hidden, batch.tokens, chosen)
-    return (np.argmax(logits.data, axis=-1) == labels).reshape(chosen.shape)

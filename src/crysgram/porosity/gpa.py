@@ -17,7 +17,6 @@ accessible (when none wraps, the largest component counts).
 import bisect
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -156,8 +155,17 @@ class GridSpec:
                 f"grid density must be finite and positive: {self.rho_grid}")
 
     def dims(self, structure):
+        """Points along each lattice direction; PorosityError when their
+        product does not fit the array index range."""
         lengths = np.linalg.norm(structure.lattice, axis=1)
-        return tuple(max(1, math.ceil(self.rho_grid * L)) for L in lengths)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            points = np.maximum(np.ceil(self.rho_grid * lengths), 1.0)
+            fits = points.prod() <= np.iinfo(np.intp).max
+        if not fits:
+            raise PorosityError(
+                f"a grid of {' x '.join(f'{p:.6g}' for p in points)} points "
+                "does not fit the array index range")
+        return tuple(int(p) for p in points)
 
 
 @dataclass(frozen=True)
@@ -472,8 +480,12 @@ def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
     if not 0.0 <= r_probe < np.inf:
         raise PorosityError(
             f"probe radius must be finite and >= 0, got {r_probe}")
+    # every point lies within half the summed edge lengths of an image of
+    # every atom, so its clearance is below that cap and, stamped with it,
+    # exact: a probe at or past the cap finds no admissible point
+    reach = float(np.linalg.norm(structure.lattice, axis=1).sum()) / 2
     dims, clearance, n_unoccupied = _clearance(
-        structure, grid or GridSpec(), r_probe, radius_table)
+        structure, grid or GridSpec(), min(r_probe, reach), radius_table)
     n_total = clearance.size
     admissible = clearance >= r_probe
     n_components = percolates = None

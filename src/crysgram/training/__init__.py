@@ -15,6 +15,7 @@ from .loop import (
     finetune_corpora,
     format_predictions,
     load_pretrained,
+    masked_position_accuracy,
     predict_lattice,
     prepare_corpus,
     pretrain,
@@ -29,7 +30,7 @@ __all__ = [
     "PreparedCorpus", "PretrainResult", "RunManifest", "TrainConfig",
     "derive_seed", "encode_corpus", "evaluate", "finetune",
     "finetune_corpora", "format_predictions", "load_pretrained",
-    "predict_lattice", "prepare_corpus", "pretrain", "write_metrics",
+    "masked_position_accuracy", "predict_lattice", "prepare_corpus", "pretrain", "write_metrics",
     "write_predictions",
     "DECAY_EXEMPT_SUFFIXES", "AdamW", "ScheduleSpec", "lr_at",
 ]

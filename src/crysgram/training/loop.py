@@ -22,7 +22,6 @@ from ..files import atomic_write
 from ..nn.checkpoint import load_state, save_state
 from ..nn.encoder import EncoderConfig, EncoderState, desk_config, paper_config
 from ..objectives import (
-    Batch,
     TargetScaler,
     combined_objective,
     encode_batch,
@@ -30,10 +29,13 @@ from ..objectives import (
     lpp_head,
     lpp_objective,
     lpp_scaler,
+    mask_positions,
+    mlm_logits,
     mlm_objective,
     regression_objective,
 )
 from ..tokens import (
+    SG_POSITIONS,
     ElementEmbeddingTable,
     build_vocabulary,
     embed_formulas,
@@ -49,7 +51,8 @@ CONFIG_VERSION = 1
 PRETRAIN_OBJECTIVES = ("mlm", "lpp", "mlm+lpp")
 OBJECTIVES = (*PRETRAIN_OBJECTIVES, "regression")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# records per forward pass of evaluate, predict_lattice and encode_corpus
+# records per forward pass of encode_corpus, which every inference reader
+# (evaluate, predict_lattice, masked_position_accuracy) runs on
 EVAL_BATCH_SIZE = 64
 
 
@@ -138,8 +141,9 @@ class PreparedCorpus:
     """Records tokenized once, reused every epoch.
 
     ``tokens`` is the (N, L) array of token ids. Formulas are kept
-    compact (``tokens.formula_rows``: 320 bytes a record); ``batch``
-    builds only that batch's formula matrices.
+    compact (``tokens.formula_rows``: 320 bytes a record), and
+    ``formula_matrices`` builds them on each read, so a batch, which is a
+    ``subset``, builds only its own.
     """
 
     ids: list
@@ -166,20 +170,17 @@ class PreparedCorpus:
             lattice_targets=take(self.lattice_targets),
             targets=take(self.targets))
 
-    def batch(self, indices):
-        part = self.subset(indices)
-        return Batch(tokens=part.tokens,
-                     formula_matrices=embed_formulas(part.formula_fractions,
-                                                     part.formula_index,
-                                                     part.element_rows),
-                     lattice_targets=part.lattice_targets,
-                     targets=part.targets, ids=part.ids)
+    @property
+    def formula_matrices(self):
+        """The (N, 20, dim + 1) formula matrices, built anew on each read."""
+        return embed_formulas(self.formula_fractions, self.formula_index,
+                              self.element_rows)
 
     def batches(self, batch_size):
-        """Consecutive batches of at most ``batch_size`` in corpus order."""
+        """Consecutive subsets of at most ``batch_size`` in corpus order."""
         for start in range(0, len(self), batch_size):
-            yield self.batch(np.arange(start,
-                                       min(start + batch_size, len(self))))
+            yield self.subset(np.arange(start,
+                                        min(start + batch_size, len(self))))
 
 
 def prepare_corpus(records, vocab, table):
@@ -383,7 +384,7 @@ def _fit(state, corpus, config, step, seed_labels, val_corpus=None,
                 len(corpus))
         losses, stats = [], {}
         for start in range(0, len(corpus), config.batch_size):
-            batch = corpus.batch(order[start:start + config.batch_size])
+            batch = corpus.subset(order[start:start + config.batch_size])
             rng = np.random.default_rng(np.random.PCG64(
                 derive_seed(config.seed, drop_label, global_step)))
             loss, step_stats = step(batch, global_step, rng)
@@ -489,19 +490,21 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
     return result
 
 
-def encode_corpus(state, corpus, encode=None):
-    """Eval-mode [CLS] vectors of a prepared corpus, one batch at a time.
+def encode_corpus(state, corpus, encode=None, rows=1):
+    """Eval-mode leading hidden rows of a prepared corpus, one batch of
+    ``EVAL_BATCH_SIZE`` records at a time.
 
-    Yields (batch, array) pairs in corpus order: the Batch and its
-    (B, d_model) [CLS] rows as a plain array. Neither the generator nor
-    the caller holds the encoder's output Tensor, so a batch's autodiff
-    graph is freed before the next batch is encoded. ``encode`` replaces
-    ``encode_batch`` as the function that runs the encoder.
+    Yields (batch, array) pairs in corpus order: the batch as a subset of
+    the corpus and its (B, rows, d_model) first hidden rows as a plain
+    array; row 0 is [CLS]. Neither the generator nor the caller holds the
+    encoder's output Tensor, so a batch's autodiff graph is freed before
+    the next batch is encoded. ``encode`` replaces ``encode_batch`` as the
+    function that runs the encoder.
     """
     encode = encode or encode_batch
     for batch in corpus.batches(EVAL_BATCH_SIZE):
         yield batch, encode(state, batch.tokens, batch.formula_matrices,
-                            mode="eval", rows=1)[1].data
+                            mode="eval", rows=rows)[0].data[:, :rows]
 
 
 def evaluate(state, corpus, scaler):
@@ -511,8 +514,9 @@ def evaluate(state, corpus, scaler):
     if scaler is None:
         raise ConfigError("evaluation requires the fitted target scaler")
     predictions = []
-    for batch, cls in encode_corpus(state, corpus):
-        pred_std = finetune_head(cls, state, mode="eval").data.reshape(-1)
+    for batch, hidden in encode_corpus(state, corpus):
+        pred_std = finetune_head(hidden[:, 0], state,
+                                 mode="eval").data.reshape(-1)
         pred_nat = scaler.inverse(pred_std.astype(np.float64))
         targets = ([None] * len(batch.ids) if batch.targets is None
                    else batch.targets.tolist())
@@ -523,12 +527,43 @@ def evaluate(state, corpus, scaler):
     return mae, predictions
 
 
+def masked_position_accuracy(state, corpus, positions):
+    """Accuracy of recovering tokens at specific masked positions.
+
+    Every sequence of the prepared corpus gets exactly the given
+    positions masked; predictions run in eval mode through
+    ``encode_corpus``. Returns overall accuracy plus per-position detail.
+    """
+    if len(corpus) == 0:
+        raise ConfigError("cannot score masked positions of an empty corpus")
+    if (not positions or len(set(positions)) != len(positions)
+            or not set(positions) <= set(SG_POSITIONS)):
+        raise ConfigError(f"positions must be distinct space-group positions "
+                          f"{SG_POSITIONS[0]}..{SG_POSITIONS[-1]}, got "
+                          f"{positions!r}")
+    chosen = np.broadcast_to(np.array(positions, dtype=np.intp),
+                             (len(corpus), len(positions)))
+    masked = dataclasses.replace(
+        corpus, tokens=mask_positions(corpus.tokens, chosen))
+    # the batch holds masked ids, so only the logits are read here
+    predicted = np.concatenate([
+        np.argmax(mlm_logits(state, hidden, batch.tokens,
+                             chosen[:len(batch)])[0].data, axis=-1)
+        for batch, hidden in encode_corpus(state, masked,
+                                           rows=max(positions) + 1)])
+    hits = predicted.reshape(chosen.shape) == np.take_along_axis(
+        corpus.tokens, chosen, axis=1)
+    correct = hits.sum(axis=0).tolist()
+    per_position = {p: c / len(corpus) for p, c in zip(positions, correct)}
+    return sum(correct) / hits.size, per_position
+
+
 def predict_lattice(state, corpus, scaler):
     """Natural-unit (n, 6) lattice predictions for a prepared corpus."""
     return np.concatenate([
-        scaler.inverse(lpp_head(cls, state, mode="eval").data
+        scaler.inverse(lpp_head(hidden[:, 0], state, mode="eval").data
                        .astype(np.float64))
-        for _, cls in encode_corpus(state, corpus)], axis=0)
+        for _, hidden in encode_corpus(state, corpus)], axis=0)
 
 
 @dataclass

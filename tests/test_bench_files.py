@@ -1,13 +1,16 @@
 """Committed benchmark records: every root ``BENCH_*.json`` written by
 ``tools/pairs.py --json`` must recompute its summary, and its verdicts
-where it records them, from its own pairs. The summaries of
-``tools/pairs.py`` and ``tools/abops.py`` are checked on fixed values.
+where it records them, from its own pairs, and every ``ops`` block that
+``tools/abops.py --json`` added must recompute its summary from its own
+per-operation CPU. The summaries of ``tools/pairs.py`` and
+``tools/abops.py`` are checked on fixed values.
 
 Reads committed files only and runs no benchmark."""
 
 import importlib.util
 import json
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,9 @@ WORKLOADS = {w["name"] for w in DECLARED["workloads"]}
 RECORDS = [(path.name, workload, record)
            for path in sorted(ROOT.glob("BENCH_*.json"))
            for workload, record in json.loads(path.read_text()).items()]
+OPS = [(f"{name}:{workload}:{i}", block)
+       for name, workload, record in RECORDS
+       for i, block in enumerate(record.get("ops", []))]
 
 
 def quartiles(values):
@@ -51,6 +57,8 @@ def expected_verdict(parent, change, better, bound):
 
 
 def load_tool(name):
+    if str(ROOT / "tools") not in sys.path:  # abops imports pairs
+        sys.path.append(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location(
         name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
@@ -62,8 +70,9 @@ def load_tool(name):
                          ids=[f"{n}:{w}" for n, w, _ in RECORDS])
 def test_summary_recomputes_from_pairs(name, workload, record):
     assert workload in WORKLOADS
-    assert set(record) == {"machine", "commits", "seeds", "seconds", "pairs",
-                           "summary", "every_run_correct"}
+    assert set(record) - {"ops"} == {"machine", "commits", "seeds",
+                                     "seconds", "pairs", "summary",
+                                     "every_run_correct"}
     assert record["every_run_correct"] is True
     assert record["machine"]["nproc"] >= 1
     assert set(record["commits"]) == {"parent", "change"}
@@ -92,6 +101,27 @@ def test_summary_recomputes_from_pairs(name, workload, record):
         if "verdict" in row:
             assert row["verdict"] == expected_verdict(
                 sides["parent"], sides["change"], better, BOUNDS[metric])
+
+
+@pytest.mark.parametrize("name, block", OPS, ids=[n for n, _ in OPS])
+def test_ops_summary_recomputes_from_cpu(name, block):
+    assert set(block) == {"seed", "commits", "src_sha256", "cpu_s",
+                          "summary", "every_op_correct"}
+    assert block["every_op_correct"] is True
+    assert set(block["commits"]) == set(block["src_sha256"]) \
+        == set(block["cpu_s"]) == {"parent", "change"}
+    parent, change = block["cpu_s"]["parent"], block["cpu_s"]["change"]
+    assert len(parent) == len(change) >= 2
+    assert min(parent + change) > 0
+    ratios = [new / old for old, new in zip(parent, change)]
+    summary = block["summary"]
+    assert summary["ops"] == len(ratios)
+    assert summary["ratio"] == pytest.approx(quartiles(ratios), rel=1e-12)
+    assert min(ratios) <= summary["ratio"]["q1"] <= summary["ratio"]["q3"] \
+        <= max(ratios)
+    assert summary["change_faster"] == sum(r < 1.0 for r in ratios)
+    assert summary["parent_median_cpu_s"] == statistics.median(parent)
+    assert summary["change_median_cpu_s"] == statistics.median(change)
 
 
 def test_pairs_tool_summary_stays_inside_two_pairs():

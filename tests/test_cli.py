@@ -156,7 +156,7 @@ class TestPorosity:
     @pytest.mark.parametrize("option, value, message", [
         ("--r-probe", "nan", "probe radius"),
         ("--r-probe", "inf", "probe radius"),
-        ("--r-probe", "1e300", "integer index range"),
+        ("--rho-grid", "1e300", "does not fit"),
         ("--rho-grid", "inf", "grid density"),
         ("--rho-grid", "nan", "grid density"),
     ])
@@ -170,6 +170,20 @@ class TestPorosity:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_probe_far_past_the_cell_reports_no_access(self, capsys,
+                                                         tmp_path):
+        # stamped at most to the 15 A reach cap, not over 1e13 A boxes
+        path = tmp_path / "s.json"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 10.0,
+            sites=[("C", np.array([0.1, 0.2, 0.3]))]), path)
+        code, out, _ = run(capsys, "porosity", str(path), "--r-probe", "1e13",
+                           "--rho-grid", "0.5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_accessible"] == 0
+        assert payload["n_total"] == 125
 
     def test_nan_radius_override_exits_2(self, capsys, tmp_path):
         path, radii = tmp_path / "s.json", tmp_path / "radii.txt"

@@ -89,6 +89,37 @@ class TestLoading:
         assert record.informatics.atom_count == 112
         assert record.informatics.porosity_fraction == 61.2
 
+    @pytest.mark.parametrize("name, text, default_id", [
+        ("data.jsonl", '{"id": null, "formula": "Si", "spacegroup": 1, '
+                       '"topology": "  ", "volume": null, "natoms": null, '
+                       '"porosity": " ", "acc_porosity": null, '
+                       '"organic_cation": "\\t", "target": null, '
+                       '"target_unit": " "}\n', "row1"),
+        ("data.csv", CSV_HEADER + "\n ,Si,1,  ,  , , , ,\t,,,,,,, , \n",
+         "row2"),
+    ], ids=["jsonl", "csv"])
+    def test_blank_optional_cells_read_as_absent(self, tmp_path, name, text,
+                                                 default_id):
+        # null or whitespace only is absent in every optional column
+        path = tmp_path / name
+        path.write_text(text)
+        (record,) = load_dataset(path)
+        assert record.informatics == InformaticsFields()
+        assert record.id == default_id
+        assert (record.target, record.target_unit) == (None, "")
+
+    def test_informatics_cells_read_as_their_column_type(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "r1", "formula": "Si", "spacegroup": 1, '
+                        '"topology": "pcu", "volume": 40, "natoms": 8.0, '
+                        '"porosity": "12.5"}\n')
+        (record,) = load_dataset(path)
+        assert record.informatics == InformaticsFields(
+            topology="pcu", unit_cell_volume=40.0, atom_count=8,
+            porosity_fraction=12.5)
+        assert type(record.informatics.unit_cell_volume) is float
+        assert type(record.informatics.atom_count) is int
+
     def test_incomplete_lattice_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(CSV_HEADER + "\n"

@@ -15,7 +15,6 @@ from crysgram.nn import (
     desk_config,
     encoder_forward,
     export_attention,
-    export_cls_rows,
     load_state,
     paper_config,
     save_state,
@@ -309,10 +308,9 @@ class TestAttentionExport:
 
     def test_cls_rows(self):
         attn = self.make_map()
-        rows = export_cls_rows(attn, layer=-1)
+        rows = attn.cls_attention(-1)
         assert rows.shape == (4, 9)
         np.testing.assert_array_equal(rows, attn.layers[-1][0, :, 0, :])
-        np.testing.assert_array_equal(rows, attn.cls_attention(-1))
 
     def test_several_records_raise(self):
         attn = self.make_map(batch=2)
@@ -320,15 +318,13 @@ class TestAttentionExport:
         with pytest.raises(CrysgramError, match="one record"):
             export_attention(attn)
         with pytest.raises(CrysgramError, match="one record"):
-            export_cls_rows(attn)
-        with pytest.raises(CrysgramError, match="one record"):
             attn.cls_attention(0)
 
     def test_empty_map_errors(self):
         with pytest.raises(CrysgramError):
             export_attention(AttentionMap())
-        with pytest.raises(CrysgramError):
-            export_cls_rows(None)
+        with pytest.raises(CrysgramError, match="disabled"):
+            AttentionMap().cls_attention(-1)
 
     def test_layer_out_of_range(self):
         attn = self.make_map()

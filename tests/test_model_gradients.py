@@ -7,24 +7,21 @@ parameter, the largest-gradient one among them, must match central
 differences.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crysgram.grammar import parse_formula
+from crysgram.datasets import CrystalRecord
 from crysgram.nn import EncoderState, desk_config
 from crysgram.objectives import (
-    Batch,
     TargetScaler,
     combined_objective,
     lpp_scaler,
     regression_objective,
 )
-from crysgram.tokens import (
-    ElementEmbeddingTable,
-    build_vocabulary,
-    embed_formula,
-    tokenize_crystal,
-)
+from crysgram.tokens import ElementEmbeddingTable, build_vocabulary
+from crysgram.training import prepare_corpus
 
 VOCAB = build_vocabulary()
 TABLE = ElementEmbeddingTable.deterministic(dimension=6, seed=2)
@@ -47,17 +44,15 @@ def tiny_state():
 
 
 def tiny_batch():
-    seqs = [tokenize_crystal(sg, parse_formula(f), None, VOCAB)
-            for sg, f in RECORDS]
-    mats = np.stack([embed_formula(parse_formula(f), TABLE)
-                     for _, f in RECORDS])
+    corpus = prepare_corpus(
+        [CrystalRecord(id=f"r{i}", formula=f, spacegroup=sg)
+         for i, (sg, f) in enumerate(RECORDS)], VOCAB, TABLE)
     rng = np.random.default_rng(10)
-    lattice = np.concatenate([rng.uniform(3, 9, size=(len(seqs), 3)),
-                              rng.uniform(60, 120, size=(len(seqs), 3))],
+    lattice = np.concatenate([rng.uniform(3, 9, size=(len(corpus), 3)),
+                              rng.uniform(60, 120, size=(len(corpus), 3))],
                              axis=1)
-    return Batch(tokens=np.array([s.ids for s in seqs]),
-                 formula_matrices=mats,
-                 lattice_targets=lattice, targets=rng.normal(size=len(seqs)))
+    return dataclasses.replace(corpus, lattice_targets=lattice,
+                               targets=rng.normal(size=len(corpus)))
 
 
 BATCH = tiny_batch()

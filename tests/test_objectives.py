@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysgram.datasets import generate_synthetic_corpus
+from crysgram.datasets import CrystalRecord, generate_synthetic_corpus
 from crysgram.errors import ConfigError
 from crysgram.grammar import parse_formula
 from crysgram.nn import EncoderState, Tensor, desk_config, encoder_forward
 from crysgram.nn.encoder import MIN_QUERY_ROWS
 from crysgram.objectives import (
-    Batch,
     LatticeParameters,
     TargetScaler,
     combined_objective,
@@ -26,7 +25,6 @@ from crysgram.objectives import (
     lpp_scaler,
     mae_loss,
     mask_batch,
-    masked_position_accuracy,
     mlm_logits,
     mlm_loss,
     mlm_objective,
@@ -37,12 +35,11 @@ from crysgram.tokens import (
     PAD_ID,
     ElementEmbeddingTable,
     build_vocabulary,
-    embed_formula,
     tokenize_crystal,
 )
 from crysgram.tokens.embedding import assemble_batch
 from crysgram.tokens.tokenizer import N_SG_TOKENS
-from crysgram.training import prepare_corpus
+from crysgram.training import loop, masked_position_accuracy, prepare_corpus
 
 VOCAB = build_vocabulary()
 TABLE = ElementEmbeddingTable.deterministic(dimension=16, seed=2)
@@ -58,18 +55,18 @@ def make_tokens(records=((225, "NaCl"),)):
 
 def make_batch(records=((225, "NaCl"), (14, "Fe2O3"), (194, "Ca(OH)2")),
                lattice=True, targets=False):
-    tokens = make_tokens(records)
-    mats = np.stack([embed_formula(parse_formula(f), TABLE)
-                     for _, f in records])
+    corpus = prepare_corpus(
+        [CrystalRecord(id=f"r{i}", formula=f, spacegroup=sg)
+         for i, (sg, f) in enumerate(records)], VOCAB, TABLE)
     rng = np.random.default_rng(0)
     lattice_targets = None
     if lattice:
-        lengths = rng.uniform(3, 9, size=(len(tokens), 3))
-        angles = rng.uniform(60, 120, size=(len(tokens), 3))
+        lengths = rng.uniform(3, 9, size=(len(corpus), 3))
+        angles = rng.uniform(60, 120, size=(len(corpus), 3))
         lattice_targets = np.concatenate([lengths, angles], axis=1)
-    target_values = rng.normal(size=len(tokens)) if targets else None
-    return Batch(tokens=tokens, formula_matrices=mats,
-                 lattice_targets=lattice_targets, targets=target_values)
+    target_values = rng.normal(size=len(corpus)) if targets else None
+    return dataclasses.replace(corpus, lattice_targets=lattice_targets,
+                               targets=target_values)
 
 
 def tiny_state(dtype="float64", **overrides):
@@ -440,17 +437,18 @@ class TestMaskedPositionAccuracy:
         records = generate_synthetic_corpus(n, seed=8, task="regression")
         return prepare_corpus(records, VOCAB, TABLE)
 
-    def test_batch_size_does_not_change_the_result(self):
+    def test_batch_size_does_not_change_the_result(self, monkeypatch):
         state, corpus = tiny_state(), self.corpus()
         full = masked_position_accuracy(state, corpus, self.POSITIONS)
-        small = masked_position_accuracy(state, corpus, self.POSITIONS,
-                                         batch_size=5)
+        monkeypatch.setattr(loop, "EVAL_BATCH_SIZE", 5)
+        small = masked_position_accuracy(state, corpus, self.POSITIONS)
         assert full == small
 
-    def test_accuracies_are_fractions_of_the_corpus(self):
+    def test_accuracies_are_fractions_of_the_corpus(self, monkeypatch):
+        monkeypatch.setattr(loop, "EVAL_BATCH_SIZE", 5)
         corpus = self.corpus()
         overall, per_position = masked_position_accuracy(
-            tiny_state(), corpus, self.POSITIONS, batch_size=5)
+            tiny_state(), corpus, self.POSITIONS)
         assert set(per_position) == set(self.POSITIONS)
         for value in per_position.values():
             assert 0.0 <= value <= 1.0

@@ -520,14 +520,39 @@ class TestAccessibleVoidFraction:
                                      r_probe=r_probe)
 
     def test_box_beyond_the_integer_index_range_rejected(self):
-        # finite, but the stamp box bounds would overflow int64
-        with pytest.raises(PorosityError, match="integer index range"):
-            accessible_void_fraction(single_sphere(), GridSpec(2),
-                                     r_probe=1e300)
+        # finite, but the stamp box bounds would overflow int64 (a probe
+        # radius cannot get there: it is stamped at most to the reach cap)
         huge = single_sphere()
         huge.radius_overrides["X"] = 1e300
         with pytest.raises(PorosityError, match="integer index range"):
             void_fraction(huge, GridSpec(2))
+
+    @staticmethod
+    def carbon_cube():
+        return PeriodicStructure(lattice=np.eye(3) * 10.0,
+                                 sites=[("C", np.array([0.1, 0.2, 0.3]))])
+
+    @pytest.mark.parametrize("r_probe", [1e13, 1e300])
+    def test_probe_far_past_the_cell_admits_nothing(self, r_probe):
+        # every point is within (|a| + |b| + |c|) / 2 = 15 A of an image
+        # of the atom, so no probe of that radius or more fits anywhere
+        r = accessible_void_fraction(self.carbon_cube(), GridSpec(2),
+                                     r_probe=r_probe)
+        assert (r.n_total, r.n_unoccupied, r.n_accessible) == (8000, 7840, 0)
+        assert (r.n_components, r.percolates) == (0, False)
+
+    @pytest.mark.parametrize("r_probe", [16.0, 20.0])
+    def test_probe_past_the_reach_cap_keeps_its_counts(self, r_probe):
+        # the counts a stamp at the full probe radius gives, as with no cap
+        r = accessible_void_fraction(self.carbon_cube(), GridSpec(2),
+                                     r_probe=r_probe)
+        assert (r.n_unoccupied, r.n_accessible) == (7840, 0)
+
+    @pytest.mark.parametrize("rho", [1e6, 1e300, 1e308])
+    def test_grid_past_the_index_range_rejected(self, rho):
+        with pytest.raises(PorosityError, match=r"grid of \S+ x \S+ x \S+ "
+                                                "points does not fit"):
+            GridSpec(rho).dims(self.carbon_cube())
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_or_non_finite_grid_density_rejected(self, rho):

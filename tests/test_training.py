@@ -25,7 +25,7 @@ from crysgram.errors import (
     NonFiniteError,
 )
 from crysgram.nn import EncoderState, Tensor, desk_config, load_state
-from crysgram.objectives import TargetScaler, masked_position_accuracy
+from crysgram.objectives import TargetScaler
 from crysgram.tokens import (
     N_FORMULA_SLOTS,
     ElementEmbeddingTable,
@@ -38,6 +38,7 @@ from crysgram.training import (
     finetune,
     finetune_corpora,
     load_pretrained,
+    masked_position_accuracy,
     predict_lattice,
     prepare_corpus,
     pretrain,
@@ -303,7 +304,7 @@ class TestPreparedCorpus:
         for start in range(0, len(order), 16):
             indices = order[start:start + 16]
             comps = [self.RECORDS[i].composition for i in indices]
-            got = corpus.batch(indices).formula_matrices
+            got = corpus.subset(indices).formula_matrices
             assert got.dtype == np.float64
             for expected in (
                     np.stack([embed_formula(c, TABLE) for c in comps]),
@@ -319,9 +320,8 @@ class TestPreparedCorpus:
         # with repeats, in any order
         idx = np.random.default_rng(seed).integers(
             0, len(self.RECORDS), size=size).tolist()
-        got = corpus.subset(idx).batch(range(len(idx)))
-        want = prepare_corpus([self.RECORDS[i] for i in idx], vocab,
-                              TABLE).batch(range(len(idx)))
+        got = corpus.subset(idx)
+        want = prepare_corpus([self.RECORDS[i] for i in idx], vocab, TABLE)
         assert got.tokens.shape == want.tokens.shape
         assert np.array_equal(got.tokens, want.tokens)
         assert got.formula_matrices.shape == want.formula_matrices.shape

@@ -5,7 +5,7 @@ Run from the repository root, with a second checkout of the parent
 commit in PARENT:
 
     python3 tools/abops.py --parent PARENT --workload porosity-grid \
-        --seed 3 --ops 100
+        --seed 3 --ops 100 [--json BENCH_<n>.json]
 
 One worker process per checkout imports that checkout's unchanged
 ``bench/run.py`` and ``bench/workloads.py``, as ``tools/opstat.py``
@@ -23,9 +23,19 @@ faster, and both sides' median operation CPU. Exits 1 if any operation
 failed its check. CPU time does not see set-up, memory or time spent
 waiting, so ``setup_s`` and ``peak_rss_mb`` still come from
 ``bench/run.py`` pairs (``tools/pairs.py``).
+
+With ``--json PATH`` it also appends one block to the ``ops`` list of
+the workload's record in PATH, which ``tools/pairs.py --json`` must have
+written: the seed, both checkouts' commits (as ``tools/pairs.py``
+records them), a digest of each side's ``src`` files, both sides'
+per-operation CPU seconds, ``summarize`` of them and whether every
+operation was correct. A block whose two digests are equal is an A/A
+run, whose ratio quartiles are the band that a change of nothing reads
+inside.
 """
 
 import argparse
+import hashlib
 import json
 import shutil
 import statistics
@@ -34,6 +44,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from pairs import git_head, write_json
 
 CHANGE = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -84,6 +96,25 @@ def summarize(parent_cpu, change_cpu):
             "change_median_cpu_s": statistics.median(change_cpu)}
 
 
+def src_digest(root):
+    """SHA-256 over the relative path and bytes of every file under
+    ``root/src`` (caches aside), in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(root, "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def append_ops(path, workload, block):
+    """Append ``block`` to the ``ops`` list of ``workload``'s record in
+    the file at ``path``."""
+    record = json.loads(Path(path).read_text())[workload]
+    record.setdefault("ops", []).append(block)
+    write_json(path, workload, record)
+
+
 def start_worker(root, args):
     proc = subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
@@ -111,6 +142,9 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, help="operations per side")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="append the operations and their summary to "
+                        "the workload's record in PATH")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -123,6 +157,10 @@ def main(argv=None):
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
     if not (roots["parent"] / "bench" / "run.py").is_file():
         parser.error(f"no bench/run.py under {roots['parent']}")
+    if args.json and args.workload not in (
+            json.loads(args.json.read_text()) if args.json.is_file() else {}):
+        parser.error(f"{args.json} holds no {args.workload} record from "
+                     "tools/pairs.py --json")
 
     procs = {}
     try:
@@ -155,6 +193,12 @@ def main(argv=None):
           f"{s['parent_median_cpu_s']:.4f} s -> "
           f"{s['change_median_cpu_s']:.4f} s")
     print(f"every operation correct: {'NO' if failed else 'yes'}")
+    if args.json:
+        append_ops(args.json, args.workload, {
+            "seed": args.seed,
+            "commits": {side: git_head(roots[side]) for side in SIDES},
+            "src_sha256": {side: src_digest(roots[side]) for side in SIDES},
+            "cpu_s": cpu, "summary": s, "every_op_correct": not failed})
     return 1 if failed else 0
 
 
