@@ -1,7 +1,7 @@
 """Tour of the crystallographic grammar layer.
 
-Looks up space groups in the 230-entry knowledge base, decomposes
-Hermann-Mauguin symbols into centering + directional tokens, and parses
+Looks up space groups in the 230-entry knowledge base, shows the
+centering + directional tokens of Hermann-Mauguin symbols, and parses
 stoichiometric formulas into exact fractions.
 """
 
@@ -10,7 +10,6 @@ from crysgram.grammar import (
     lattice_constraints,
     lookup_space_group,
     parse_formula,
-    split_hm_symbol,
 )
 
 print("=== knowledge-base lookup ===")
@@ -25,9 +24,11 @@ print("\n=== the 12 tokens of rock salt's group (No. 225) ===")
 print(lookup_space_group(225).token_strings())
 
 print("\n=== Hermann-Mauguin decomposition ===")
-for symbol in ("F 4/m -3 2/m", "P1", "Pmm2", "P21/c", "P432"):
-    centering, directions = split_hm_symbol(symbol)
-    print(f"{symbol:<14} -> centering {centering}, directions {directions}")
+for symbol, number in (("F 4/m -3 2/m", 225), ("P1", 1), ("Pmm2", 25),
+                       ("P21/c", 14), ("P432", 207)):
+    record = lookup_space_group(number)
+    print(f"{symbol:<14} -> centering {record.centering}, "
+          f"directions {record.directional_symbols}")
 
 print("\n=== lattice constraints per crystal system ===")
 for system in ("triclinic", "monoclinic", "hexagonal", "cubic"):

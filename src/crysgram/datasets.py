@@ -31,10 +31,24 @@ COLUMNS = ("id", "formula", "spacegroup", "topology", "volume", "natoms",
            "porosity", "acc_porosity", "organic_cation",
            "a", "b", "c", "alpha", "beta", "gamma", "target", "target_unit")
 
+
+def _integer(raw):
+    """An integer cell: an int that is not a bool, a float with no
+    fractional part (as JSON writers emit 8.0), or text of ASCII digits.
+    Anything else, such as 14.7, true or "14.0", is refused, not
+    truncated."""
+    text = raw.strip() if isinstance(raw, str) else ""
+    if (isinstance(raw, int) and not isinstance(raw, bool)
+            or isinstance(raw, float) and raw.is_integer()
+            or text.isascii() and text.isdigit()):
+        return int(raw)
+    raise ValueError(f"{raw!r} is not an integer")
+
+
 # informatics column -> (InformaticsFields attribute, type read)
 _INFO_COLUMNS = {"topology": ("topology", str),
                  "volume": ("unit_cell_volume", float),
-                 "natoms": ("atom_count", int),
+                 "natoms": ("atom_count", _integer),
                  "porosity": ("porosity_fraction", float),
                  "acc_porosity": ("accessible_void_fraction", float),
                  "organic_cation": ("organic_cation", str)}
@@ -62,10 +76,12 @@ class CrystalRecord:
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        if not isinstance(self.spacegroup, int) or not 1 <= self.spacegroup <= 230:
+        if (not isinstance(self.spacegroup, int)
+                or isinstance(self.spacegroup, bool)
+                or not 1 <= self.spacegroup <= 230):
             raise DatasetError(
-                f"record {self.id!r}: space group {self.spacegroup!r} "
-                f"outside 1..230")
+                f"record {self.id!r}: space group {self.spacegroup!r} is "
+                f"not an integer in 1..230")
 
     def validation_warnings(self, rtol=1e-3, atol_deg=0.1):
         """Non-fatal diagnostics: lattice vs crystal-system constraints.
@@ -86,7 +102,10 @@ def _parse_optional(row, key, kind=float):
     raw = row.get(key)
     if raw is None or str(raw).strip() == "":
         return None
-    return kind(raw)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{key}: {exc}") from None
 
 
 def _record_from_mapping(row, lineno):
@@ -95,8 +114,7 @@ def _record_from_mapping(row, lineno):
     if unknown:
         warnings.warn(f"ignoring unknown columns {unknown}", stacklevel=3)
     try:
-        spacegroup_raw = known.get("spacegroup", "")
-        spacegroup = int(spacegroup_raw)
+        spacegroup = _parse_optional(known, "spacegroup", _integer)
         info = InformaticsFields(**{
             attr: _parse_optional(known, column, kind)
             for column, (attr, kind) in _INFO_COLUMNS.items()})

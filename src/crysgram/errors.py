@@ -6,11 +6,7 @@ class CrysgramError(Exception):
 
 
 class InvalidSpaceGroupError(CrysgramError):
-    """Space-group number outside 1..230 or unknown symbol."""
-
-
-class SymbolGrammarError(CrysgramError):
-    """Hermann-Mauguin string that cannot be decomposed."""
+    """Space-group number outside 1..230."""
 
 
 class FormulaError(CrysgramError):

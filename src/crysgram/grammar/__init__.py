@@ -1,4 +1,4 @@
-"""Space-group knowledge base, Hermann-Mauguin grammar, and formula parsing."""
+"""Space-group knowledge base and formula parsing."""
 
 from .elements import ATOMIC_NUMBER, SYMBOLS, is_element
 from .formula import MAX_ELEMENTS, FormulaComposition, parse_formula
@@ -17,9 +17,7 @@ from .spacegroups import (
     all_space_groups,
     crystal_system_of,
     derive_fields,
-    find_by_symbol,
     lookup_space_group,
-    split_hm_symbol,
 )
 
 __all__ = [
@@ -29,5 +27,5 @@ __all__ = [
     "lattice_constraints",
     "EMPTY_SLOT", "Polarity", "SpaceGroupRecord", "Symmetry",
     "all_space_groups", "crystal_system_of", "derive_fields",
-    "find_by_symbol", "lookup_space_group", "split_hm_symbol",
+    "lookup_space_group",
 ]

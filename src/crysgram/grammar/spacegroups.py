@@ -1,4 +1,4 @@
-"""The 230 space groups and Hermann-Mauguin decomposition.
+"""The 230 space groups.
 
 Each group is listed by its full symbol in the standard setting
 (monoclinic unique axis b, cell choice 1; rhombohedral groups on
@@ -9,19 +9,12 @@ the directional components by fixed rules, once, at first use.
 
 import enum
 import functools
-import re
 from dataclasses import dataclass
 
-from ..errors import InvalidSpaceGroupError, SymbolGrammarError
+from ..errors import InvalidSpaceGroupError
 from .lattice import CrystalSystem
 
 EMPTY_SLOT = "."
-
-# One directional component: a rotoinversion, a rotation or screw axis with
-# an optional mirror or glide, or a lone mirror or glide. Screw pairs come
-# first in the alternation, so a valid pair is read as one component.
-_COMPONENT = re.compile(
-    r"-[12346]|(?:21|3[12]|4[1-3]|6[1-5]|[12346])(?:/[mabcden])?|[mabcden]")
 
 # Full symbols of groups 1..230 in number order, ten to a line, components
 # space-separated, overbars written as leading minus signs.
@@ -197,7 +190,7 @@ def derive_fields(centering, directional):
 
 @functools.cache
 def _table():
-    """The 230 records in number order, and each by full and short symbol."""
+    """The 230 records in number order."""
     records = []
     symbols = _FULL_SYMBOLS.replace("\n", "|").split("|")
     for number, full in enumerate(map(str.strip, symbols), start=1):
@@ -206,16 +199,12 @@ def _table():
         records.append(SpaceGroupRecord(
             number, full, *derive_fields(centering, directional),
             centering, directional))
-    by_symbol = {}
-    for rec in records:
-        by_symbol[rec.full_symbol.replace(" ", "")] = rec
-        by_symbol.setdefault(rec.short_symbol, rec)
-    return records, by_symbol
+    return records
 
 
 def all_space_groups():
     """All 230 records in number order."""
-    return list(_table()[0])
+    return list(_table())
 
 
 def lookup_space_group(number) -> SpaceGroupRecord:
@@ -226,67 +215,10 @@ def lookup_space_group(number) -> SpaceGroupRecord:
     if not 1 <= number <= 230:
         raise InvalidSpaceGroupError(
             f"space-group number {number} outside 1..230")
-    return _table()[0][number - 1]
-
-
-def find_by_symbol(symbol: str):
-    """Record whose full or short symbol matches, ignoring spaces; None if absent."""
-    return _table()[1].get(symbol.replace(" ", ""))
+    return _table()[number - 1]
 
 
 def crystal_system_of(number) -> CrystalSystem:
     """Crystal system of a space-group number via the knowledge base."""
     return lookup_space_group(number).crystal_system
 
-
-def _scan_components(body: str, symbol: str):
-    """Greedy left-to-right component scan of an unspaced symbol body.
-
-    Digit pairs that form a valid screw axis are consumed together, so
-    strings like P4332 whose reading depends on the actual group should
-    be resolved via the knowledge base before reaching this scanner.
-    """
-    comps = []
-    pos = 0
-    while pos < len(body):
-        match = _COMPONENT.match(body, pos)
-        if match is None:
-            raise SymbolGrammarError(f"{symbol!r}: unexpected character "
-                                     f"{body[pos]!r} at position {pos}")
-        comps.append(match.group())
-        pos = match.end()
-    return comps
-
-
-def split_hm_symbol(symbol: str):
-    """Split a Hermann-Mauguin symbol into centering + 3 directional slots.
-
-    Accepts spaced full symbols ("F 4/m -3 2/m"), condensed short or full
-    symbols ("Fm-3m", "P21/c"), and pads missing directions with ".".
-    Known symbols are resolved against the knowledge base first; only
-    unknown strings go through the grammar scanner.
-    """
-    if not isinstance(symbol, str) or not symbol.strip():
-        raise SymbolGrammarError("empty Hermann-Mauguin symbol")
-    text = symbol.strip()
-
-    record = find_by_symbol(text)
-    if record is not None:
-        return record.centering, record.directional_symbols
-
-    pieces = text.split()
-    head = pieces[0]
-    if head[0] not in _LATTICE_POINTS:
-        raise SymbolGrammarError(
-            f"{symbol!r}: centering letter expected first, got {head[0]!r}")
-    centering = head[0]
-    comps = []
-    for body in (head[1:], *pieces[1:]):
-        comps += _scan_components(body, symbol)
-    if not comps:
-        raise SymbolGrammarError(f"{symbol!r}: no directional symbols")
-    if len(comps) > 3:
-        raise SymbolGrammarError(
-            f"{symbol!r}: {len(comps)} directional symbols, at most 3 allowed")
-    comps += [EMPTY_SLOT] * (3 - len(comps))
-    return centering, tuple(comps)

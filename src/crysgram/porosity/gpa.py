@@ -29,6 +29,14 @@ from ..files import atomic_write
 DEFAULT_RHO_GRID = 5.0
 DEFAULT_R_PROBE = 1.2
 
+# Grid points one porosity call may hold. Each point costs 8 bytes of
+# float64 clearance field, 1 of admissible mask and 4 of int32 flood-fill
+# label; the budget allows 2 GiB of them, 2**31 // 13 points (about a
+# 109 A cube at 5 points/A). A larger grid is refused before any of it
+# is allocated.
+_POINT_BYTES = 8 + 1 + 4
+MAX_GRID_POINTS = (1 << 31) // _POINT_BYTES
+
 
 def _parse_radii(text, source):
     """Element -> radius from 'symbol radius' lines of ``text``; blank lines
@@ -156,15 +164,16 @@ class GridSpec:
 
     def dims(self, structure):
         """Points along each lattice direction; PorosityError when their
-        product does not fit the array index range."""
+        product exceeds MAX_GRID_POINTS."""
         lengths = np.linalg.norm(structure.lattice, axis=1)
         with np.errstate(over="ignore"):  # an overflow is refused below
             points = np.maximum(np.ceil(self.rho_grid * lengths), 1.0)
-            fits = points.prod() <= np.iinfo(np.intp).max
-        if not fits:
+            total = points.prod()
+        if not total <= MAX_GRID_POINTS:
             raise PorosityError(
                 f"a grid of {' x '.join(f'{p:.6g}' for p in points)} points "
-                "does not fit the array index range")
+                f"does not fit the point budget: {total:.6g} points, at most "
+                f"{MAX_GRID_POINTS}")
         return tuple(int(p) for p in points)
 
 

@@ -116,7 +116,8 @@ def embed_formulas(fractions, index, element_rows):
     Row i of a record's matrix is [fraction_i, element vector_i]; rows
     beyond its element count are zero padding. The only definition of a
     formula matrix: ``embed_formula`` is a batch of one, and
-    ``PreparedCorpus.batch`` builds each batch's matrices here.
+    ``PreparedCorpus.formula_matrices`` builds each batch's matrices
+    here.
     """
     out = element_rows[index]
     out[..., 0] = fractions

@@ -13,6 +13,7 @@ from crysgram.porosity import (
     default_radius_table,
     save_structure,
 )
+from crysgram.porosity.gpa import MAX_GRID_POINTS
 from crysgram.tokens import ElementEmbeddingTable, tokenize_crystal
 from crysgram.training import loop
 
@@ -157,6 +158,8 @@ class TestPorosity:
         ("--r-probe", "nan", "probe radius"),
         ("--r-probe", "inf", "probe radius"),
         ("--rho-grid", "1e300", "does not fit"),
+        # 2.16e17 points: refused before the field is allocated
+        ("--rho-grid", "1e5", f"at most {MAX_GRID_POINTS}"),
         ("--rho-grid", "inf", "grid density"),
         ("--rho-grid", "nan", "grid density"),
     ])

@@ -120,6 +120,27 @@ class TestLoading:
         assert type(record.informatics.unit_cell_volume) is float
         assert type(record.informatics.atom_count) is int
 
+    @pytest.mark.parametrize("name, text, column, line", [
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 14.7}\n',
+         "spacegroup", 1),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1, "natoms": 112.9}\n',
+         "natoms", 1),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": true}\n',
+         "spacegroup", 1),
+        ("data.csv", "id,formula,spacegroup\nr1,Si,1\nr2,Si,14.0\n",
+         "spacegroup", 3),
+    ], ids=["jsonl-float-group", "jsonl-float-natoms", "jsonl-bool-group",
+            "csv-decimal-group"])
+    def test_integer_columns_refuse_non_integers(self, tmp_path, name, text,
+                                                 column, line):
+        # an integer column is never truncated: the row is refused
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DatasetError,
+                           match=f"line {line}: {column}: .* is not an "
+                           "integer"):
+            load_dataset(path)
+
     def test_incomplete_lattice_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(CSV_HEADER + "\n"
@@ -199,6 +220,10 @@ class TestRecordComposition:
     def test_composition_is_the_parsed_formula(self):
         record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)
         assert record.composition == parse_formula("Fe2O3")
+
+    def test_bool_space_group_refused(self):
+        with pytest.raises(DatasetError, match="space group True"):
+            CrystalRecord(id="r", formula="Fe2O3", spacegroup=True)
 
     def test_replace_reparses(self):
         record = CrystalRecord(id="r", formula="Fe2O3", spacegroup=167)

@@ -28,6 +28,7 @@ from crysgram.porosity import (
     void_fraction,
 )
 from crysgram.porosity.gpa import (
+    MAX_GRID_POINTS,
     _STAMP_POINTS,
     _accessible_count,
     _clearance_field,
@@ -553,6 +554,18 @@ class TestAccessibleVoidFraction:
         with pytest.raises(PorosityError, match=r"grid of \S+ x \S+ x \S+ "
                                                 "points does not fit"):
             GridSpec(rho).dims(self.carbon_cube())
+
+    def test_grid_past_the_point_budget_rejected(self):
+        # a 1 x 1 x n grid at 1 point/A: dims only, nothing allocated
+        def line(n):
+            return PeriodicStructure(lattice=np.diag([1.0, 1.0, n]),
+                                     sites=[("C", np.zeros(3))])
+
+        assert GridSpec(1.0).dims(line(MAX_GRID_POINTS)) == (
+            1, 1, MAX_GRID_POINTS)
+        with pytest.raises(PorosityError,
+                           match=f"at most {MAX_GRID_POINTS}$"):
+            GridSpec(1.0).dims(line(MAX_GRID_POINTS + 1))
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_or_non_finite_grid_density_rejected(self, rho):

@@ -1,13 +1,12 @@
-"""Knowledge-base fidelity and Hermann-Mauguin grammar tests."""
+"""Knowledge-base fidelity tests."""
 
 import hashlib
-import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crysgram.errors import InvalidSpaceGroupError, SymbolGrammarError
+from crysgram.errors import InvalidSpaceGroupError
 from crysgram.grammar import (
     EMPTY_SLOT,
     CrystalSystem,
@@ -16,10 +15,8 @@ from crysgram.grammar import (
     all_space_groups,
     crystal_system_of,
     derive_fields,
-    find_by_symbol,
     lattice_constraints,
     lookup_space_group,
-    split_hm_symbol,
 )
 
 SYSTEM_RANGES = [
@@ -99,11 +96,6 @@ class TestKnowledgeBaseInvariants:
             if rec.symmetry is Symmetry.CENTROSYMMETRIC:
                 assert rec.polarity is Polarity.NON_POLAR
 
-    def test_split_matches_stored_fields(self):
-        for rec in all_space_groups():
-            assert split_hm_symbol(rec.full_symbol) == (
-                rec.centering, rec.directional_symbols)
-
     def test_concatenation_reproduces_symbol(self):
         for rec in all_space_groups():
             joined = rec.centering + "".join(
@@ -122,6 +114,9 @@ class TestKnowledgeBaseInvariants:
         mult = {"P": 1, "A": 2, "B": 2, "C": 2, "I": 2, "F": 4, "R": 3}
         for rec in all_space_groups():
             assert rec.order % mult[rec.centering] == 0
+
+    def test_short_symbols_are_distinct(self):
+        assert len({r.short_symbol for r in all_space_groups()}) == 230
 
 
 class TestDerivedTable:
@@ -142,24 +137,35 @@ class TestDerivedTable:
         payload = "\n".join((*self.HEADER, *rows)) + "\n"
         assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
 
-    @pytest.mark.parametrize("number, full, order, point_group, system", [
-        (1, "P 1", 1, "1", CrystalSystem.TRICLINIC),
-        (2, "P -1", 2, "-1", CrystalSystem.TRICLINIC),
-        (14, "P 1 21/c 1", 4, "2/m", CrystalSystem.MONOCLINIC),
-        (25, "P m m 2", 4, "mm2", CrystalSystem.ORTHORHOMBIC),
-        (62, "P 21/n 21/m 21/a", 8, "mmm", CrystalSystem.ORTHORHOMBIC),
-        (139, "I 4/m 2/m 2/m", 32, "4/mmm", CrystalSystem.TETRAGONAL),
-        (146, "R 3", 9, "3", CrystalSystem.TRIGONAL),
-        (166, "R -3 2/m", 36, "-3m", CrystalSystem.TRIGONAL),
-        (168, "P 6", 6, "6", CrystalSystem.HEXAGONAL),
-        (194, "P 63/m 2/m 2/c", 24, "6/mmm", CrystalSystem.HEXAGONAL),
-        (225, "F 4/m -3 2/m", 192, "m-3m", CrystalSystem.CUBIC),
-        (227, "F 41/d -3 2/m", 192, "m-3m", CrystalSystem.CUBIC),
-        (230, "I 41/a -3 2/d", 96, "m-3m", CrystalSystem.CUBIC)])
-    def test_spot_groups(self, number, full, order, point_group, system):
+    SPOT_GROUPS = [
+        (1, "P 1", "P1", 1, "1", CrystalSystem.TRICLINIC),
+        (2, "P -1", "P-1", 2, "-1", CrystalSystem.TRICLINIC),
+        (14, "P 1 21/c 1", "P21/c", 4, "2/m", CrystalSystem.MONOCLINIC),
+        (25, "P m m 2", "Pmm2", 4, "mm2", CrystalSystem.ORTHORHOMBIC),
+        (62, "P 21/n 21/m 21/a", "Pnma", 8, "mmm",
+         CrystalSystem.ORTHORHOMBIC),
+        (139, "I 4/m 2/m 2/m", "I4/mmm", 32, "4/mmm",
+         CrystalSystem.TETRAGONAL),
+        (146, "R 3", "R3", 9, "3", CrystalSystem.TRIGONAL),
+        (166, "R -3 2/m", "R-3m", 36, "-3m", CrystalSystem.TRIGONAL),
+        (168, "P 6", "P6", 6, "6", CrystalSystem.HEXAGONAL),
+        (194, "P 63/m 2/m 2/c", "P63/mmc", 24, "6/mmm",
+         CrystalSystem.HEXAGONAL),
+        (225, "F 4/m -3 2/m", "Fm-3m", 192, "m-3m", CrystalSystem.CUBIC),
+        (227, "F 41/d -3 2/m", "Fd-3m", 192, "m-3m", CrystalSystem.CUBIC),
+        (230, "I 41/a -3 2/d", "Ia-3d", 96, "m-3m", CrystalSystem.CUBIC)]
+
+    # A case is named by every column but the short symbol.
+    @pytest.mark.parametrize(
+        "number, full, short, order, point_group, system", SPOT_GROUPS,
+        ids=["-".join(map(str, (n, full, order, pg, system)))
+             for n, full, _, order, pg, system in SPOT_GROUPS])
+    def test_spot_groups(self, number, full, short, order, point_group,
+                         system):
         rec = lookup_space_group(number)
-        assert (rec.full_symbol, rec.order, rec.point_group,
-                rec.crystal_system) == (full, order, point_group, system)
+        assert (rec.full_symbol, rec.short_symbol, rec.order, rec.point_group,
+                rec.crystal_system) == (full, short, order, point_group,
+                                        system)
         if number == 225:
             assert rec.laue_class == "m-3m"
             assert rec.symmetry is Symmetry.CENTROSYMMETRIC
@@ -199,59 +205,6 @@ class TestCrystalSystemOf:
     def test_out_of_range(self):
         with pytest.raises(InvalidSpaceGroupError):
             crystal_system_of(231)
-
-
-class TestSplitSymbol:
-    def test_full_cubic(self):
-        assert split_hm_symbol("F 4/m -3 2/m") == ("F", ("4/m", "-3", "2/m"))
-
-    def test_minimal(self):
-        assert split_hm_symbol("P1") == ("P", ("1", EMPTY_SLOT, EMPTY_SLOT))
-
-    def test_pmm2(self):
-        # hand-split; matches the stored record for group 25
-        assert split_hm_symbol("Pmm2") == ("P", ("m", "m", "2"))
-        assert split_hm_symbol("Pmm2") == (
-            lookup_space_group(25).centering,
-            lookup_space_group(25).directional_symbols)
-
-    def test_short_symbols_resolve_via_kb(self):
-        assert split_hm_symbol("Fm-3m") == ("F", ("4/m", "-3", "2/m"))
-        assert split_hm_symbol("P432") == ("P", ("4", "3", "2"))
-        assert split_hm_symbol("P21/c") == ("P", ("1", "21/c", "1"))
-
-    def test_screw_axes_unspaced(self):
-        assert split_hm_symbol("P212121")[1] == ("21", "21", "21")
-
-    @pytest.mark.parametrize("symbol, expected", [
-        ("P 1 1 2/m", ("P", ("1", "1", "2/m"))),
-        ("Pbnm", ("P", ("b", "n", "m"))),
-        ("A 1 2/m 1", ("A", ("1", "2/m", "1"))),
-        ("Pn21a", ("P", ("n", "21", "a"))),
-        ("P 1 1 21/b", ("P", ("1", "1", "21/b")))])
-    def test_non_standard_settings_scan_outside_the_kb(self, symbol,
-                                                       expected):
-        assert find_by_symbol(symbol) is None
-        assert split_hm_symbol(symbol) == expected
-
-    @pytest.mark.parametrize("bad", ["", "  ", "Q23", "P4/q", "Pmmmm", "P1!",
-                                     "P\u00b2", "P\u0663"])
-    def test_grammar_errors(self, bad):
-        with pytest.raises(SymbolGrammarError):
-            split_hm_symbol(bad)
-
-    def test_error_names_offender(self):
-        with pytest.raises(SymbolGrammarError, match="'!'"):
-            split_hm_symbol("P1!")
-
-    @pytest.mark.parametrize("bad, char, position", [
-        ("P4/q", "/", 1), ("P-", "-", 0), ("P 1 5", "5", 0),
-        ("P2/m 21/", "/", 2)])
-    def test_error_names_character_and_position(self, bad, char, position):
-        with pytest.raises(SymbolGrammarError,
-                           match=f"'{re.escape(char)}' at position "
-                           f"{position}$"):
-            split_hm_symbol(bad)
 
 
 class TestLatticeConstraints:
