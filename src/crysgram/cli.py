@@ -36,6 +36,7 @@ from .tokens import (
     embed_formula,
     tokenize_crystal,
 )
+from .tokens.vocab import COUNT, INFO_SCHEMA, TEXT
 from .training import (
     PRETRAIN_OBJECTIVES,
     TrainConfig,
@@ -110,19 +111,9 @@ def cmd_parse_formula(args):
     return EXIT_OK
 
 
-def _informatics_from_args(args):
-    return InformaticsFields(
-        topology=args.topology,
-        unit_cell_volume=args.volume,
-        atom_count=args.natoms,
-        porosity_fraction=args.porosity,
-        accessible_void_fraction=args.acc_porosity,
-        organic_cation=args.organic_cation,
-    )
-
-
 def cmd_tokenize(args):
-    info = _informatics_from_args(args)
+    info = InformaticsFields(**{name: getattr(args, spec.column)
+                                for name, spec in INFO_SCHEMA.items()})
     if args.vocab:
         vocab = TokenVocabulary.load(args.vocab)
     else:
@@ -378,12 +369,10 @@ def build_parser():
     p = commands.add_parser("tokenize", help="token sequence for one crystal")
     p.add_argument("--spacegroup", type=int, required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--topology")
-    p.add_argument("--volume", type=float)
-    p.add_argument("--natoms", type=int)
-    p.add_argument("--porosity", type=float)
-    p.add_argument("--acc-porosity", type=float, dest="acc_porosity")
-    p.add_argument("--organic-cation", dest="organic_cation")
+    # one flag per informatics field, named after its dataset column
+    for spec in INFO_SCHEMA.values():
+        p.add_argument("--" + spec.column.replace("_", "-"),
+                       type={TEXT: str, COUNT: int}.get(spec.kind, float))
     p.add_argument("--vocab", help="vocabulary file (default: build from "
                    "the knowledge base)")
     _add_format(p)

@@ -1,10 +1,10 @@
 """Dataset ingestion, validation, splitting, and synthetic corpus generation.
 
-One canonical column schema decouples the toolkit from upstream dataset
-formats: id, formula, spacegroup, topology, volume, natoms, porosity,
-acc_porosity, organic_cation, a, b, c, alpha, beta, gamma, target,
-target_unit. The same field names apply to the record-lines (JSONL)
-format. Unknown columns are ignored with a warning.
+One canonical column schema, ``COLUMNS``, decouples the toolkit from
+upstream dataset formats: id, formula, spacegroup, the informatics
+columns of ``tokens.vocab.INFO_SCHEMA``, the six lattice parameters,
+target and target_unit. The same field names apply to the record-lines
+(JSONL) format. Unknown columns are ignored with a warning.
 """
 
 import csv
@@ -25,11 +25,11 @@ from .grammar import (
     parse_formula,
 )
 from .objectives import LATTICE_FIELDS, LatticeParameters
-from .tokens import InformaticsFields
+from .tokens.vocab import COUNT, INFO_SCHEMA, TEXT, InformaticsFields
 
-COLUMNS = ("id", "formula", "spacegroup", "topology", "volume", "natoms",
-           "porosity", "acc_porosity", "organic_cation",
-           "a", "b", "c", "alpha", "beta", "gamma", "target", "target_unit")
+COLUMNS = ("id", "formula", "spacegroup",
+           *(spec.column for spec in INFO_SCHEMA.values()),
+           *LATTICE_FIELDS, "target", "target_unit")
 
 
 def _integer(raw):
@@ -45,13 +45,16 @@ def _integer(raw):
     raise ValueError(f"{raw!r} is not an integer")
 
 
-# informatics column -> (InformaticsFields attribute, type read)
-_INFO_COLUMNS = {"topology": ("topology", str),
-                 "volume": ("unit_cell_volume", float),
-                 "natoms": ("atom_count", _integer),
-                 "porosity": ("porosity_fraction", float),
-                 "acc_porosity": ("accessible_void_fraction", float),
-                 "organic_cation": ("organic_cation", str)}
+def _real(raw):
+    """A real cell, never a bool: NaN, infinities and text that overflows
+    to infinity (1e400) are refused."""
+    value = float(raw)
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite real number")
+    return value
+
+
+_READ = {TEXT: str, COUNT: _integer}  # any other kind is a real
 
 
 @dataclass
@@ -96,7 +99,7 @@ class CrystalRecord:
         return [f"record {self.id!r} ({system.value}): {p}" for p in problems]
 
 
-def _parse_optional(row, key, kind=float):
+def _parse_optional(row, key, kind=_real):
     """``row[key]`` read as ``kind``; None when the cell is missing, null
     or whitespace only, which is how every optional column reads blank."""
     raw = row.get(key)
@@ -104,7 +107,7 @@ def _parse_optional(row, key, kind=float):
         return None
     try:
         return kind(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{key}: {exc}") from None
 
 
@@ -116,8 +119,9 @@ def _record_from_mapping(row, lineno):
     try:
         spacegroup = _parse_optional(known, "spacegroup", _integer)
         info = InformaticsFields(**{
-            attr: _parse_optional(known, column, kind)
-            for column, (attr, kind) in _INFO_COLUMNS.items()})
+            name: _parse_optional(known, spec.column,
+                                  _READ.get(spec.kind, _real))
+            for name, spec in INFO_SCHEMA.items()})
         cell = [_parse_optional(known, c) for c in LATTICE_FIELDS]
         if any(v is not None for v in cell):
             if any(v is None for v in cell):
@@ -203,10 +207,10 @@ def record_to_mapping(record):
     row = {"id": record.id, "formula": record.formula,
            "spacegroup": record.spacegroup}
     info = record.informatics
-    for column, (attr, _) in _INFO_COLUMNS.items():
-        value = getattr(info, attr)
+    for name, spec in INFO_SCHEMA.items():
+        value = getattr(info, name)
         if value is not None:
-            row[column] = value
+            row[spec.column] = value
     if record.lattice is not None:
         for name in LATTICE_FIELDS:
             row[name] = getattr(record.lattice, name)

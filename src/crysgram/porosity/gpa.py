@@ -522,7 +522,7 @@ def porosity_tokens(result, binning):
 
 def structure_informatics(structure, result):
     """InformaticsFields carrying volume, atom count, and porosity values."""
-    from ..tokens.tokenizer import InformaticsFields
+    from ..tokens.vocab import InformaticsFields
 
     return InformaticsFields(
         unit_cell_volume=structure.volume,

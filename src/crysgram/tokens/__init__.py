@@ -12,7 +12,6 @@ from .tokenizer import (
     N_FORMULA_SLOTS,
     N_SG_TOKENS,
     SG_POSITIONS,
-    InformaticsFields,
     TokenSequence,
     sequence_length,
     tokenize_crystal,
@@ -20,12 +19,13 @@ from .tokenizer import (
 from .vocab import (
     CLS_ID,
     EMPTY_ID,
-    INFO_FIELDS,
+    INFO_SCHEMA,
     MASK_ID,
     PAD_ID,
     SG_CATEGORIES,
     UNK_ID,
     InformaticsBinning,
+    InformaticsFields,
     TokenVocabulary,
     build_vocabulary,
     quantize_informatics,
@@ -34,9 +34,9 @@ from .vocab import (
 __all__ = [
     "D_ELEMENT", "ElementEmbeddingTable", "assemble_batch", "embed_formula",
     "embed_formulas", "formula_rows",
-    "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "InformaticsFields",
-    "TokenSequence", "sequence_length", "tokenize_crystal",
-    "CLS_ID", "EMPTY_ID", "INFO_FIELDS", "MASK_ID", "PAD_ID", "SG_CATEGORIES",
-    "UNK_ID", "InformaticsBinning", "TokenVocabulary", "build_vocabulary",
-    "quantize_informatics",
+    "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "TokenSequence",
+    "sequence_length", "tokenize_crystal",
+    "CLS_ID", "EMPTY_ID", "INFO_SCHEMA", "MASK_ID", "PAD_ID", "SG_CATEGORIES",
+    "UNK_ID", "InformaticsBinning", "InformaticsFields", "TokenVocabulary",
+    "build_vocabulary", "quantize_informatics",
 ]

@@ -14,46 +14,17 @@ from .vocab import (
     CLS_ID,
     EMPTY,
     EMPTY_ID,
-    INFO_FIELDS,
     PAD,
     PAD_ID,
     SG_CATEGORIES,
     SPECIAL,
+    InformaticsFields,
     quantize_informatics,
 )
 
 N_SG_TOKENS = 12
 N_FORMULA_SLOTS = 20
 SG_POSITIONS = tuple(range(1, 1 + N_SG_TOKENS))
-
-_STRING_FIELDS = ("topology", "organic_cation")
-
-
-@dataclass(frozen=True)
-class InformaticsFields:
-    """Optional per-record informatics values (hMOF/HOIP style)."""
-
-    topology: str = None
-    unit_cell_volume: float = None
-    atom_count: int = None
-    porosity_fraction: float = None
-    accessible_void_fraction: float = None
-    organic_cation: str = None
-
-    def __post_init__(self):
-        if self.unit_cell_volume is not None and not self.unit_cell_volume > 0:
-            raise VocabularyError(
-                f"unit cell volume must be positive: {self.unit_cell_volume}")
-        if self.atom_count is not None and self.atom_count < 1:
-            raise VocabularyError(f"atom count must be >= 1: {self.atom_count}")
-        for name in ("porosity_fraction", "accessible_void_fraction"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 100.0:
-                raise VocabularyError(f"{name} must lie in [0, 100]: {value}")
-
-    def present_fields(self):
-        return tuple(name for name in INFO_FIELDS
-                     if getattr(self, name) is not None)
 
 
 @dataclass(frozen=True)
@@ -112,9 +83,6 @@ def tokenize_crystal(sg_number, formula, info, vocab, provenance=None):
         if value is None:
             ids.append(EMPTY_ID)
             labels.append(EMPTY)
-        elif field_name in _STRING_FIELDS:
-            ids.append(vocab.id_of(field_name, value))
-            labels.append(value)
         else:
             token = quantize_informatics(value, field_name, vocab.binning)
             ids.append(vocab.id_of(field_name, token))

@@ -1,8 +1,10 @@
-"""Token vocabulary: reserved ids, per-category dense id ranges, numeric
-binning for informatics fields, and bit-exact text serialization."""
+"""Token vocabulary: reserved ids, per-category dense id ranges, the
+informatics schema and numeric binning, and bit-exact text serialization."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,17 +25,75 @@ SG_CATEGORIES = (
     "directional", "directional", "directional",
 )
 
-INFO_FIELDS = ("topology", "unit_cell_volume", "atom_count",
-               "porosity_fraction", "accessible_void_fraction",
-               "organic_cation")
+# kinds of informatics value: each has one validity rule and one token rule
+TEXT, VOLUME, COUNT, PERCENT = "text", "volume", "count", "percent"
+
+
+class InfoSpec(NamedTuple):
+    column: str  # dataset column, and the ``tokenize --<column>`` flag
+    kind: str  # TEXT, VOLUME, COUNT or PERCENT
+    prefix: str = None  # bin-token prefix of a VOLUME or PERCENT field
+
+
+def _info(column, kind, prefix=None):
+    return dataclasses.field(
+        default=None, metadata={"spec": InfoSpec(column, kind, prefix)})
+
+
+@dataclass(frozen=True)
+class InformaticsFields:
+    """Optional per-record informatics values (hMOF/HOIP style). Each
+    attribute declares its ``INFO_SCHEMA`` entry, in layout order."""
+
+    topology: str = _info("topology", TEXT)
+    unit_cell_volume: float = _info("volume", VOLUME, "vol")
+    atom_count: int = _info("natoms", COUNT)
+    porosity_fraction: float = _info("porosity", PERCENT, "por")
+    accessible_void_fraction: float = _info("acc_porosity", PERCENT, "acc")
+    organic_cation: str = _info("organic_cation", TEXT)
+
+    def __post_init__(self):
+        for name in INFO_SCHEMA:
+            if getattr(self, name) is not None:
+                _check_informatics(name, getattr(self, name))
+
+    def present_fields(self):
+        return tuple(name for name in INFO_SCHEMA
+                     if getattr(self, name) is not None)
+
+
+# informatics field -> InfoSpec, in layout order
+INFO_SCHEMA = {f.name: f.metadata["spec"]
+               for f in dataclasses.fields(InformaticsFields)}
 
 ELEMENT = "element"
 
 CATEGORY_ORDER = (SPECIAL, "full_symbol", "number", "order", "point_group",
                   "crystal_system", "laue_class", "symmetry", "polarity",
-                  "centering", "directional", *INFO_FIELDS, ELEMENT)
+                  "centering", "directional", *INFO_SCHEMA, ELEMENT)
 
 N_VOLUME_BINS = 64
+
+
+def _check_informatics(field, value):
+    """The kind of ``field``; VocabularyError unless ``value`` is text, a
+    finite volume > 0, an integer count >= 1 or a percentage in [0, 100]."""
+    spec = INFO_SCHEMA.get(field)
+    if spec is None:
+        raise VocabularyError(f"unknown informatics field {field!r}")
+    if spec.kind != TEXT and not np.isfinite(value):
+        raise VocabularyError(f"non-finite {field} value: {value!r}")
+    if spec.kind == VOLUME and not value > 0:
+        raise VocabularyError(f"unit cell volume must be positive: {value}")
+    if spec.kind == COUNT and (int(value) != value or value < 1):
+        raise VocabularyError(f"atom count must be a positive integer: {value}")
+    if spec.kind == PERCENT and not 0.0 <= value <= 100.0:
+        raise VocabularyError(f"{field} must lie in [0, 100]: {value}")
+    return spec.kind
+
+
+def _bin_token(field, k):
+    return f"{INFO_SCHEMA[field].prefix}_b{k:02d}"
 
 
 @dataclass(frozen=True)
@@ -65,46 +125,35 @@ class InformaticsBinning:
         return len(self.volume_edges) - 1
 
     def all_tokens(self, field):
-        if field == "unit_cell_volume":
-            return [f"vol_b{k:02d}" for k in range(self.n_volume_bins)]
-        if field == "atom_count":
+        kind = INFO_SCHEMA[field].kind if field in INFO_SCHEMA else None
+        if kind == COUNT:
             return ([str(n) for n in range(1, self.atom_count_max + 1)]
                     + [f">{self.atom_count_max}"])
-        if field == "porosity_fraction":
-            return [f"por_b{k:02d}" for k in range(self.porosity_bins)]
-        if field == "accessible_void_fraction":
-            return [f"acc_b{k:02d}" for k in range(self.porosity_bins)]
-        raise VocabularyError(f"{field!r} is not a binned field")
+        if kind not in (VOLUME, PERCENT):
+            raise VocabularyError(f"{field!r} is not a binned field")
+        n_bins = self.n_volume_bins if kind == VOLUME else self.porosity_bins
+        return [_bin_token(field, k) for k in range(n_bins)]
 
 
 def quantize_informatics(value, field, binning):
-    """Deterministic bin token for one numeric informatics value.
+    """Deterministic token for one informatics value: the text itself for
+    a text field, its bin token otherwise.
 
     Bins are half-open [lo, hi): a value on an interior edge lands in the
     upper bin; the top bin is closed so the maximum stays representable.
     """
-    if not np.isfinite(value):
-        raise VocabularyError(f"non-finite {field} value: {value!r}")
-    if field == "unit_cell_volume":
-        if value <= 0:
-            raise VocabularyError(f"unit cell volume must be positive: {value}")
+    kind = _check_informatics(field, value)
+    if kind == TEXT:
+        return value
+    if kind == VOLUME:
         edges = np.asarray(binning.volume_edges)
         k = int(np.searchsorted(edges, value, side="right")) - 1
-        k = min(max(k, 0), binning.n_volume_bins - 1)
-        return f"vol_b{k:02d}"
-    if field == "atom_count":
+        return _bin_token(field, min(max(k, 0), binning.n_volume_bins - 1))
+    if kind == COUNT:
         n = int(value)
-        if n != value or n < 1:
-            raise VocabularyError(f"atom count must be a positive integer: {value}")
         return str(n) if n <= binning.atom_count_max else f">{binning.atom_count_max}"
-    if field in ("porosity_fraction", "accessible_void_fraction"):
-        if not 0.0 <= value <= 100.0:
-            raise VocabularyError(f"{field} must lie in [0, 100]: {value}")
-        k = min(int(value * binning.porosity_bins / 100.0),
-                binning.porosity_bins - 1)
-        prefix = "por" if field == "porosity_fraction" else "acc"
-        return f"{prefix}_b{k:02d}"
-    raise VocabularyError(f"{field!r} is not a binned field")
+    return _bin_token(field, min(int(value * binning.porosity_bins / 100.0),
+                                 binning.porosity_bins - 1))
 
 
 class TokenVocabulary:
@@ -112,7 +161,7 @@ class TokenVocabulary:
 
     def __init__(self, tokens_by_category, info_layout, binning):
         for field in info_layout:
-            if field not in INFO_FIELDS:
+            if field not in INFO_SCHEMA:
                 raise VocabularyError(f"unknown informatics field {field!r}")
         self.info_layout = tuple(info_layout)
         self.binning = binning
@@ -168,8 +217,7 @@ class TokenVocabulary:
 
     @classmethod
     def from_text(cls, text):
-        layout, edges = (), ()
-        atom_count_max, porosity_bins = 512, 20
+        layout, edges, settings = (), (), {}
         tokens_by_category = {}
         expected = 0
         for line in text.splitlines():
@@ -179,10 +227,8 @@ class TokenVocabulary:
                 key, _, value = line[1:].partition("\t")
                 if key == "info_layout":
                     layout = tuple(v for v in value.split(",") if v)
-                elif key == "atom_count_max":
-                    atom_count_max = int(value)
-                elif key == "porosity_bins":
-                    porosity_bins = int(value)
+                elif key in ("atom_count_max", "porosity_bins"):
+                    settings[key] = int(value)
                 elif key == "volume_edges":
                     edges = tuple(float.fromhex(v) for v in value.split(","))
                 continue
@@ -196,9 +242,7 @@ class TokenVocabulary:
                     raise VocabularyError(f"reserved slot mismatch: {line!r}")
                 continue
             tokens_by_category.setdefault(category, []).append(token)
-        binning = InformaticsBinning(volume_edges=edges,
-                                     atom_count_max=atom_count_max,
-                                     porosity_bins=porosity_bins)
+        binning = InformaticsBinning(volume_edges=edges, **settings)
         return cls(tokens_by_category, layout, binning)
 
     def save(self, path):
@@ -234,27 +278,20 @@ def build_vocabulary(datasets=(), info_layout=()):
                 continue
             add(category, token)
 
-    topologies, cations, volumes = set(), set(), []
+    observed = {name: set() for name in INFO_SCHEMA}
     for item in datasets:
         info = getattr(item, "informatics", item)
-        if info is None:
-            continue
-        if getattr(info, "topology", None) is not None:
-            topologies.add(info.topology)
-        if getattr(info, "organic_cation", None) is not None:
-            cations.add(info.organic_cation)
-        if getattr(info, "unit_cell_volume", None) is not None:
-            volumes.append(info.unit_cell_volume)
-    binning = InformaticsBinning.from_observations(volumes)
+        for name, values in observed.items():
+            if getattr(info, name, None) is not None:
+                values.add(getattr(info, name))
+    binning = InformaticsBinning.from_observations(
+        observed["unit_cell_volume"])
 
-    for topology in sorted(topologies):
-        add("topology", topology)
-    for cation in sorted(cations):
-        add("organic_cation", cation)
-    for field in ("unit_cell_volume", "atom_count", "porosity_fraction",
-                  "accessible_void_fraction"):
-        for token in binning.all_tokens(field):
-            add(field, token)
+    for name, spec in INFO_SCHEMA.items():
+        tokens = (sorted(observed[name]) if spec.kind == TEXT
+                  else binning.all_tokens(name))
+        for token in tokens:
+            add(name, token)
     for symbol in SYMBOLS:
         add(ELEMENT, symbol)
 

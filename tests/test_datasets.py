@@ -141,6 +141,43 @@ class TestLoading:
                            "integer"):
             load_dataset(path)
 
+    FINITE = "is not a finite real number"
+
+    @pytest.mark.parametrize("name, text, column, line, message", [
+        ("data.csv", "id,formula,spacegroup,target\nr1,Si,1,0.5\nr2,Si,1,"
+                     "nan\n", "target", 3, FINITE),
+        ("data.csv", "formula,spacegroup,a,b,c,alpha,beta,gamma\n"
+                     "Si,1,4,4,4,90,90,90\nSi,1,inf,inf,inf,90,90,90\n", "a",
+         3, FINITE),
+        ("data.csv", "formula,spacegroup,volume\nSi,1,40\nSi,1,1e400\n",
+         "volume", 3, FINITE),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n'
+                       '{"formula": "Si", "spacegroup": 1, "volume": true}\n',
+         "volume", 2, FINITE),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n'
+                       '{"formula": "Si", "spacegroup": 1, "target": true}\n',
+         "target", 2, FINITE),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n'
+                       '{"formula": "Si", "spacegroup": 1, "a": true, "b": 4, '
+                       '"c": 4, "alpha": 90, "beta": 90, "gamma": 90}\n', "a",
+         2, FINITE),
+        ("data.jsonl", '{"formula": "Si", "spacegroup": 1}\n'
+                       '{"formula": "Si", "spacegroup": 1, "target": 1'
+                       + "0" * 400 + '}\n', "target", 2, "int too large"),
+    ], ids=["csv-nan-target", "csv-inf-lattice", "csv-overflow-volume",
+            "jsonl-bool-volume", "jsonl-bool-target", "jsonl-bool-lattice",
+            "jsonl-overflow-target"])
+    def test_real_columns_refuse_non_finite_and_bool(self, tmp_path, name,
+                                                     text, column, line,
+                                                     message):
+        # every real cell is finite and not a bool; the error names the
+        # line and the column
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=f"1 invalid rows: line {line}: "
+                           f"{column}: .*{message}"):
+            load_dataset(path)
+
     def test_incomplete_lattice_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(CSV_HEADER + "\n"

@@ -14,8 +14,9 @@ every zero pattern of the clearance-field sums is covered) and runs
 without flood fill, and once with a radius override file; a 300-atom
 framework-like cell runs once at 5 points per angstrom, where the
 clearance field is stamped in many chunks of mixed box shapes. It prints
-one crystal's token sequence with informatics values (``tokenize``, in
-text and json), whose ids, labels and attention mask must not move,
+one crystal's token sequence with a value for every informatics flag
+(``tokenize``, in text and json), whose ids, labels and attention mask
+must not move,
 and, in text and json, ``parse-formula`` on four nested or decimal
 formulas and ``lookup`` on space groups of every crystal system and of
 every centering letter the table uses (P, A, C, I, R, F).
@@ -75,7 +76,8 @@ with open("radii.txt", "w", encoding="utf-8") as fh:
 TRAIN = ("--epochs", "3", "--seed", "3", "--weight-decay", "0.01")
 TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
             "--topology", "pcu", "--volume", "4823.5", "--natoms", "112",
-            "--porosity", "61.2")
+            "--porosity", "61.2", "--acc-porosity", "44.0",
+            "--organic-cation", "CH3NH3")
 FORMULAS = ("K(Al(OH)2)3", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5",
             "Li0.33Fe0.5Mn0.17PO4", "(NH4)2SO4")
 LOOKUPS = ("1", "2", "5", "14", "38", "62", "88", "146", "166", "194",
