@@ -10,11 +10,13 @@ import numpy as np
 from crysgram.grammar import parse_formula
 from crysgram.nn import EncoderState, desk_config
 from crysgram.tokens import (
+    PAD_ID,
     ElementEmbeddingTable,
     InformaticsFields,
     assemble_batch,
     build_vocabulary,
     embed_formula,
+    sequence_categories,
     tokenize_crystal,
 )
 
@@ -29,11 +31,14 @@ print(f"vocabulary: {vocab.size} tokens, "
       f"info layout {vocab.info_layout}")
 
 comp = parse_formula("C6H6CuN2O4")
-seq = tokenize_crystal(1, comp, info, vocab, provenance="demo-mof")
-print(f"\nsequence length {len(seq)} = 1 + 12 + {seq.n_info} + 20")
+ids = tokenize_crystal(1, comp, info, vocab)
+categories = sequence_categories(vocab.info_layout)
+n_info = len(vocab.info_layout)
+print(f"\nsequence length {len(ids)} = 1 + 12 + {n_info} + 20")
 for pos in list(range(0, 20)) + [32, 33]:
-    print(f"  {pos:>2} {seq.categories[pos]:<26} {seq.token_labels[pos]:<12} "
-          f"id={seq.ids[pos]:>4} mask={seq.attention_mask[pos]}")
+    label = vocab.token_at(ids[pos])[1]
+    print(f"  {pos:>2} {categories[pos]:<26} {label:<12} "
+          f"id={ids[pos]:>4} mask={int(ids[pos] != PAD_ID)}")
 
 table = ElementEmbeddingTable.deterministic()
 matrix = embed_formula(comp, table)
@@ -44,7 +49,7 @@ print(f"zero-padding rows: {np.count_nonzero(~matrix.any(axis=1))}")
 config = desk_config(vocab.size)
 state = EncoderState(config, seed=0)
 x, mask = assemble_batch(
-    np.array([seq.ids]), [matrix], state["embed.token"],
+    np.array([ids]), [matrix], state["embed.token"],
     state["embed.formula.w"], state["embed.formula.b"],
     state["embed.position"])
 print(f"\nembedded input: {x.shape[1:]} "

@@ -22,8 +22,7 @@ print(f"desk preset: {config.n_layers} layers, {config.n_heads} heads, "
       f"d_model {config.d_model}; {state.parameter_count():,} parameters")
 
 comp = parse_formula("NaCl")
-seq = tokenize_crystal(225, comp, None, vocab)
-tokens = np.array([seq.ids])
+tokens = np.array([tokenize_crystal(225, comp, None, vocab)])
 matrix = embed_formula(comp, table)
 
 hidden, cls, attn = encode_batch(state, tokens, matrix[None], mode="eval",

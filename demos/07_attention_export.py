@@ -12,11 +12,7 @@ import numpy as np
 from crysgram.datasets import generate_synthetic_corpus
 from crysgram.nn.export import export_attention
 from crysgram.objectives import encode_batch
-from crysgram.tokens import (
-    ElementEmbeddingTable,
-    embed_formula,
-    tokenize_crystal,
-)
+from crysgram.tokens import ElementEmbeddingTable
 from crysgram.training import TrainConfig, prepare_corpus, pretrain
 
 records = generate_synthetic_corpus(128, seed=6, task="lpp")
@@ -25,15 +21,12 @@ config = TrainConfig(objective="lpp", epochs=10, batch_size=64,
 table = ElementEmbeddingTable.deterministic()
 result = pretrain(records, config, table=table)
 
-first = records[0]
-seq = tokenize_crystal(first.spacegroup, first.composition, first.informatics,
-                       result.vocab)
-_, _, attn = encode_batch(result.state, np.array([seq.ids]),
-                          embed_formula(first.composition, table)[None],
+first = prepare_corpus(records[:1], result.vocab, table)
+_, _, attn = encode_batch(result.state, first.tokens, first.formula_matrices,
                           mode="eval", record_attention=True)
-attn.token_labels = [seq.token_labels]
+labels = [result.vocab.token_at(i)[1] for i in first.tokens[0]]
 
-document = export_attention(attn, layers=[-1])
+document = export_attention(attn, labels, layers=[-1])
 (key,) = document["layers"]
 weights = np.asarray(document["layers"][key])
 print(f"last-layer export: {weights.shape[0]} heads of "

@@ -33,10 +33,10 @@ from .tokens import (
     InformaticsFields,
     TokenVocabulary,
     build_vocabulary,
-    embed_formula,
+    sequence_categories,
     tokenize_crystal,
 )
-from .tokens.vocab import COUNT, INFO_SCHEMA, TEXT
+from .tokens.vocab import COUNT, INFO_SCHEMA, PAD_ID, TEXT
 from .training import (
     PRETRAIN_OBJECTIVES,
     TrainConfig,
@@ -119,19 +119,19 @@ def cmd_tokenize(args):
     else:
         vocab = build_vocabulary(datasets=[info],
                                  info_layout=info.present_fields())
-    comp = parse_formula(args.formula)
-    seq = tokenize_crystal(args.spacegroup, comp, info, vocab)
+    ids = tokenize_crystal(args.spacegroup, parse_formula(args.formula),
+                           info, vocab)
+    labels = [vocab.token_at(i)[1] for i in ids]
+    categories = sequence_categories(vocab.info_layout)
+    mask = [int(i != PAD_ID) for i in ids]
     if args.format == "json":
-        payload = {"ids": list(seq.ids),
-                   "labels": list(seq.token_labels),
-                   "categories": list(seq.categories),
-                   "attention_mask": list(seq.attention_mask)}
+        payload = {"ids": list(ids), "labels": labels,
+                   "categories": list(categories), "attention_mask": mask}
         emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return EXIT_OK
     lines = [f"{pos:>2}  {cat:<24} {label:<16} id={tid} mask={m}"
              for pos, (cat, label, tid, m)
-             in enumerate(zip(seq.categories, seq.token_labels, seq.ids,
-                              seq.attention_mask))]
+             in enumerate(zip(categories, labels, ids, mask))]
     emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -288,7 +288,7 @@ def cmd_export(args):
 
 def _export_attention(args):
     """Attention maps of the first record, or of --record-id. Every row
-    of the dataset is read and validated; only that record is tokenized."""
+    of the dataset is read and validated; only that record is prepared."""
     state, _, vocab = _load_checkpoint(args)
     records = _load_records(args.data)
     if not records:
@@ -298,14 +298,12 @@ def _export_attention(args):
         record = next((r for r in records if r.id == args.record_id), None)
         if record is None:
             raise CrysgramError(f"record {args.record_id!r} not in dataset")
-    seq = tokenize_crystal(record.spacegroup, record.composition,
-                           record.informatics, vocab, provenance=record.id)
-    matrix = embed_formula(record.composition, _element_table(args))
-    _, _, attn = encode_batch(state, np.array([seq.ids]), matrix[None],
+    corpus = prepare_corpus([record], vocab, _element_table(args))
+    _, _, attn = encode_batch(state, corpus.tokens, corpus.formula_matrices,
                               mode="eval", record_attention=True)
-    attn.token_labels = [seq.token_labels]
+    labels = [vocab.token_at(i)[1] for i in corpus.tokens[0]]
     layers = None if args.layer is None else [args.layer]
-    document = export_attention(attn, layers=layers)
+    document = export_attention(attn, labels, layers=layers)
     document["record_id"] = record.id
     emit(json.dumps(document, sort_keys=True), args.out)
     return EXIT_OK

@@ -167,11 +167,9 @@ class EncoderState:
 @dataclass
 class AttentionMap:
     """Recorded attention weights of one batch: a (B, n_heads, R, L) array
-    per layer, the (B, L) attention mask and one token-label tuple per
-    record."""
+    per layer and the (B, L) attention mask."""
 
     layers: list = field(default_factory=list)
-    token_labels: list = field(default_factory=list)
     attention_mask: np.ndarray = None
 
     @property
@@ -310,7 +308,7 @@ def encoder_forward(x, mask, state, mode="eval", rng=None,
 
     train = mode == "train"
     B, L, d = x.shape
-    attn_map = (AttentionMap([], [()] * B, np.array(mask))
+    attn_map = (AttentionMap([], np.array(mask))
                 if record_attention else None)
     R = (L if rows is None or config.n_layers == 0
          else min(max(rows, MIN_QUERY_ROWS), L))

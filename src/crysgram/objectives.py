@@ -181,7 +181,7 @@ def encode_batch(state, tokens, formula_matrices, mode="eval", rng=None,
     width. Training dropout still draws at the padded full-width shapes,
     so a seed gives the masks of the untrimmed batch. ``attn`` is None
     unless attention is recorded; its map keeps every row and the full
-    width, and the caller sets its ``token_labels``.
+    width.
     """
     padded = tokens.shape[1]
     attended = np.flatnonzero((tokens != PAD_ID).any(axis=0))

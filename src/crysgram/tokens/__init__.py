@@ -12,7 +12,7 @@ from .tokenizer import (
     N_FORMULA_SLOTS,
     N_SG_TOKENS,
     SG_POSITIONS,
-    TokenSequence,
+    sequence_categories,
     sequence_length,
     tokenize_crystal,
 )
@@ -34,8 +34,8 @@ from .vocab import (
 __all__ = [
     "D_ELEMENT", "ElementEmbeddingTable", "assemble_batch", "embed_formula",
     "embed_formulas", "formula_rows",
-    "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS", "TokenSequence",
-    "sequence_length", "tokenize_crystal",
+    "N_FORMULA_SLOTS", "N_SG_TOKENS", "SG_POSITIONS",
+    "sequence_categories", "sequence_length", "tokenize_crystal",
     "CLS_ID", "EMPTY_ID", "INFO_SCHEMA", "MASK_ID", "PAD_ID", "SG_CATEGORIES",
     "UNK_ID", "InformaticsBinning", "InformaticsFields", "TokenVocabulary",
     "build_vocabulary", "quantize_informatics",

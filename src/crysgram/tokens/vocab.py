@@ -68,20 +68,26 @@ INFO_SCHEMA = {f.name: f.metadata["spec"]
 
 ELEMENT = "element"
 
-CATEGORY_ORDER = (SPECIAL, "full_symbol", "number", "order", "point_group",
-                  "crystal_system", "laue_class", "symmetry", "polarity",
-                  "centering", "directional", *INFO_SCHEMA, ELEMENT)
+CATEGORY_ORDER = (SPECIAL, *dict.fromkeys(SG_CATEGORIES), *INFO_SCHEMA,
+                  ELEMENT)
 
 N_VOLUME_BINS = 64
 
 
 def _check_informatics(field, value):
-    """The kind of ``field``; VocabularyError unless ``value`` is text, a
+    """The kind of ``field``; VocabularyError unless ``value`` is text
+    with no tab or line break (``vocab.txt`` is tab-separated lines), a
     finite volume > 0, an integer count >= 1 or a percentage in [0, 100]."""
     spec = INFO_SCHEMA.get(field)
     if spec is None:
         raise VocabularyError(f"unknown informatics field {field!r}")
-    if spec.kind != TEXT and not np.isfinite(value):
+    if spec.kind == TEXT:
+        if (not isinstance(value, str) or "\t" in value
+                or "".join(value.splitlines()) != value):
+            raise VocabularyError(f"{field} must be text with no tab or "
+                                  f"line break: {value!r}")
+        return TEXT
+    if not np.isfinite(value):
         raise VocabularyError(f"non-finite {field} value: {value!r}")
     if spec.kind == VOLUME and not value > 0:
         raise VocabularyError(f"unit cell volume must be positive: {value}")

@@ -189,8 +189,7 @@ def prepare_corpus(records, vocab, table):
     for record in records:
         comp = record.composition
         rows.append(tokenize_crystal(record.spacegroup, comp,
-                                     record.informatics, vocab,
-                                     provenance=record.id).ids)
+                                     record.informatics, vocab))
         compositions.append(comp)
         ids.append(record.id)
         lattices.append(None if record.lattice is None

@@ -61,13 +61,13 @@ def test_traced_encode_records_the_encoder_spans():
     vocab = build_vocabulary()
     table = ElementEmbeddingTable.deterministic()
     comp = parse_formula("NaCl")
-    seq = tokenize_crystal(225, comp, None, vocab)
+    ids = tokenize_crystal(225, comp, None, vocab)
     state = EncoderState(desk_config(vocab.size), seed=0)
     tracing = load_tracing()
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        _, cls, _ = cli.encode_batch(state, np.array([seq.ids]),
+        _, cls, _ = cli.encode_batch(state, np.array([ids]),
                                      embed_formula(comp, table)[None], rows=1)
     finally:
         restore()

@@ -7,14 +7,24 @@ import pytest
 
 from crysgram import cli
 from crysgram.cli import main
-from crysgram.datasets import generate_synthetic_corpus, write_dataset
+from crysgram.datasets import (
+    CrystalRecord,
+    generate_synthetic_corpus,
+    write_dataset,
+)
 from crysgram.porosity import (
     PeriodicStructure,
     default_radius_table,
     save_structure,
 )
 from crysgram.porosity.gpa import MAX_GRID_POINTS
-from crysgram.tokens import ElementEmbeddingTable, tokenize_crystal
+from crysgram.tokens import (
+    UNK_ID,
+    ElementEmbeddingTable,
+    InformaticsFields,
+    build_vocabulary,
+    tokenize_crystal,
+)
 from crysgram.training import loop
 
 
@@ -97,6 +107,18 @@ class TestTokenize:
         assert code == 0
         assert "pcu.cat0" in payload["labels"]
         assert len(payload["ids"]) == 1 + 12 + 2 + 20
+
+    def test_value_the_vocabulary_lacks_is_labelled_unk(self, capsys,
+                                                         tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        build_vocabulary(info_layout=("topology",)).save(vocab)
+        code, out, _ = run(capsys, "tokenize", "--spacegroup", "1",
+                           "--formula", "C6H6", "--topology", "pcu",
+                           "--vocab", str(vocab), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ids"][13] == UNK_ID == 4
+        assert payload["labels"][13] == "[UNK]"
 
 
 class TestPorosity:
@@ -531,14 +553,21 @@ class TestExport:
     def test_attention_export_tokenizes_one_record(self, capsys, finetuned,
                                                    regression_csv, tmp_path,
                                                    monkeypatch):
-        calls = []
+        records, calls = [], []
+        load_records = cli._load_records
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("provenance"))
-            return tokenize_crystal(*args, **kwargs)
+        def loading(path):
+            records.extend(load_records(path))
+            return records
 
+        def counting(sg, composition, *args):
+            # the record whose parsed formula this call tokenizes
+            calls.append(next(r.id for r in records
+                              if r.composition is composition))
+            return tokenize_crystal(sg, composition, *args)
+
+        monkeypatch.setattr(cli, "_load_records", loading)
         monkeypatch.setattr(loop, "tokenize_crystal", counting)
-        monkeypatch.setattr(cli, "tokenize_crystal", counting)
         code, _, _ = run(capsys, "export", "attention",
                          "--checkpoint", str(finetuned / "checkpoint.ckpt"),
                          "--data", regression_csv,
@@ -546,6 +575,28 @@ class TestExport:
                          "--out", str(tmp_path / "attention.json"))
         assert code == 0
         assert calls == ["syn-regression-21-00004"]
+
+    def test_attention_export_labels_a_value_the_vocabulary_lacks_unk(
+            self, capsys, tmp_path):
+        def dataset(name, topology):
+            path = tmp_path / name
+            write_dataset([CrystalRecord(
+                id=name, formula="NaCl", spacegroup=225,
+                informatics=InformaticsFields(topology=topology))], path)
+            return str(path)
+
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "pretrain", "--data",
+                         dataset("seen.jsonl", "pcu"), "--epochs", "0",
+                         "--info-layout", "topology", "--out", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "export", "attention", "--checkpoint",
+                              str(out / "checkpoint.ckpt"), "--data",
+                              dataset("unseen.jsonl", "dia"))
+        assert code == 0
+        labels = json.loads(stdout)["token_labels"]
+        assert labels[:3] == ["[CLS]", "F4/m-32/m", "225"]
+        assert labels[13:16] == ["[UNK]", "Na", "Cl"]
 
     def test_attention_export_of_an_empty_dataset_exits_2(
             self, capsys, finetuned, regression_csv, tmp_path):

@@ -276,12 +276,11 @@ class TestAttentionExport:
         config = desk_config(vocab_size=11, d_model=32, dtype="float64")
         state = EncoderState(config, seed=4)
         _, _, attn = encoder_forward(*make_input(L=9, batch=batch), state)
-        attn.token_labels = [LABELS] * batch
         return attn
 
     def test_layer_head_shapes(self):
         attn = self.make_map()
-        doc = export_attention(attn, layers=[-1])
+        doc = export_attention(attn, LABELS, layers=[-1])
         key = str(attn.n_layers - 1)
         arr = np.asarray(doc["layers"][key])
         assert arr.shape == (4, 9, 9)
@@ -291,7 +290,7 @@ class TestAttentionExport:
 
     def test_row_sums_preserved_in_serialization(self):
         attn = self.make_map()
-        doc = json.loads(json.dumps(export_attention(attn)))
+        doc = json.loads(json.dumps(export_attention(attn, LABELS)))
         valid = np.array(doc["attention_mask"], dtype=bool)
         for arr in doc["layers"].values():
             arr = np.asarray(arr)
@@ -301,7 +300,7 @@ class TestAttentionExport:
 
     def test_serialization_roundtrip_exact(self):
         attn = self.make_map()
-        doc = json.loads(json.dumps(export_attention(attn)))
+        doc = json.loads(json.dumps(export_attention(attn, LABELS)))
         for index, arr in doc["layers"].items():
             np.testing.assert_array_equal(np.asarray(arr),
                                           attn.layers[int(index)][0])
@@ -316,23 +315,27 @@ class TestAttentionExport:
         attn = self.make_map(batch=2)
         assert attn.layers[-1].shape == (2, 4, 9, 9)
         with pytest.raises(CrysgramError, match="one record"):
-            export_attention(attn)
+            export_attention(attn, LABELS)
         with pytest.raises(CrysgramError, match="one record"):
             attn.cls_attention(0)
 
     def test_empty_map_errors(self):
         with pytest.raises(CrysgramError):
-            export_attention(AttentionMap())
+            export_attention(AttentionMap(), LABELS)
         with pytest.raises(CrysgramError, match="disabled"):
             AttentionMap().cls_attention(-1)
 
     def test_layer_out_of_range(self):
         attn = self.make_map()
         with pytest.raises(CrysgramError):
-            export_attention(attn, layers=[5])
+            export_attention(attn, LABELS, layers=[5])
+
+    def test_labels_must_name_every_position(self):
+        with pytest.raises(CrysgramError, match="8 labels for 9"):
+            export_attention(self.make_map(), LABELS[:8])
 
     def test_deterministic_serialization(self):
         attn = self.make_map()
-        text = json.dumps(export_attention(attn), sort_keys=True)
-        assert text == json.dumps(export_attention(attn), sort_keys=True)
+        text = json.dumps(export_attention(attn, LABELS), sort_keys=True)
+        assert text == json.dumps(export_attention(attn, LABELS), sort_keys=True)
         json.loads(text)

@@ -45,12 +45,9 @@ VOCAB = build_vocabulary()
 TABLE = ElementEmbeddingTable.deterministic(dimension=16, seed=2)
 
 
-def make_seq(sg=225, formula="NaCl"):
-    return tokenize_crystal(sg, parse_formula(formula), None, VOCAB)
-
-
 def make_tokens(records=((225, "NaCl"),)):
-    return np.array([make_seq(sg, f).ids for sg, f in records])
+    return np.array([tokenize_crystal(sg, parse_formula(f), None, VOCAB)
+                     for sg, f in records])
 
 
 def make_batch(records=((225, "NaCl"), (14, "Fe2O3"), (194, "Ca(OH)2")),

@@ -2,6 +2,7 @@
 dataset files, the ``tokenize`` flags and the tokenizer."""
 
 import json
+import re
 
 import pytest
 
@@ -19,7 +20,9 @@ from crysgram.tokens import (
     InformaticsBinning,
     InformaticsFields,
     build_vocabulary,
+    TokenVocabulary,
     quantize_informatics,
+    sequence_categories,
     tokenize_crystal,
 )
 from crysgram.tokens.vocab import COUNT, PERCENT, TEXT, VOLUME
@@ -72,10 +75,26 @@ def test_tokenize_flag_matches_tokenize_crystal(capsys, name):
     info = InformaticsFields(**{name: value})
     vocab = build_vocabulary(datasets=[info],
                              info_layout=info.present_fields())
-    seq = tokenize_crystal(1, parse_formula("C6H6"), info, vocab)
+    ids = tokenize_crystal(1, parse_formula("C6H6"), info, vocab)
     payload = json.loads(capsys.readouterr().out)
-    assert payload["ids"] == list(seq.ids)
+    assert payload["ids"] == list(ids)
+    assert payload["labels"] == [vocab.token_at(i)[1] for i in ids]
+    assert payload["categories"] == list(
+        sequence_categories(vocab.info_layout))
     assert payload["categories"][13] == name
+
+
+def write_column(path, column, values):
+    """A dataset of one Si record per value, ``column`` holding the value
+    (blank for ""); the record lines are 1, 2, ... in a .jsonl file and
+    2, 3, ... in a .csv file, after its header."""
+    if path.suffix == ".csv":
+        path.write_text(f"formula,spacegroup,{column}\n" + "".join(
+            f"Si,1,{v}\n" for v in values))
+    else:
+        path.write_text("".join(json.dumps(
+            {"formula": "Si", "spacegroup": 1, column: v}) + "\n"
+            for v in values))
 
 
 @pytest.mark.parametrize("name", BINNED)
@@ -91,16 +110,10 @@ class TestInvalidValueRefused:
     def test_by_the_loader_naming_the_line(self, tmp_path, name, suffix,
                                            line):
         column = INFO_SCHEMA[name].column
-        rows = [("Si", 1, ""), ("Si", 1, self.value(name))]
         path = tmp_path / f"data{suffix}"
-        if suffix == ".csv":
-            path.write_text(f"formula,spacegroup,{column}\n" + "".join(
-                f"{f},{g},{v}\n" for f, g, v in rows))
-        else:
-            path.write_text("".join(json.dumps(
-                {"formula": f, "spacegroup": g, column: v}) + "\n"
-                for f, g, v in rows))
-        with pytest.raises(DatasetError, match=f"1 invalid rows: line {line}:"):
+        write_column(path, column, ["", self.value(name)])
+        with pytest.raises(DatasetError,
+                           match=f"1 invalid rows: line {line}: {column}: "):
             load_dataset(path)
 
     def test_by_the_command_line(self, capsys, name):
@@ -121,3 +134,53 @@ def test_record_refuses_what_quantizing_refuses(name, value):
         quantize_informatics(value, name, binning)
     with pytest.raises(VocabularyError):
         InformaticsFields(**{name: value})
+
+
+@pytest.mark.parametrize("suffix, line", [(".csv", 2), (".jsonl", 1)])
+@pytest.mark.parametrize("column, value, message", [
+    ("porosity", 101, "porosity_fraction must lie in [0, 100]: 101"),
+    ("natoms", 0, "atom count must be a positive integer: 0"),
+    ("volume", -1, "unit cell volume must be positive: -1")])
+def test_loader_range_error_names_the_column(tmp_path, suffix, line, column,
+                                             value, message):
+    path = tmp_path / f"data{suffix}"
+    write_column(path, column, [value])
+    with pytest.raises(DatasetError, match=re.escape(
+            f"line {line}: {column}: {message}")):
+        load_dataset(path)
+
+
+TEXT_FIELDS = [name for name, spec in INFO_SCHEMA.items()
+               if spec.kind == TEXT]
+# a tab splits a vocab.txt line into columns; the others split it in two
+NOT_ONE_LINE = ["pcu\tx", "pcu\nx", "pcu\r", "pcu\x1cx", "pcu\u2028x"]
+
+
+@pytest.mark.parametrize("name", TEXT_FIELDS)
+class TestTextValueStaysOnOneVocabularyLine:
+    @pytest.mark.parametrize("value", NOT_ONE_LINE)
+    def test_by_the_record(self, name, value):
+        with pytest.raises(VocabularyError, match="no tab or line break"):
+            InformaticsFields(**{name: value})
+
+    def test_one_line_values_round_trip_through_the_vocabulary(self, name):
+        info = InformaticsFields(**{name: "pcu x;y"})
+        vocab = build_vocabulary(datasets=[info], info_layout=(name,))
+        assert TokenVocabulary.from_text(vocab.to_text()) == vocab
+
+    @pytest.mark.parametrize("value", ["pcu\tx", "pcu\nx"])
+    def test_by_the_loader_naming_the_line(self, tmp_path, name, value):
+        column = INFO_SCHEMA[name].column
+        path = tmp_path / "data.jsonl"
+        write_column(path, column, ["", value])
+        with pytest.raises(DatasetError, match=re.escape(
+                f"1 invalid rows: line 2: {column}: ")):
+            load_dataset(path)
+
+    def test_by_the_command_line(self, capsys, name):
+        code = main(["tokenize", "--spacegroup", "1", "--formula", "Si",
+                     flag(name), "pcu\tx"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no tab or line break" in captured.err

@@ -23,6 +23,7 @@ from crysgram.tokens import (
     build_vocabulary,
     embed_formula,
     quantize_informatics,
+    sequence_categories,
     sequence_length,
     tokenize_crystal,
 )
@@ -115,41 +116,41 @@ class TestQuantization:
 
 class TestTokenizeCrystal:
     def test_fm3m_position_layout(self):
-        seq = tokenize_crystal(225, parse_formula("NaCl"), None, VOCAB)
+        ids = tokenize_crystal(225, parse_formula("NaCl"), None, VOCAB)
         expected = ("F4/m-32/m", "225", "192", "m-3m", "cubic", "m-3m",
                     "Centrosymmetric", "non-polar", "F", "4/m", "-3", "2/m")
-        assert seq.token_labels[1:13] == expected
+        assert tuple(VOCAB.token_at(i)[1] for i in ids[1:13]) == expected
         categories = ("full_symbol", "number", "order", "point_group",
                       "crystal_system", "laue_class", "symmetry", "polarity",
                       "centering", "directional", "directional", "directional")
-        assert seq.categories[1:13] == categories
+        assert sequence_categories(VOCAB.info_layout)[1:13] == categories
         for position, (category, token) in enumerate(
                 zip(categories, expected), start=1):
-            assert seq.ids[position] == VOCAB.id_of(category, token)
+            assert ids[position] == VOCAB.id_of(category, token)
 
     def test_cls_always_first(self):
-        seq = tokenize_crystal(1, parse_formula("Si"), None, VOCAB)
-        assert seq.ids[0] == CLS_ID
+        ids = tokenize_crystal(1, parse_formula("Si"), None, VOCAB)
+        assert ids[0] == CLS_ID
 
     def test_padding_count(self):
-        seq = tokenize_crystal(14, parse_formula("Fe2O3"), None, VOCAB)
-        assert seq.ids[-18:] == (PAD_ID,) * 18
-        assert sum(seq.attention_mask) == 1 + 12 + 2
+        ids = tokenize_crystal(14, parse_formula("Fe2O3"), None, VOCAB)
+        assert ids[-18:] == (PAD_ID,) * 18
+        assert sum(i != PAD_ID for i in ids) == 1 + 12 + 2
 
     def test_empty_directional_slots_use_empty_token(self):
         # "P 1" has one directional symbol; slots 1 and 2 (positions 11, 12)
         # carry the empty marker
-        seq = tokenize_crystal(1, parse_formula("Si"), None, VOCAB)
-        assert seq.ids[10] != EMPTY_ID
-        assert seq.ids[11] == EMPTY_ID and seq.ids[12] == EMPTY_ID
+        ids = tokenize_crystal(1, parse_formula("Si"), None, VOCAB)
+        assert ids[10] != EMPTY_ID
+        assert ids[11] == EMPTY_ID and ids[12] == EMPTY_ID
 
     def test_absent_informatics_emit_empty(self):
         vocab = build_vocabulary(info_layout=("topology", "unit_cell_volume"))
-        seq = tokenize_crystal(225, parse_formula("NaCl"),
+        ids = tokenize_crystal(225, parse_formula("NaCl"),
                                InformaticsFields(topology="pcu.cat0"), vocab)
-        assert len(seq) == sequence_length(2)
-        assert seq.ids[14] == EMPTY_ID  # volume slot
-        assert seq.categories[13] == "topology"
+        assert len(ids) == sequence_length(2)
+        assert ids[14] == EMPTY_ID  # volume slot
+        assert sequence_categories(vocab.info_layout)[13] == "topology"
 
     def test_layout_mismatch_raises(self):
         with pytest.raises(VocabularyError):
@@ -158,13 +159,12 @@ class TestTokenizeCrystal:
 
     def test_sequence_length_constant_for_layout(self):
         for sg, formula in ((1, "Si"), (225, "NaCl"), (194, "Ca(OH)2")):
-            seq = tokenize_crystal(sg, parse_formula(formula), None, VOCAB)
-            assert len(seq) == 33
+            ids = tokenize_crystal(sg, parse_formula(formula), None, VOCAB)
+            assert len(ids) == 33
 
     def test_injective_on_distinct_groups(self):
         comp = parse_formula("Si")
-        ids = {tokenize_crystal(n, comp, None, VOCAB).ids
-               for n in range(1, 231)}
+        ids = {tokenize_crystal(n, comp, None, VOCAB) for n in range(1, 231)}
         assert len(ids) == 230
 
 
@@ -232,9 +232,9 @@ class TestAssembleInput:
 
     def assemble(self, sg=225, formula="NaCl"):
         comp = parse_formula(formula)
-        seq = tokenize_crystal(sg, comp, None, VOCAB)
+        ids = tokenize_crystal(sg, comp, None, VOCAB)
         matrix = embed_formula(comp, self.TABLE)
-        return (seq, *assemble_batch(np.array([seq.ids]), [matrix],
+        return (ids, *assemble_batch(np.array([ids]), [matrix],
                                      self.token_embedding, self.proj_w,
                                      self.proj_b, self.positional))
 
@@ -244,13 +244,13 @@ class TestAssembleInput:
         assert mask.shape == (1, 33)
 
     def test_pad_rows_are_zero(self):
-        seq, x, _ = self.assemble()
-        pads = ~np.asarray(seq.attention_mask, dtype=bool)
+        ids, x, _ = self.assemble()
+        pads = np.asarray(ids) == PAD_ID
         assert (x.data[0, pads] == 0).all()
 
     def test_discrete_positions_get_token_plus_positional(self):
-        seq, x, _ = self.assemble()
-        expected = (self.token_embedding.data[seq.ids[0]]
+        ids, x, _ = self.assemble()
+        expected = (self.token_embedding.data[ids[0]]
                     + self.positional.data[0])
         np.testing.assert_allclose(x.data[0, 0], expected)
 
@@ -299,7 +299,7 @@ class TestAssemblyWidth:
         ids, mats = [], []
         for sg, formula in self.BATCHES[name]:
             comp = parse_formula(formula)
-            ids.append(tokenize_crystal(sg, comp, None, VOCAB).ids)
+            ids.append(tokenize_crystal(sg, comp, None, VOCAB))
             mats.append(embed_formula(comp, self.TABLE))
         return np.array(ids), mats
 

@@ -241,9 +241,11 @@ class TestFinetune:
         calls = []
         tokenize_crystal = loop.tokenize_crystal
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["provenance"])
-            return tokenize_crystal(*args, **kwargs)
+        def counted(sg, composition, *args):
+            # the record whose parsed formula this call tokenizes
+            calls.append(next(r.id for r in self.RECORDS
+                              if r.composition is composition))
+            return tokenize_crystal(sg, composition, *args)
 
         monkeypatch.setattr(loop, "tokenize_crystal", counted)
         config = fast_config(objective="regression", epochs=0, split="kfold5")

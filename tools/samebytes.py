@@ -16,10 +16,12 @@ framework-like cell runs once at 5 points per angstrom, where the
 clearance field is stamped in many chunks of mixed box shapes. It prints
 one crystal's token sequence with a value for every informatics flag
 (``tokenize``, in text and json), whose ids, labels and attention mask
-must not move,
-and, in text and json, ``parse-formula`` on four nested or decimal
-formulas and ``lookup`` on space groups of every crystal system and of
-every centering letter the table uses (P, A, C, I, R, F).
+must not move, and another read through the vocabulary that a pretrain
+run wrote (``tokenize --vocab``), so that labels read from a loaded
+vocabulary are compared too; and, in text and json, ``parse-formula``
+on four nested or decimal formulas and ``lookup`` on space groups of
+every crystal system and of every centering letter the table uses (P,
+A, C, I, R, F).
 Last it runs every script in the checkout's ``demos/``, whose standard
 output is saved as ``demo-<name>.txt``.
 Every file and standard output must be equal; manifests are compared
@@ -78,6 +80,8 @@ TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
             "--topology", "pcu", "--volume", "4823.5", "--natoms", "112",
             "--porosity", "61.2", "--acc-porosity", "44.0",
             "--organic-cation", "CH3NH3")
+TOKENIZE_VOCAB = ("tokenize", "--vocab", "mlm-float32/vocab.txt",
+                  "--spacegroup", "14", "--formula", "Fe2O3")
 FORMULAS = ("K(Al(OH)2)3", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5",
             "Li0.33Fe0.5Mn0.17PO4", "(NH4)2SO4")
 LOOKUPS = ("1", "2", "5", "14", "38", "62", "88", "146", "166", "194",
@@ -112,6 +116,7 @@ def commands():
            "5"]
     for fmt in ("text", "json"):
         yield [*TOKENIZE, "--format", fmt]
+        yield [*TOKENIZE_VOCAB, "--format", fmt]
         for formula in FORMULAS:
             yield ["parse-formula", formula, "--format", fmt]
         for number in LOOKUPS:
