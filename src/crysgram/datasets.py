@@ -31,6 +31,7 @@ from .tokens.vocab import (COUNT, INFO_SCHEMA, TEXT, InformaticsFields,
 COLUMNS = ("id", "formula", "spacegroup",
            *(spec.column for spec in INFO_SCHEMA.values()),
            *LATTICE_FIELDS, "target", "target_unit")
+_COLUMN_SET = frozenset(COLUMNS)
 
 
 def _integer(raw):
@@ -118,7 +119,8 @@ def _parse_optional(row, key, kind=_real):
     """``row[key]`` read as ``kind``; None when the cell is missing, null
     or whitespace only, which is how every optional column reads blank."""
     raw = row.get(key)
-    if raw is None or str(raw).strip() == "":
+    # str() of a JSON value that is not text is never blank
+    if raw is None or isinstance(raw, str) and not raw.strip():
         return None
     try:
         return kind(raw)
@@ -126,17 +128,17 @@ def _parse_optional(row, key, kind=_real):
         raise DatasetError(f"{key}: {exc}") from None
 
 
-def _record_from_mapping(row, lineno):
-    known = {k: v for k, v in row.items() if k in COLUMNS}
-    unknown = sorted(set(row) - set(COLUMNS))
+def _record_from_mapping(row, lineno, unknown):
+    """The record of one row. ``unknown`` lists the row's columns outside
+    ``COLUMNS``, sorted; they are ignored with a warning."""
     if unknown:
         warnings.warn(f"ignoring unknown columns {unknown}", stacklevel=3)
     try:
-        spacegroup = _parse_optional(known, "spacegroup", _integer)
+        spacegroup = _parse_optional(row, "spacegroup", _integer)
         info = InformaticsFields(**{
-            name: _parse_optional(known, spec.column, _INFO_READERS[name])
+            name: _parse_optional(row, spec.column, _INFO_READERS[name])
             for name, spec in INFO_SCHEMA.items()})
-        cell = [_parse_optional(known, c) for c in LATTICE_FIELDS]
+        cell = [_parse_optional(row, c) for c in LATTICE_FIELDS]
         if any(v is not None for v in cell):
             if any(v is None for v in cell):
                 missing = [c for c, v in zip(LATTICE_FIELDS, cell)
@@ -146,13 +148,13 @@ def _record_from_mapping(row, lineno):
         else:
             lattice = None
         record = CrystalRecord(
-            id=_parse_optional(known, "id", str) or f"row{lineno}",
-            formula=str(known.get("formula", "")),
+            id=_parse_optional(row, "id", str) or f"row{lineno}",
+            formula=str(row.get("formula", "")),
             spacegroup=spacegroup,
             informatics=info,
             lattice=lattice,
-            target=_parse_optional(known, "target"),
-            target_unit=_parse_optional(known, "target_unit", str) or "",
+            target=_parse_optional(row, "target"),
+            target_unit=_parse_optional(row, "target_unit", str) or "",
         )
     except DatasetError:
         raise
@@ -179,6 +181,7 @@ def load_dataset(path):
             header = next((row for row in reader if row), None)
             if header is None:
                 raise DatasetError(f"{path}: missing header row")
+            unknown = sorted(set(header) - _COLUMN_SET)
             for values in reader:
                 if not values:
                     continue
@@ -189,7 +192,7 @@ def load_dataset(path):
                     continue
                 try:
                     records.append(_record_from_mapping(
-                        dict(zip(header, values)), lineno))
+                        dict(zip(header, values)), lineno, unknown))
                 except Exception as exc:
                     failures.append(f"line {lineno}: {exc}")
     elif path.endswith((".jsonl", ".ndjson")):
@@ -198,8 +201,11 @@ def load_dataset(path):
                 if not line.strip():
                     continue
                 try:
-                    records.append(
-                        _record_from_mapping(json.loads(line), lineno))
+                    row = json.loads(line)
+                    # items() refuses a line that is not an object
+                    unknown = sorted(k for k, _ in row.items()
+                                     if k not in _COLUMN_SET)
+                    records.append(_record_from_mapping(row, lineno, unknown))
                 except Exception as exc:
                     failures.append(f"line {lineno}: {exc}")
     else:

@@ -91,15 +91,15 @@ def parse_formula(text: str) -> FormulaComposition:
     total = sum(counts.values())
     if total == 0:
         raise FormulaError(f"{text!r}: zero total element count")
-    positive = [(el, Fraction(n, total)) for el, n in counts.items() if n > 0]
+    positive = [(el, n) for el, n in counts.items() if n > 0]
     if len(positive) > MAX_ELEMENTS:
         raise FormulaError(
             f"{text!r}: {len(positive)} distinct elements, "
             f"limit is {MAX_ELEMENTS}")
-    elements = tuple(el for el, _ in positive)
-    exact = tuple(frac for _, frac in positive)
+    # n / total of two ints is the correctly rounded quotient, the float
+    # of Fraction(n, total); with a decimal count it is that Fraction
     return FormulaComposition(
-        elements=elements,
-        fractions=tuple(float(f) for f in exact),
-        exact_fractions=exact,
+        elements=tuple(el for el, _ in positive),
+        fractions=tuple(float(n / total) for _, n in positive),
+        exact_fractions=tuple(Fraction(n, total) for _, n in positive),
     )

@@ -480,11 +480,26 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return out
 
 
+def _folded_erf(z):
+    """``scipy.special.erf(z)`` to the bit, as erf of |z| with z's sign
+    copied back.
+
+    scipy's (cephes) erf evaluates a negative argument as -erf(-z), so the
+    fold changes no bit; only a NaN keeps z's sign bit where scipy gives
+    +NaN. What it saves is erf's branch on the sign of each value, which
+    mispredicts on activations of mixed sign.
+    """
+    out = np.abs(z, out=np.empty_like(z))
+    _erf(out, out=out)
+    return np.copysign(out, z, out=out)
+
+
 def gelu(x):
     """Exact Gaussian-error-unit activation 0.5 x (1 + erf(x / sqrt(2)))."""
     x = as_tensor(x)
-    inner = _erf(x.data / math.sqrt(2.0))
-    value = 0.5 * x.data * (1.0 + inner)
+    inner = _folded_erf(x.data / math.sqrt(2.0))
+    value = 0.5 * x.data
+    value *= 1.0 + inner
     out = _node(value, (x,))
 
     def backward(g):

@@ -169,6 +169,9 @@ class TokenVocabulary:
         for field in info_layout:
             if field not in INFO_SCHEMA:
                 raise VocabularyError(f"unknown informatics field {field!r}")
+        unknown = sorted(set(tokens_by_category) - set(CATEGORY_ORDER))
+        if unknown:
+            raise VocabularyError(f"unknown token categories {unknown}")
         self.info_layout = tuple(info_layout)
         self.binning = binning
         self._by_id = [(SPECIAL, t) for t in RESERVED]
@@ -225,8 +228,8 @@ class TokenVocabulary:
     def from_text(cls, text):
         layout, edges, settings = (), (), {}
         tokens_by_category = {}
-        expected = 0
-        for line in text.splitlines():
+        token_lines = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line or line.startswith("#"):
                 continue
             if line.startswith("!"):
@@ -238,18 +241,32 @@ class TokenVocabulary:
                 elif key == "volume_edges":
                     edges = tuple(float.fromhex(v) for v in value.split(","))
                 continue
-            token_id, category, token = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise VocabularyError(
+                    f"line {lineno}: {len(fields)} tab-separated fields, "
+                    f"expected 3 (id, category, token)")
+            token_id, category, token = fields
+            expected = len(token_lines)
             if int(token_id) != expected:
                 raise VocabularyError(
                     f"non-dense id {token_id} (expected {expected})")
-            expected += 1
+            token_lines.append((lineno, category, token))
             if category == SPECIAL:
-                if token != RESERVED[int(token_id)]:
+                if expected >= len(RESERVED) or token != RESERVED[expected]:
                     raise VocabularyError(f"reserved slot mismatch: {line!r}")
                 continue
             tokens_by_category.setdefault(category, []).append(token)
         binning = InformaticsBinning(volume_edges=edges, **settings)
-        return cls(tokens_by_category, layout, binning)
+        vocab = cls(tokens_by_category, layout, binning)
+        # ids follow category order: a block out of order moves them
+        for token_id, (lineno, category, token) in enumerate(token_lines):
+            if vocab.id_of(category, token) != token_id:
+                raise VocabularyError(
+                    f"line {lineno}: {category} token {token!r} has id "
+                    f"{token_id}, but the category order gives it "
+                    f"{vocab.id_of(category, token)}")
+        return vocab
 
     def save(self, path):
         with atomic_write(path) as fh:
@@ -258,7 +275,11 @@ class TokenVocabulary:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_text(text)
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(datasets=(), info_layout=()):

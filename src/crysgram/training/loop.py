@@ -186,10 +186,11 @@ class PreparedCorpus:
 def prepare_corpus(records, vocab, table):
     rows, compositions, ids = [], [], []
     lattices, targets = [], []
+    group_ids = {}  # each space group's ids, looked up once per call
     for record in records:
         comp = record.composition
         rows.append(tokenize_crystal(record.spacegroup, comp,
-                                     record.informatics, vocab))
+                                     record.informatics, vocab, group_ids))
         compositions.append(comp)
         ids.append(record.id)
         lattices.append(None if record.lattice is None
@@ -501,6 +502,10 @@ def encode_corpus(state, corpus, encode=None, rows=1):
     function that runs the encoder.
     """
     encode = encode or encode_batch
+    # a gather from rows cast to the model dtype equals the cast of the
+    # float64 gather, without building the float64 matrices
+    corpus = dataclasses.replace(corpus, element_rows=corpus.element_rows
+                                 .astype(state["embed.token"].dtype))
     for batch in corpus.batches(EVAL_BATCH_SIZE):
         yield batch, encode(state, batch.tokens, batch.formula_matrices,
                             mode="eval", rows=rows)[0].data[:, :rows]

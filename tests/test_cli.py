@@ -120,6 +120,21 @@ class TestTokenize:
         assert payload["ids"][13] == UNK_ID == 4
         assert payload["labels"][13] == "[UNK]"
 
+    @pytest.mark.parametrize("line,message", [
+        ("5\tnot_a_category\tP1", "unknown token categories"),
+        ("5\tfull_symbol\tP1\textra", "line 11: 4 tab-separated fields")])
+    def test_damaged_vocabulary_exits_2_naming_file_and_fault(
+            self, capsys, tmp_path, line, message):
+        vocab = tmp_path / "vocab.txt"
+        text = build_vocabulary().to_text().replace("5\tfull_symbol\tP1\n",
+                                                    line + "\n")
+        vocab.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "tokenize", "--spacegroup", "1",
+                             "--formula", "Si", "--vocab", str(vocab))
+        assert code == 2
+        assert out == ""
+        assert f"error: {vocab}: " in err and message in err
+
 
 class TestPorosity:
     def test_fixture_values(self, capsys, tmp_path):

@@ -206,6 +206,37 @@ class TestLoading:
         with pytest.warns(UserWarning, match="mystery"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name, text", [
+        ("data.csv", "id,zeta,formula,spacegroup,mystery\n"
+                     "r1,0,Si,1,42\nr2,0,Si,x,42\n"),
+        ("data.jsonl", '{"id": "r1", "zeta": 0, "formula": "Si", '
+                       '"spacegroup": 1, "mystery": 42}\n'
+                       '{"id": "r2", "formula": "Si", "spacegroup": "x", '
+                       '"zeta": 0, "mystery": 42}\n')])
+    def test_unknown_columns_warn_once_per_row_at_the_caller(
+            self, tmp_path, name, text):
+        # a row that then fails to parse still warns first
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(DatasetError,
+                               match=r"1 invalid rows: line \d: spacegroup"):
+                load_dataset(path)
+        assert [str(w.message) for w in caught] == [
+            "ignoring unknown columns ['mystery', 'zeta']"] * 2
+        assert {w.filename for w in caught} == {__file__}
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "'list' object has no attribute 'items'"),
+        ('"Si"', "'str' object has no attribute 'items'")])
+    def test_jsonl_line_that_is_not_an_object(self, tmp_path, line,
+                                              message):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"formula": "Si", "spacegroup": 1}\n' + line
+                        + "\n")
+        with pytest.raises(DatasetError, match=f"line 2: {message}"):
+            load_dataset(path)
+
     @pytest.mark.filterwarnings("ignore:ignoring unknown columns")
     @pytest.mark.parametrize("header, row, counts", [
         (CSV_HEADER, "r1,Si,1,,,,,,,,,,,,,0.5,eV,extra", "18 values for 17"),

@@ -180,8 +180,9 @@ class TestAgainstFractionAccumulator:
     def test_integer_formulas_equal_reference(self, sample):
         text, _, _ = sample
         comp = parse_formula(text)
-        assert list(zip(comp.elements, comp.exact_fractions)) == \
-            reference_composition(text)
+        ref = reference_composition(text)
+        assert list(zip(comp.elements, comp.exact_fractions)) == ref
+        assert comp.fractions == tuple(float(f) for _, f in ref)
 
     @given(nested_formulas())
     def test_nested_decimal_formulas_equal_reference(self, text):

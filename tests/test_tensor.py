@@ -1,12 +1,16 @@
 """Autodiff core: every op's vector-Jacobian product against central
 finite differences at 64-bit."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from crysgram.nn.encoder import MASK_FILL
 from crysgram.nn.tensor import (
     Tensor,
+    _folded_erf,
     concat,
     dropout,
     gather_rows,
@@ -312,6 +316,99 @@ class TestFusedGrads:
         w = RNG.normal(size=(3, 2, 4))
         check_grads(lambda: (log_softmax(a) * w).sum(), [a])
         check_grads(lambda: (log_softmax(a, axis=1) * w).sum(), [a])
+
+
+def composed_gelu(x, g):
+    """The value of 0.5 x (1 + erf(x / sqrt(2))) and its input gradient
+    under upstream ``g``, as gelu computed them with scipy's erf on the
+    signed argument."""
+    inner = erf(x / math.sqrt(2.0))
+    value = 0.5 * x * (1.0 + inner)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return value, g * (0.5 * (1.0 + inner) + x * pdf)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# zero, one, |x| > 6 (where erf rounds to 1) and infinity; tests add signs
+SPECIAL_VALUES = [0.0, 1.0, 6.0, 6.5, 27.0, 1e18, np.inf]
+
+
+class TestGeluErfFold:
+    """gelu evaluates erf on |x| / sqrt(2) and copies x's sign back: the
+    same bits as scipy's erf of the signed argument."""
+
+    def test_float32_bit_pattern_sweep(self):
+        # every 409th float32 bit pattern: both signs, subnormals, zeros,
+        # infinities and NaNs (about 10.5 million values, in chunks)
+        stride, chunk = 409, 1 << 20
+        subnormal = 0
+        for start in range(0, 1 << 32, stride * chunk):
+            bits = np.arange(start, min(start + stride * chunk, 1 << 32),
+                             stride, dtype=np.uint64).astype(np.uint32)
+            z = bits.view(np.float32)
+            nan = np.isnan(z)
+            zero_exponent = (bits & 0x7F800000) == 0
+            subnormal += np.count_nonzero(zero_exponent
+                                          & ((bits & 0x7FFFFFFF) != 0))
+            folded, reference = _folded_erf(z), erf(z)
+            assert folded.dtype == np.float32
+            np.testing.assert_array_equal(np.isnan(folded), nan)
+            assert same_bits(folded[~nan], reference[~nan])
+        assert subnormal > 10000
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_special_values_and_random_bits(self, dtype):
+        values = np.array(SPECIAL_VALUES, dtype=dtype)
+        info = np.finfo(dtype)
+        values = np.concatenate([values, [info.max, info.tiny,
+                                          info.smallest_subnormal]])
+        values = np.concatenate([values, -values])
+        assert same_bits(_folded_erf(values), erf(values))
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        bits = np.random.default_rng(31).integers(
+            0, np.iinfo(uint).max, size=200_000, dtype=uint, endpoint=True)
+        z = bits.view(dtype)
+        z = z[~np.isnan(z)]
+        assert same_bits(_folded_erf(z), erf(z))
+        # the gelu argument itself: x / sqrt(2) over a normal spread
+        x = (np.random.default_rng(32).normal(size=10_000) * 4).astype(dtype)
+        assert same_bits(_folded_erf(x / math.sqrt(2.0)),
+                         erf(x / math.sqrt(2.0)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_forward_and_backward_equal_the_signed_erf_composition(self,
+                                                                  dtype):
+        rng = np.random.default_rng(33)
+        data = (rng.normal(size=(4, 5, 16)) * 3).astype(dtype)
+        data.flat[:2 * len(SPECIAL_VALUES)] = np.concatenate(
+            [SPECIAL_VALUES, np.negative(SPECIAL_VALUES)])
+        data[np.isinf(data)] = 0.0  # an infinite input has a NaN gradient
+        g = rng.normal(size=data.shape).astype(dtype)
+        x = Tensor.parameter(data, "x")
+        x.grad = None
+        out = gelu(x)
+        (out * g).sum().backward()
+        value, grad = composed_gelu(data, g)
+        assert same_bits(out.data, value)
+        assert same_bits(x.grad, grad)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_nan_in_nan_out(self, dtype):
+        data = np.array([np.nan, -np.nan, -1.5, 2.0], dtype=dtype)
+        x = Tensor.parameter(data.copy(), "x")
+        x.grad = None
+        out = gelu(x)
+        out.sum().backward()
+        np.testing.assert_array_equal(np.isnan(out.data),
+                                      [True, True, False, False])
+        np.testing.assert_array_equal(np.isnan(x.grad),
+                                      [True, True, False, False])
+        value, grad = composed_gelu(data, np.ones_like(data))
+        assert same_bits(out.data[2:], value[2:])
+        assert same_bits(x.grad[2:], grad[2:])
 
 
 class TestFirstArrivalGradients:

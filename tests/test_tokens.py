@@ -1,6 +1,8 @@
 """Vocabulary construction, tokenization layout, quantization, and the
 formula embedding path."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,63 @@ class TestVocabulary:
         for (a, b), (c, d) in zip(spans, spans[1:]):
             assert b == c
         assert spans[-1][1] == VOCAB.size
+
+
+def edited(text, line, new):
+    """``text`` with the vocabulary line ``line`` replaced by ``new``."""
+    lines = text.split("\n")
+    lines[lines.index(line)] = new
+    return "\n".join(lines)
+
+
+class TestVocabularyFileChecks:
+    """A damaged ``vocab.txt`` is refused with the line at fault, not
+    loaded with shifted ids."""
+
+    TEXT = VOCAB.to_text()
+    # the file's line 11: the first token after the five reserved ones
+    LINE = "5\tfull_symbol\tP1"
+
+    def test_unknown_category_is_named(self):
+        text = edited(self.TEXT, self.LINE, "5\tnot_a_category\tP1")
+        with pytest.raises(VocabularyError, match="not_a_category"):
+            TokenVocabulary.from_text(text)
+
+    def test_constructor_refuses_an_unknown_category(self):
+        with pytest.raises(VocabularyError, match="'shape'"):
+            TokenVocabulary({"element": ["H"], "shape": ["cube"]}, (),
+                            VOCAB.binning)
+
+    @pytest.mark.parametrize("line,fields", [
+        ("5\tfull_symbol\tP1\textra", 4), ("5\tfull_symbol", 2)])
+    def test_wrong_field_count_names_the_line(self, line, fields):
+        text = edited(self.TEXT, self.LINE, line)
+        with pytest.raises(VocabularyError,
+                           match=f"^line 11: {fields} tab-separated fields"):
+            TokenVocabulary.from_text(text)
+
+    def test_swapped_category_blocks_are_refused(self):
+        # the number block moved before the full-symbol block, renumbered
+        # densely, so only the order of the blocks is wrong
+        lines = self.TEXT.rstrip("\n").split("\n")
+        head = [ln for ln in lines if not ln[0].isdigit()]
+        rows = [ln.split("\t") for ln in lines if ln[0].isdigit()]
+        order = ([r for r in rows if r[1] == "special"]
+                 + [r for r in rows if r[1] == "number"]
+                 + [r for r in rows if r[1] not in ("special", "number")])
+        body = [f"{i}\t{c}\t{t}" for i, (_, c, t) in enumerate(order)]
+        text = "\n".join(head + body) + "\n"
+        with pytest.raises(VocabularyError,
+                           match=r"^line 11: number token '1' has id 5"):
+            TokenVocabulary.from_text(text)
+
+    def test_load_names_the_path(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text(edited(self.TEXT, self.LINE, "5\tfull_symbol"),
+                        encoding="utf-8")
+        with pytest.raises(VocabularyError,
+                           match=f"^{re.escape(str(path))}: line 11: "):
+            TokenVocabulary.load(path)
 
 
 class TestQuantization:

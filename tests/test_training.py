@@ -28,9 +28,12 @@ from crysgram.nn import EncoderState, Tensor, desk_config, load_state
 from crysgram.objectives import TargetScaler
 from crysgram.tokens import (
     N_FORMULA_SLOTS,
+    UNK_ID,
     ElementEmbeddingTable,
+    TokenVocabulary,
     build_vocabulary,
     embed_formula,
+    tokenize_crystal,
 )
 from crysgram.training import (
     TrainConfig,
@@ -353,6 +356,33 @@ class TestPreparedCorpus:
         # one (20, 201) float64 matrix per record would be 32 KB
         assert held / len(records) < 4096
         assert peak / len(records) < 4096
+
+    @pytest.mark.parametrize("lacking", [False, True])
+    def test_tokens_equal_tokenizing_each_record(self, lacking):
+        # all 230 groups three times each, in shuffled order; the second
+        # vocabulary lacks every third full-symbol and point-group token,
+        # so those positions must read [UNK] in both
+        numbers = np.random.default_rng(5).permutation(
+            np.repeat(np.arange(1, 231), 3)).tolist()
+        formulas = ("NaCl", "Fe2O3", "SiO2", "CaTiO3")
+        records = [CrystalRecord(id=f"r{i}", formula=formulas[i % 4],
+                                 spacegroup=n, target=float(i))
+                   for i, n in enumerate(numbers)]
+        vocab = build_vocabulary(datasets=records)
+        if lacking:
+            kept = {}
+            for token_id in range(5, len(vocab)):
+                category, token = vocab.token_at(token_id)
+                if (category not in ("full_symbol", "point_group")
+                        or token_id % 3):
+                    kept.setdefault(category, []).append(token)
+            vocab = TokenVocabulary(kept, vocab.info_layout, vocab.binning)
+        tokens = prepare_corpus(records, vocab, TABLE).tokens
+        want = np.array([tokenize_crystal(r.spacegroup, r.composition,
+                                          r.informatics, vocab)
+                         for r in records])
+        assert np.array_equal(tokens, want)
+        assert (tokens == UNK_ID).any() == lacking
 
     def test_missing_element_raises_before_any_step(self):
         table = ElementEmbeddingTable({"Fe": np.ones(4)})

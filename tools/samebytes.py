@@ -5,7 +5,9 @@ Each checkout writes the same seeded synthetic data with its own ``src``,
 then runs pretrain (mlm, lpp, mlm+lpp; float32 and float64; weight decay),
 finetune from mlm+lpp with early stopping, predict and both exports
 (attention once for the first record and every layer, once for a later
-record and the last layer).
+record and the last layer). Predict and the cls-embeddings export also
+run on TSV and JSONL copies of the finetuning data, so that every
+dataset reader is compared.
 It also writes seeded structures with ``save_structure`` (a framework-like
 cell, a triclinic cell, a cell whose stamps wrap the grid twice, a
 hexagonal cell and a rotated cube with no zero lattice entry, so that
@@ -39,7 +41,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 DATA = ("from crysgram.datasets import generate_synthetic_corpus as g, "
         "write_dataset as w; w(g(160, seed=5, task='lpp'), 'lpp.csv'); "
-        "w(g(128, seed=21, task='regression'), 'reg.csv')")
+        "r = g(128, seed=21, task='regression'); w(r, 'reg.csv'); "
+        "w(r, 'reg.tsv', fmt='delimited-table'); "
+        "w(r, 'reg.jsonl', fmt='record-lines')")
 STRUCTURES = r"""
 import numpy as np
 from crysgram.porosity import PeriodicStructure, save_structure
@@ -104,6 +108,11 @@ def commands():
         for name, reader in READERS.items():
             yield [*reader, "--checkpoint", f"{ft}/checkpoint.ckpt", "--data",
                    "reg.csv", "--out", f"{ft}/{name}.out"]
+        for suffix in ("tsv", "jsonl"):
+            for name in ("predict", "cls-embeddings"):
+                yield [*READERS[name], "--checkpoint",
+                       f"{ft}/checkpoint.ckpt", "--data", f"reg.{suffix}",
+                       "--out", f"{ft}/{name}-{suffix}.out"]
     for structure in ("framework", "triclinic", "wraps", "hexagonal",
                       "rotated"):
         for rho in ("2", "3.5"):
