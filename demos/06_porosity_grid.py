@@ -12,17 +12,18 @@ from crysgram.porosity import (
     GridSpec,
     PeriodicStructure,
     accessible_void_fraction,
-    porosity_tokens,
-    void_fraction,
+    structure_informatics,
 )
-from crysgram.tokens import InformaticsBinning
+from crysgram.tokens import InformaticsBinning, quantize_informatics
 
 print("=== single sphere in a 10 A cubic cell (r_vdW = 2 A) ===")
 sphere = PeriodicStructure(lattice=np.eye(3) * 10.0,
                            sites=[("X", np.array([0.5, 0.5, 0.5]))],
                            radius_overrides={"X": 2.0})
 for rho in (2, 5, 10):
-    result = void_fraction(sphere, GridSpec(rho))
+    # no probe and no flood fill: the plain void fraction
+    result = accessible_void_fraction(sphere, GridSpec(rho), r_probe=0.0,
+                                      flood_fill=False)
     analytic = 100.0 * (1.0 - (4.0 * np.pi / 3.0) * 8.0 / 1000.0)
     print(f"rho_grid={rho:>2}: phi_void {result.phi_void:7.4f}%  "
           f"(analytic {analytic:.4f}, grid {result.grid_dims})")
@@ -49,6 +50,10 @@ print(f"{len(cage_sites)} cage atoms: raw admissible {raw.phi_acc:.3f}% vs "
 
 print("\n=== porosity values as informatics tokens ===")
 binning = InformaticsBinning.from_observations([100.0, 10000.0])
-por, acc = porosity_tokens(result, binning)
+info = structure_informatics(sphere, result)
+por = quantize_informatics(info.porosity_fraction, "porosity_fraction",
+                           binning)
+acc = quantize_informatics(info.accessible_void_fraction,
+                           "accessible_void_fraction", binning)
 print(f"phi_void {result.phi_void:.1f}% -> {por};  "
       f"phi_acc {result.phi_acc:.1f}% -> {acc}")

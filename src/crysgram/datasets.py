@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, VocabularyError
+from .errors import DatasetError
 from .files import atomic_write
 from .grammar import (
     CrystalSystem,
@@ -25,8 +25,7 @@ from .grammar import (
     parse_formula,
 )
 from .objectives import LATTICE_FIELDS, LatticeParameters
-from .tokens.vocab import (COUNT, INFO_SCHEMA, TEXT, InformaticsFields,
-                           _check_informatics)
+from .tokens.vocab import COUNT, INFO_SCHEMA, TEXT, InformaticsFields
 
 COLUMNS = ("id", "formula", "spacegroup",
            *(spec.column for spec in INFO_SCHEMA.values()),
@@ -57,20 +56,6 @@ def _real(raw):
 
 
 _READ = {TEXT: str, COUNT: _integer}  # any other kind is a real
-
-
-def _checked(name, read):
-    """Cell reader of informatics field ``name``: ``read``, then the
-    field's check, so a refused value is reported with its column."""
-    def reader(raw):
-        value = read(raw)
-        _check_informatics(name, value)
-        return value
-    return reader
-
-
-_INFO_READERS = {name: _checked(name, _READ.get(spec.kind, _real))
-                 for name, spec in INFO_SCHEMA.items()}
 
 
 @dataclass
@@ -124,7 +109,7 @@ def _parse_optional(row, key, kind=_real):
         return None
     try:
         return kind(raw)
-    except (TypeError, ValueError, OverflowError, VocabularyError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{key}: {exc}") from None
 
 
@@ -135,8 +120,10 @@ def _record_from_mapping(row, lineno, unknown):
         warnings.warn(f"ignoring unknown columns {unknown}", stacklevel=3)
     try:
         spacegroup = _parse_optional(row, "spacegroup", _integer)
+        # the record type checks each value, its message led by the column
         info = InformaticsFields(**{
-            name: _parse_optional(row, spec.column, _INFO_READERS[name])
+            name: _parse_optional(row, spec.column,
+                                  _READ.get(spec.kind, _real))
             for name, spec in INFO_SCHEMA.items()})
         cell = [_parse_optional(row, c) for c in LATTICE_FIELDS]
         if any(v is not None for v in cell):

@@ -87,12 +87,7 @@ def load_state(path):
         raise CheckpointError(f"{path}: blob checksum mismatch")
 
     config = EncoderConfig.from_dict(header["config"])
-    state = EncoderState.__new__(EncoderState)
-    state.config = config
-    state.seed = header.get("rng_seed", 0)
-    state.params = {}
-    from .tensor import Tensor
-
+    arrays = {}
     for entry in header["parameters"]:
         name, shape = entry["name"], tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -102,6 +97,6 @@ def load_state(path):
         if len(raw) != nbytes:
             raise CheckpointError(f"{path}: truncated blob at {name}")
         data = np.frombuffer(raw, dtype=blob_dtype).reshape(shape)
-        state.params[name] = Tensor(data.astype(config.np_dtype),
-                                    requires_grad=True, name=name)
-    return state, header
+        arrays[name] = data.astype(config.np_dtype)
+    seed = header.get("rng_seed", 0)
+    return EncoderState.from_arrays(config, seed, arrays), header

@@ -152,16 +152,22 @@ class EncoderState:
         for p in self.params.values():
             p.grad = np.zeros_like(p.data)
 
+    @classmethod
+    def from_arrays(cls, config, seed, arrays):
+        """State whose parameters wrap the name -> array map ``arrays``, in
+        its order, with no gradients (``grad`` is None)."""
+        state = cls.__new__(cls)
+        state.config, state.seed = config, seed
+        state.params = {name: Tensor(data, requires_grad=True, name=name)
+                        for name, data in arrays.items()}
+        return state
+
     def clone(self):
         """Copy of the parameters with no gradients (``grad`` is None) until
         a backward pass gives them one."""
-        other = EncoderState.__new__(EncoderState)
-        other.config = self.config
-        other.seed = self.seed
-        other.params = {name: Tensor(p.data.copy(), requires_grad=True,
-                                     name=name)
-                        for name, p in self.params.items()}
-        return other
+        return EncoderState.from_arrays(
+            self.config, self.seed,
+            {name: p.data.copy() for name, p in self.params.items()})
 
 
 @dataclass

@@ -10,15 +10,13 @@ from .gpa import (
     default_radius_table,
     load_radius_table,
     load_structure,
-    porosity_tokens,
     save_structure,
     structure_informatics,
-    void_fraction,
 )
 
 __all__ = [
     "DEFAULT_R_PROBE", "DEFAULT_RHO_GRID", "GridSpec", "PeriodicStructure",
     "PorosityResult", "accessible_void_fraction", "default_radius_table",
-    "load_radius_table", "load_structure", "porosity_tokens",
-    "save_structure", "structure_informatics", "void_fraction",
+    "load_radius_table", "load_structure", "save_structure",
+    "structure_informatics",
 ]

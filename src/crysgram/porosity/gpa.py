@@ -457,27 +457,6 @@ def _accessible_count(admissible, dims):
     return max(root_counts.values()), len(root_counts), False
 
 
-def _clearance(structure, grid, pad, radius_table):
-    """(grid dims, clearance field exact below `pad`, unoccupied count)."""
-    dims = grid.dims(structure)
-    # each element's radius once, looked up in the order of first use
-    radius = {element: structure.radius_of(element, radius_table)
-              for element in dict.fromkeys(e for e, _ in structure.sites)}
-    radii = [radius[element] for element, _ in structure.sites]
-    clearance = _clearance_field(structure, dims, radii, pad)
-    return dims, clearance, int(np.count_nonzero(clearance >= 0.0))
-
-
-def void_fraction(structure, grid=None, radius_table=None):
-    """Unoccupied share of grid points, in percent."""
-    dims, clearance, n_unoccupied = _clearance(
-        structure, grid or GridSpec(), 0.0, radius_table)
-    phi_void = 100.0 * n_unoccupied / clearance.size
-    return PorosityResult(phi_void=phi_void, phi_acc=0.0,
-                          n_unoccupied=n_unoccupied, n_total=clearance.size,
-                          n_accessible=0, r_probe=0.0, grid_dims=dims)
-
-
 def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
                              flood_fill=True, radius_table=None):
     """Void fraction plus the probe-accessible fraction.
@@ -489,12 +468,17 @@ def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
     if not 0.0 <= r_probe < np.inf:
         raise PorosityError(
             f"probe radius must be finite and >= 0, got {r_probe}")
+    dims = (grid or GridSpec()).dims(structure)
+    # each element's radius once, looked up in the order of first use
+    radius = {element: structure.radius_of(element, radius_table)
+              for element in dict.fromkeys(e for e, _ in structure.sites)}
+    radii = [radius[element] for element, _ in structure.sites]
     # every point lies within half the summed edge lengths of an image of
     # every atom, so its clearance is below that cap and, stamped with it,
     # exact: a probe at or past the cap finds no admissible point
     reach = float(np.linalg.norm(structure.lattice, axis=1).sum()) / 2
-    dims, clearance, n_unoccupied = _clearance(
-        structure, grid or GridSpec(), min(r_probe, reach), radius_table)
+    clearance = _clearance_field(structure, dims, radii, min(r_probe, reach))
+    n_unoccupied = int(np.count_nonzero(clearance >= 0.0))
     n_total = clearance.size
     admissible = clearance >= r_probe
     n_components = percolates = None
@@ -509,15 +493,6 @@ def accessible_void_fraction(structure, grid=None, r_probe=DEFAULT_R_PROBE,
                           n_accessible=n_accessible, r_probe=r_probe,
                           grid_dims=dims, n_components=n_components,
                           percolates=percolates)
-
-
-def porosity_tokens(result, binning):
-    """(porosity token, accessible-void token) for the informatics slots."""
-    from ..tokens.vocab import quantize_informatics
-
-    return (quantize_informatics(result.phi_void, "porosity_fraction", binning),
-            quantize_informatics(result.phi_acc, "accessible_void_fraction",
-                                 binning))
 
 
 def structure_informatics(structure, result):

@@ -75,26 +75,30 @@ N_VOLUME_BINS = 64
 
 
 def _check_informatics(field, value):
-    """The kind of ``field``; VocabularyError unless ``value`` is text
-    with no tab or line break (``vocab.txt`` is tab-separated lines), a
-    finite volume > 0, an integer count >= 1 or a percentage in [0, 100]."""
+    """The kind of ``field``; VocabularyError, led by the field's dataset
+    column, unless ``value`` is text with no tab or line break
+    (``vocab.txt`` is tab-separated lines), a finite volume > 0, an
+    integer count >= 1 or a percentage in [0, 100]."""
     spec = INFO_SCHEMA.get(field)
     if spec is None:
         raise VocabularyError(f"unknown informatics field {field!r}")
+    where = f"{spec.column}: "
     if spec.kind == TEXT:
         if (not isinstance(value, str) or "\t" in value
                 or "".join(value.splitlines()) != value):
-            raise VocabularyError(f"{field} must be text with no tab or "
-                                  f"line break: {value!r}")
+            raise VocabularyError(f"{where}{field} must be text with no tab "
+                                  f"or line break: {value!r}")
         return TEXT
     if not np.isfinite(value):
-        raise VocabularyError(f"non-finite {field} value: {value!r}")
+        raise VocabularyError(f"{where}non-finite {field} value: {value!r}")
     if spec.kind == VOLUME and not value > 0:
-        raise VocabularyError(f"unit cell volume must be positive: {value}")
+        raise VocabularyError(f"{where}unit cell volume must be positive: "
+                              f"{value}")
     if spec.kind == COUNT and (int(value) != value or value < 1):
-        raise VocabularyError(f"atom count must be a positive integer: {value}")
+        raise VocabularyError(f"{where}atom count must be a positive "
+                              f"integer: {value}")
     if spec.kind == PERCENT and not 0.0 <= value <= 100.0:
-        raise VocabularyError(f"{field} must lie in [0, 100]: {value}")
+        raise VocabularyError(f"{where}{field} must lie in [0, 100]: {value}")
     return spec.kind
 
 
@@ -162,6 +166,15 @@ def quantize_informatics(value, field, binning):
                                  binning.porosity_bins - 1))
 
 
+def _parsed(read, text, lineno, problem):
+    """``read(text)``; VocabularyError naming the line and the
+    ``problem`` when ``read`` refuses ``text``."""
+    try:
+        return read(text)
+    except (ValueError, OverflowError):
+        raise VocabularyError(f"line {lineno}: {problem}: {text!r}") from None
+
+
 class TokenVocabulary:
     """Bidirectional (category, token) <-> dense id map."""
 
@@ -183,13 +196,6 @@ class TokenVocabulary:
         self._by_key = {key: i for i, key in enumerate(self._by_id)}
         if len(self._by_key) != len(self._by_id):
             raise VocabularyError("duplicate (category, token) pair")
-        ranges = {}
-        for i, (category, _) in enumerate(self._by_id):
-            if category not in ranges:
-                ranges[category] = [i, i + 1]
-            else:
-                ranges[category][1] = i + 1
-        self.category_ranges = {c: tuple(v) for c, v in ranges.items()}
 
     @property
     def size(self):
@@ -237,9 +243,13 @@ class TokenVocabulary:
                 if key == "info_layout":
                     layout = tuple(v for v in value.split(",") if v)
                 elif key in ("atom_count_max", "porosity_bins"):
-                    settings[key] = int(value)
+                    settings[key] = _parsed(int, value, lineno,
+                                            f"!{key} is not an integer")
                 elif key == "volume_edges":
-                    edges = tuple(float.fromhex(v) for v in value.split(","))
+                    edges = tuple(_parsed(float.fromhex, v, lineno,
+                                          "!volume_edges holds a non-hex "
+                                          "float")
+                                  for v in value.split(","))
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
@@ -248,7 +258,8 @@ class TokenVocabulary:
                     f"expected 3 (id, category, token)")
             token_id, category, token = fields
             expected = len(token_lines)
-            if int(token_id) != expected:
+            if _parsed(int, token_id, lineno,
+                       "token id is not an integer") != expected:
                 raise VocabularyError(
                     f"non-dense id {token_id} (expected {expected})")
             token_lines.append((lineno, category, token))

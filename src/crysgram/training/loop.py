@@ -143,7 +143,9 @@ class PreparedCorpus:
     ``tokens`` is the (N, L) array of token ids. Formulas are kept
     compact (``tokens.formula_rows``: 320 bytes a record), and
     ``formula_matrices`` builds them on each read, so a batch, which is a
-    ``subset``, builds only its own.
+    ``subset``, builds only its own. ``prepare_corpus`` leaves
+    ``lattice_targets`` None; ``pretrain`` sets the (N, 6) array for the
+    lpp objectives, the only readers.
     """
 
     ids: list
@@ -184,8 +186,7 @@ class PreparedCorpus:
 
 
 def prepare_corpus(records, vocab, table):
-    rows, compositions, ids = [], [], []
-    lattices, targets = [], []
+    rows, compositions, ids, targets = [], [], [], []
     group_ids = {}  # each space group's ids, looked up once per call
     for record in records:
         comp = record.composition
@@ -193,12 +194,7 @@ def prepare_corpus(records, vocab, table):
                                      record.informatics, vocab, group_ids))
         compositions.append(comp)
         ids.append(record.id)
-        lattices.append(None if record.lattice is None
-                        else record.lattice.as_array())
         targets.append(record.target)
-    lattice_arr = None
-    if lattices and all(lat is not None for lat in lattices):
-        lattice_arr = np.stack(lattices)
     target_arr = None
     if all(t is not None for t in targets):
         target_arr = np.array(targets, dtype=np.float64)
@@ -207,8 +203,7 @@ def prepare_corpus(records, vocab, table):
         len(rows), sequence_length(len(vocab.info_layout)))
     return PreparedCorpus(ids=ids, tokens=tokens,
                           formula_fractions=fractions, formula_index=index,
-                          element_rows=element_rows,
-                          lattice_targets=lattice_arr, targets=target_arr)
+                          element_rows=element_rows, targets=target_arr)
 
 
 @dataclass
@@ -456,10 +451,12 @@ def pretrain(records, config, vocab=None, table=None, out_dir=None,
 
     scaler = None
     if config.objective in ("lpp", "mlm+lpp"):
-        if corpus.lattice_targets is None:
+        if not records or any(r.lattice is None for r in records):
             raise ConfigError(
                 f"objective {config.objective!r} needs lattice parameters "
                 "on every record")
+        corpus.lattice_targets = np.stack([r.lattice.as_array()
+                                           for r in records])
         scaler = lpp_scaler(corpus.lattice_targets)
 
     state = _new_state(config, vocab, table)

@@ -122,7 +122,8 @@ class TestTokenize:
 
     @pytest.mark.parametrize("line,message", [
         ("5\tnot_a_category\tP1", "unknown token categories"),
-        ("5\tfull_symbol\tP1\textra", "line 11: 4 tab-separated fields")])
+        ("5\tfull_symbol\tP1\textra", "line 11: 4 tab-separated fields"),
+        ("x\tfull_symbol\tP1", "line 11: token id is not an integer")])
     def test_damaged_vocabulary_exits_2_naming_file_and_fault(
             self, capsys, tmp_path, line, message):
         vocab = tmp_path / "vocab.txt"
@@ -134,6 +135,24 @@ class TestTokenize:
         assert code == 2
         assert out == ""
         assert f"error: {vocab}: " in err and message in err
+
+    @pytest.mark.parametrize("prefix, line, message", [
+        ("!atom_count_max\t", "!atom_count_max\tabc",
+         "line 3: !atom_count_max is not an integer"),
+        ("!volume_edges\t", "!volume_edges\t0x1p0,zz",
+         "line 5: !volume_edges holds a non-hex float")])
+    def test_unreadable_vocabulary_header_exits_2_naming_the_line(
+            self, capsys, tmp_path, prefix, line, message):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(
+            line if old.startswith(prefix) else old
+            for old in build_vocabulary().to_text().split("\n")),
+            encoding="utf-8")
+        code, out, err = run(capsys, "tokenize", "--spacegroup", "1",
+                             "--formula", "Si", "--vocab", str(vocab))
+        assert code == 2
+        assert out == ""
+        assert f"error: {vocab}: {message}" in err
 
 
 class TestPorosity:

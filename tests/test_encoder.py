@@ -189,6 +189,22 @@ class TestCheckpoint:
             assert p.grad is None, name
             assert p.requires_grad
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_clone_and_loaded_state_match_their_source(self, tmp_path,
+                                                       dtype):
+        state = EncoderState(desk_config(vocab_size=13, d_model=16,
+                                         n_layers=1, dtype=dtype), seed=9)
+        save_state(state, tmp_path / "model.ckpt", rng_seed=9)
+        loaded, _ = load_state(tmp_path / "model.ckpt")
+        for copy in (state.clone(), loaded):
+            assert (copy.config, copy.seed) == (state.config, state.seed)
+            assert list(copy.params) == list(state.params)
+            for name, p in copy.named_parameters():
+                assert p.name == name
+                assert p.data.dtype == state[name].data.dtype == dtype
+                assert p.data.tobytes() == state[name].data.tobytes()
+                assert p.requires_grad and p.grad is None
+
     def test_save_load_save_byte_identical(self, tmp_path):
         config = desk_config(vocab_size=13, d_model=16, n_layers=1)
         state = EncoderState(config, seed=1)

@@ -22,10 +22,8 @@ from crysgram.porosity import (
     default_radius_table,
     load_radius_table,
     load_structure,
-    porosity_tokens,
     save_structure,
     structure_informatics,
-    void_fraction,
 )
 from crysgram.porosity.gpa import (
     MAX_GRID_POINTS,
@@ -34,7 +32,11 @@ from crysgram.porosity.gpa import (
     _clearance_field,
     _perpendicular_widths,
 )
-from crysgram.tokens import InformaticsBinning
+from crysgram.tokens import InformaticsBinning, quantize_informatics
+
+
+# the plain void fraction: no probe, no flood fill
+ZERO_PROBE = {"r_probe": 0.0, "flood_fill": False}
 
 
 def single_sphere(a=10.0, radius=2.0, center=(0.5, 0.5, 0.5)):
@@ -420,37 +422,40 @@ class TestClearanceFieldMemory:
 class TestVoidFraction:
     def test_empty_cell_is_100_percent(self):
         empty = PeriodicStructure(lattice=np.eye(3) * 8.0, sites=[])
-        result = void_fraction(empty, GridSpec(3))
+        result = accessible_void_fraction(empty, GridSpec(3), **ZERO_PROBE)
         assert result.phi_void == 100.0
         assert result.n_unoccupied == result.n_total
 
     def test_single_sphere_analytic_oracle(self):
         # a=10, r=2: analytic 100 * (1 - 4pi/3 * 8 / 1000) = 96.649%
-        result = void_fraction(single_sphere(), GridSpec(5))
+        result = accessible_void_fraction(single_sphere(), GridSpec(5),
+                                          **ZERO_PROBE)
         analytic = 100.0 * (1.0 - sphere_volume_fraction(2.0, 10.0))
         assert result.grid_dims == (50, 50, 50)
         assert abs(result.phi_void - analytic) < 0.3
 
     def test_full_coverage_gives_zero(self):
         # radius beyond the cell body diagonal occupies everything
-        result = void_fraction(single_sphere(a=4.0, radius=4.0), GridSpec(4))
+        result = accessible_void_fraction(single_sphere(a=4.0, radius=4.0),
+                                          GridSpec(4), **ZERO_PROBE)
         assert result.phi_void == 0.0
 
     def test_exact_count_identity(self):
-        result = void_fraction(single_sphere(), GridSpec(2))
+        result = accessible_void_fraction(single_sphere(), GridSpec(2),
+                                          **ZERO_PROBE)
         assert result.phi_void == 100.0 * result.n_unoccupied / result.n_total
 
     def test_missing_radius_raises(self):
         s = PeriodicStructure(lattice=np.eye(3) * 5.0,
                               sites=[("Zz", np.zeros(3))])
         with pytest.raises(PorosityError, match="Zz"):
-            void_fraction(s, GridSpec(2))
+            accessible_void_fraction(s, GridSpec(2), **ZERO_PROBE)
 
     @pytest.mark.parametrize("radius", [-2.0, 0.0, math.nan, math.inf])
     def test_bad_radius_override_raises(self, radius):
         s = single_sphere(radius=radius)
         with pytest.raises(PorosityError, match=f"'X'.*{radius}"):
-            void_fraction(s, GridSpec(2))
+            accessible_void_fraction(s, GridSpec(2), **ZERO_PROBE)
 
     def test_bad_radius_table_entry_raises(self):
         s = PeriodicStructure(lattice=np.eye(3) * 6.0,
@@ -484,7 +489,7 @@ class TestVoidFraction:
     def test_default_radius_table_used(self):
         s = PeriodicStructure(lattice=np.eye(3) * 6.0,
                               sites=[("C", np.array([0.5, 0.5, 0.5]))])
-        result = void_fraction(s, GridSpec(4))
+        result = accessible_void_fraction(s, GridSpec(4), **ZERO_PROBE)
         analytic = 100.0 * (1.0 - sphere_volume_fraction(
             default_radius_table()["C"], 6.0))
         assert abs(result.phi_void - analytic) < 1.0
@@ -526,7 +531,7 @@ class TestAccessibleVoidFraction:
         huge = single_sphere()
         huge.radius_overrides["X"] = 1e300
         with pytest.raises(PorosityError, match="integer index range"):
-            void_fraction(huge, GridSpec(2))
+            accessible_void_fraction(huge, GridSpec(2), **ZERO_PROBE)
 
     @staticmethod
     def carbon_cube():
@@ -706,6 +711,32 @@ class TestAgainstBruteForce:
         assert result.n_unoccupied == n_unoccupied
         assert result.n_accessible == int(admissible.sum())
 
+    @pytest.mark.parametrize("structure, rho", [
+        (PeriodicStructure(lattice=np.eye(3) * 8.0, sites=[]), 3),
+        (single_sphere(), 2),
+        (single_sphere(), 5),
+        (single_sphere(radius=1.0), 4),
+        (single_sphere(radius=3.0), 4),
+        (single_sphere(a=4.0, radius=4.0), 4),
+        (single_sphere(center=(0.1, 0.7, 0.35)), 5),
+        (PeriodicStructure(lattice=np.eye(3) * 6.0,
+                           sites=[("C", np.array([0.5, 0.5, 0.5]))]), 4),
+    ], ids=["empty", "sphere-2", "sphere-5", "r1", "r3", "full",
+            "off-centre", "default-carbon"])
+    def test_zero_probe_counts_equal_image_search(self, structure, rho):
+        # the plain void fraction on the cells its own tests use
+        grid = GridSpec(rho)
+        reach = max((structure.radius_of(e) for e, _ in structure.sites),
+                    default=0.0)
+        n_unoccupied, admissible, ties = brute_force(
+            structure, grid, 0.0, slab_shells(structure, reach))
+        assert not ties
+        result = accessible_void_fraction(structure, grid, **ZERO_PROBE)
+        assert result.grid_dims == admissible.shape
+        assert result.n_total == admissible.size
+        assert result.n_unoccupied == n_unoccupied == int(admissible.sum())
+        assert result.phi_void == 100.0 * n_unoccupied / admissible.size
+
     def test_skewed_cell_defeats_27_cell_search(self):
         # the fixture above is a real undercount case for the old search
         structure = skewed_cell(1.2)
@@ -718,7 +749,8 @@ class TestAgainstBruteForce:
 
 class TestProperties:
     def test_void_monotone_in_radius(self):
-        values = [void_fraction(single_sphere(radius=r), GridSpec(4)).phi_void
+        values = [accessible_void_fraction(single_sphere(radius=r),
+                                           GridSpec(4), **ZERO_PROBE).phi_void
                   for r in (1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -730,11 +762,13 @@ class TestProperties:
 
     def test_translation_invariance_within_grid_tolerance(self):
         rng = np.random.default_rng(23)
-        base = void_fraction(single_sphere(), GridSpec(5)).phi_void
+        base = accessible_void_fraction(single_sphere(), GridSpec(5),
+                                        **ZERO_PROBE).phi_void
         for _ in range(5):
             shift = rng.random(3)
             moved = single_sphere(center=tuple((0.5 + shift) % 1.0))
-            phi = void_fraction(moved, GridSpec(5)).phi_void
+            phi = accessible_void_fraction(moved, GridSpec(5),
+                                           **ZERO_PROBE).phi_void
             assert abs(phi - base) <= 1.0
 
     def test_convergence_with_grid_density(self):
@@ -744,8 +778,9 @@ class TestProperties:
         for _ in range(3):
             center = tuple(rng.random(3))
             for rho in errors:
-                phi = void_fraction(single_sphere(center=center),
-                                    GridSpec(rho)).phi_void
+                phi = accessible_void_fraction(single_sphere(center=center),
+                                               GridSpec(rho),
+                                               **ZERO_PROBE).phi_void
                 errors[rho].append(abs(phi - analytic))
         means = [np.mean(errors[rho]) for rho in (2, 5, 10)]
         assert means[0] > means[1] > means[2]
@@ -798,7 +833,11 @@ class TestPorosityTokens:
     def test_token_pair(self):
         result = accessible_void_fraction(single_sphere(), GridSpec(3),
                                           r_probe=1.2)
-        por, acc = porosity_tokens(result, self.BINNING)
+        info = structure_informatics(single_sphere(), result)
+        por, acc = (quantize_informatics(getattr(info, name), name,
+                                         self.BINNING)
+                    for name in ("porosity_fraction",
+                                 "accessible_void_fraction"))
         assert por.startswith("por_b") and acc.startswith("acc_b")
         # mid-range values land in the analytically predicted bins
         assert por == f"por_b{int(result.phi_void // 5):02d}"

@@ -150,6 +150,17 @@ def test_loader_range_error_names_the_column(tmp_path, suffix, line, column,
         load_dataset(path)
 
 
+def test_loader_reads_a_row_before_checking_its_values(tmp_path):
+    # the range error comes first in the row, the type error later; the
+    # record type checks values only once every cell has been read
+    path = tmp_path / "data.csv"
+    path.write_text("formula,spacegroup,volume,natoms\nSi,1,-1,x\n")
+    with pytest.raises(DatasetError,
+                       match=re.escape("line 2: natoms: 'x' is not an "
+                                       "integer")):
+        load_dataset(path)
+
+
 TEXT_FIELDS = [name for name, spec in INFO_SCHEMA.items()
                if spec.kind == TEXT]
 # a tab splits a vocab.txt line into columns; the others split it in two

@@ -29,6 +29,7 @@ from crysgram.tokens import (
     sequence_length,
     tokenize_crystal,
 )
+from crysgram.tokens.vocab import CATEGORY_ORDER
 
 VOCAB = build_vocabulary()
 
@@ -40,8 +41,10 @@ class TestVocabulary:
             assert VOCAB.token_at(token_id) == ("special", token)
 
     def test_covers_all_230_numbers(self):
-        lo, hi = VOCAB.category_ranges["number"]
-        assert hi - lo == 230
+        numbers = [token for category, token in map(VOCAB.token_at,
+                                                     range(VOCAB.size))
+                   if category == "number"]
+        assert sorted(numbers, key=int) == [str(n) for n in range(1, 231)]
 
     def test_deterministic_construction(self):
         assert build_vocabulary().to_text() == VOCAB.to_text()
@@ -62,11 +65,11 @@ class TestVocabulary:
         assert VOCAB.id_of("topology", "never-seen") == UNK_ID
 
     def test_ranges_are_dense_partition(self):
-        spans = sorted(VOCAB.category_ranges.values())
-        assert spans[0][0] == 0
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b == c
-        assert spans[-1][1] == VOCAB.size
+        # each category holds one unbroken run of ids, in category order
+        categories = [VOCAB.token_at(i)[0] for i in range(VOCAB.size)]
+        runs = [c for i, c in enumerate(categories)
+                if i == 0 or c != categories[i - 1]]
+        assert runs == [c for c in CATEGORY_ORDER if c in categories]
 
 
 def edited(text, line, new):
@@ -116,6 +119,18 @@ class TestVocabularyFileChecks:
         with pytest.raises(VocabularyError,
                            match=r"^line 11: number token '1' has id 5"):
             TokenVocabulary.from_text(text)
+
+    @pytest.mark.parametrize("prefix, line, message", [
+        ("5\t", "x\tfull_symbol\tP1",
+         "line 11: token id is not an integer: 'x'"),
+        ("!atom_count_max\t", "!atom_count_max\tabc",
+         "line 3: !atom_count_max is not an integer: 'abc'"),
+        ("!volume_edges\t", "!volume_edges\t0x1p0,zz",
+         "line 5: !volume_edges holds a non-hex float: 'zz'")])
+    def test_unreadable_number_names_the_line(self, prefix, line, message):
+        [old] = [ln for ln in self.TEXT.split("\n") if ln.startswith(prefix)]
+        with pytest.raises(VocabularyError, match=f"^{re.escape(message)}$"):
+            TokenVocabulary.from_text(edited(self.TEXT, old, line))
 
     def test_load_names_the_path(self, tmp_path):
         path = tmp_path / "vocab.txt"

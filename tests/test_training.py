@@ -25,7 +25,7 @@ from crysgram.errors import (
     NonFiniteError,
 )
 from crysgram.nn import EncoderState, Tensor, desk_config, load_state
-from crysgram.objectives import TargetScaler
+from crysgram.objectives import TargetScaler, lpp_scaler
 from crysgram.tokens import (
     N_FORMULA_SLOTS,
     UNK_ID,
@@ -123,6 +123,25 @@ class TestPretrain:
     def test_lpp_objective_requires_lattice(self):
         with pytest.raises(ConfigError):
             pretrain(kb_corpus(), fast_config(objective="lpp"), table=TABLE)
+
+    @pytest.mark.parametrize("objective", ["lpp", "mlm+lpp"])
+    def test_lpp_scaler_fits_every_record_lattice(self, objective):
+        records = generate_synthetic_corpus(96, seed=4, task="lpp")
+        result = pretrain(records, fast_config(objective=objective,
+                                               epochs=0), table=TABLE)
+        assert result.scaler == lpp_scaler(
+            np.stack([r.lattice.as_array() for r in records]))
+
+    @pytest.mark.parametrize("objective", ["lpp", "mlm+lpp"])
+    @pytest.mark.parametrize("size", [0, 8])
+    def test_lpp_refuses_a_record_without_lattice(self, objective, size):
+        records = generate_synthetic_corpus(8, seed=4, task="lpp")[:size]
+        if records:
+            records[5].lattice = None
+        with pytest.raises(ConfigError, match=re.escape(
+                f"objective {objective!r} needs lattice parameters on every "
+                "record")):
+            pretrain(records, fast_config(objective=objective), table=TABLE)
 
     def test_lpp_runs_on_synthetic(self):
         records = generate_synthetic_corpus(96, seed=4, task="lpp")
@@ -301,6 +320,12 @@ class TestPreparedCorpus:
     def corpus(self):
         vocab = build_vocabulary(datasets=self.RECORDS)
         return prepare_corpus(self.RECORDS, vocab, TABLE)
+
+    def test_leaves_lattice_targets_to_pretraining(self):
+        records = generate_synthetic_corpus(8, seed=4, task="lpp")
+        corpus = prepare_corpus(records, build_vocabulary(datasets=records),
+                                TABLE)
+        assert corpus.lattice_targets is None
 
     def test_batches_are_stacked_single_formulas_to_the_bit(self):
         corpus = self.corpus()

@@ -8,21 +8,27 @@ commit in PARENT:
         --seed 3 --ops 100 [--json BENCH_<n>.json]
 
 One worker process per checkout imports that checkout's unchanged
-``bench/run.py`` and ``bench/workloads.py``, as ``tools/opstat.py``
-does: it runs BLAS on one thread, sets the workload up once and runs
-one warm-up operation. The main process then asks the workers for one
+``bench/run.py`` and ``bench/workloads.py``: it runs BLAS on one
+thread, sets the workload up once and runs one warm-up operation. The main process then asks the workers for one
 operation at a time, both sides each round, and flips which side goes
 first from round to round. Only one worker runs at any moment, so the
 two do not compete for cores, and slow drift of the host falls on both
-sides alike. Each worker times its operation in process CPU seconds and
-passes the outputs through ``workload.check``.
+sides alike. Each worker times its operation in process CPU seconds,
+reads the operation's system seconds and minor page faults and the
+process's peak RSS so far from ``getrusage``, and passes the outputs
+through ``workload.check``.
 
-The main process prints each round, then the median, q1 and q3 of the
-per-round ratio change CPU / parent CPU, how many rounds the change was
-faster, and both sides' median operation CPU. Exits 1 if any operation
-failed its check. CPU time does not see set-up, memory or time spent
-waiting, so ``setup_s`` and ``peak_rss_mb`` still come from
-``bench/run.py`` pairs (``tools/pairs.py``).
+The main process prints each round with both sides' counters, then the
+median, q1 and q3 of the per-round ratio change CPU / parent CPU, how
+many rounds the change was faster, both sides' median operation CPU,
+system seconds and minor faults, and their last peak RSS. System time
+and faults show where a saving lands, for example in faulting in memory
+the process had just freed; an A/A run (``--parent`` set to this
+checkout) gives one side's readings twice. Exits 1 if any operation
+failed its check. CPU time does not see set-up or time spent waiting,
+and a worker's peak RSS includes its warm-up, so ``setup_s`` and
+``peak_rss_mb`` still come from ``bench/run.py`` pairs
+(``tools/pairs.py``).
 
 With ``--json PATH`` it also appends one block to the ``ops`` list of
 the workload's record in PATH, which ``tools/pairs.py --json`` must have
@@ -37,6 +43,7 @@ inside.
 import argparse
 import hashlib
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -56,7 +63,8 @@ WORKLOADS = ("pretrain-desk", "finetune-paper", "predict-desk",
 def worker(checkout, name, seed):
     """Serve operations of workload ``name`` from ``checkout``: one line
     on standard input runs one, one JSON line on standard output answers
-    with its CPU seconds and the problems ``workload.check`` found."""
+    with its CPU and system seconds, its minor page faults, the peak RSS
+    so far and the problems ``workload.check`` found."""
     sys.path.insert(0, str(Path(checkout) / "bench"))
     import run  # the checkout's bench/run.py: thread limit and import
 
@@ -73,12 +81,17 @@ def worker(checkout, name, seed):
         workload.run_op(ctx, spans)  # warm-up
         print("ready", flush=True)
         while sys.stdin.readline():
+            before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.process_time()
             result = workload.run_op(ctx, spans)
             cpu = time.process_time() - start
+            after = resource.getrusage(resource.RUSAGE_SELF)
             problems = workload.check(ctx, result.outputs)
-            print(json.dumps({"cpu_s": cpu, "problems": problems}),
-                  flush=True)
+            print(json.dumps({
+                "cpu_s": cpu, "sys_s": after.ru_stime - before.ru_stime,
+                "minflt": after.ru_minflt - before.ru_minflt,
+                "maxrss_mb": after.ru_maxrss / 1024.0,  # KiB on Linux
+                "problems": problems}), flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -166,24 +179,29 @@ def main(argv=None):
     try:
         for side in SIDES:  # one after the other: set-up competes too
             procs[side] = start_worker(roots[side], args)
-        cpu = {side: [] for side in SIDES}
+        answers = {side: [] for side in SIDES}
         failed = 0
         for op in range(args.ops):
             order = SIDES if op % 2 == 0 else SIDES[::-1]
             for side in order:
                 answer = one_op(procs[side], roots[side])
-                cpu[side].append(answer["cpu_s"])
+                answers[side].append(answer)
                 for problem in answer["problems"]:
                     failed += 1
                     print(f"op {op} {side}: {problem}")
+            parent, change = (answers[side][-1] for side in SIDES)
             print(f"op {op} ({order[0]} first): parent "
-                  f"{cpu['parent'][-1]:.4f} s, change "
-                  f"{cpu['change'][-1]:.4f} s, ratio "
-                  f"{cpu['change'][-1] / cpu['parent'][-1]:.3f}", flush=True)
+                  f"{parent['cpu_s']:.4f} s, change {change['cpu_s']:.4f} s, "
+                  f"ratio {change['cpu_s'] / parent['cpu_s']:.3f}; sys "
+                  f"{parent['sys_s']:.3f} / {change['sys_s']:.3f} s, minflt "
+                  f"{parent['minflt']} / {change['minflt']}, maxrss "
+                  f"{parent['maxrss_mb']:.1f} / {change['maxrss_mb']:.1f} MB",
+                  flush=True)
     finally:
         for proc in procs.values():
             proc.stdin.close()
             proc.wait()
+    cpu = {side: [a["cpu_s"] for a in answers[side]] for side in SIDES}
     s = summarize(cpu["parent"], cpu["change"])
     ratio = s["ratio"]
     print(f"\n{args.workload} seed {args.seed}: {s['ops']} operations per "
@@ -192,6 +210,11 @@ def main(argv=None):
           f"{s['change_faster']}/{s['ops']}; median operation "
           f"{s['parent_median_cpu_s']:.4f} s -> "
           f"{s['change_median_cpu_s']:.4f} s")
+    for side, rows in answers.items():
+        sys_s = statistics.median(a["sys_s"] for a in rows)
+        minflt = statistics.median(a["minflt"] for a in rows)
+        print(f"{side}: median {sys_s:.3f} s system and {minflt:.0f} minor "
+              f"faults per operation; peak RSS {rows[-1]['maxrss_mb']:.1f} MB")
     print(f"every operation correct: {'NO' if failed else 'yes'}")
     if args.json:
         append_ops(args.json, args.workload, {
