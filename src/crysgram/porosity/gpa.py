@@ -45,10 +45,12 @@ def _parse_radii(text, source):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise PorosityError(f"{source}:{lineno}: expected 'symbol radius'")
-        table[parts[0]] = float(parts[1])
+        try:
+            symbol, radius = line.split()
+            table[symbol] = float(radius)
+        except ValueError:
+            raise PorosityError(f"{source}:{lineno}: expected 'symbol "
+                                f"radius', got {line!r}") from None
     return table
 
 
@@ -89,10 +91,10 @@ class PeriodicStructure:
         wrapped = []
         for i, (element, frac) in enumerate(self.sites):
             frac = np.asarray(frac, dtype=np.float64)
-            if not np.isfinite(frac).all():
+            if frac.shape != (3,) or not np.isfinite(frac).all():
                 raise PorosityError(
                     f"site {i} ({element}): fractional coordinates must be "
-                    f"finite, got {frac.tolist()}")
+                    f"3 finite numbers, got {frac.tolist()}")
             wrapped.append((element, frac % 1.0))
         self.sites = wrapped
 
@@ -127,16 +129,22 @@ class PeriodicStructure:
 
 
 def load_structure(path):
-    """Structure file: JSON with 'lattice' (9 reals or 3x3) and 'sites'."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    lattice = np.asarray(payload["lattice"], dtype=np.float64).reshape(3, 3)
-    sites = [(str(entry[0]), np.asarray(entry[1:4], dtype=np.float64))
-             for entry in payload["sites"]]
-    overrides = {str(k): float(v)
-                 for k, v in payload.get("radius_overrides", {}).items()}
-    return PeriodicStructure(lattice=lattice, sites=sites,
-                             radius_overrides=overrides)
+    """Structure file: JSON with 'lattice' (9 reals or 3x3), 'sites'
+    ([symbol, x, y, z] each) and optional 'radius_overrides'; any other
+    file raises PorosityError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        lattice = np.asarray(payload["lattice"],
+                             dtype=np.float64).reshape(3, 3)
+        sites = [(str(entry[0]), entry[1:]) for entry in payload["sites"]]
+        overrides = {str(k): float(v)
+                     for k, v in payload.get("radius_overrides", {}).items()}
+        return PeriodicStructure(lattice, sites, overrides)
+    except KeyError as exc:
+        raise PorosityError(f"{path}: no {exc} entry") from None
+    except (PorosityError, TypeError, ValueError, AttributeError) as exc:
+        raise PorosityError(f"{path}: {exc}") from None
 
 
 def save_structure(structure, path):

@@ -68,11 +68,14 @@ class ElementEmbeddingTable:
     def from_file(cls, path):
         vectors = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+                try:
+                    vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise EmbeddingError(f"{path}:{lineno}: {exc}") from None
         return cls(vectors)
 
     def save(self, path):

@@ -6,7 +6,6 @@ past the element count are [PAD] and masked out of attention.
 """
 
 from ..errors import VocabularyError
-from ..grammar import EMPTY_SLOT, lookup_space_group
 from .vocab import (
     CLS_ID,
     ELEMENT,
@@ -33,26 +32,16 @@ def sequence_categories(info_layout):
             *(ELEMENT,) * N_FORMULA_SLOTS)
 
 
-def tokenize_crystal(sg_number, formula, info, vocab, group_ids=None):
+def tokenize_crystal(sg_number, formula, info, vocab):
     """The [CLS]+12+n_info+20 token ids of one crystal, as a tuple.
 
     ``formula`` is a parsed FormulaComposition, ``info`` an
     InformaticsFields or None. Informatics fields present on the record
     but absent from the vocabulary layout raise VocabularyError. A
     position's label is ``vocab.token_at(id)[1]`` and its category is
-    ``sequence_categories(vocab.info_layout)``. ``group_ids``, if given,
-    is a dict from space-group number to its 12 ids in ``vocab`` that
-    the call reads and fills, so a caller tokenizing many crystals
-    (``prepare_corpus``) looks each group's tokens up once.
+    ``sequence_categories(vocab.info_layout)``.
     """
-    record = lookup_space_group(sg_number)
-    group_ids = {} if group_ids is None else group_ids
-    if sg_number not in group_ids:
-        group_ids[sg_number] = tuple(
-            EMPTY_ID if category == "directional" and token == EMPTY_SLOT
-            else vocab.id_of(category, token)
-            for category, token in zip(SG_CATEGORIES,
-                                        record.token_strings()))
+    ids = [CLS_ID, *vocab.space_group_ids(sg_number)]
     info = info or InformaticsFields()
     extra = set(info.present_fields()) - set(vocab.info_layout)
     if extra:
@@ -60,7 +49,6 @@ def tokenize_crystal(sg_number, formula, info, vocab, group_ids=None):
             f"record carries informatics fields {sorted(extra)} absent from "
             f"the vocabulary layout {list(vocab.info_layout)}")
 
-    ids = [CLS_ID, *group_ids[sg_number]]
     for field_name in vocab.info_layout:
         value = getattr(info, field_name)
         ids.append(EMPTY_ID if value is None else vocab.id_of(

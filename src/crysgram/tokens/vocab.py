@@ -2,6 +2,8 @@
 informatics schema and numeric binning, and bit-exact text serialization."""
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -10,7 +12,8 @@ import numpy as np
 
 from ..errors import VocabularyError
 from ..files import atomic_write
-from ..grammar import EMPTY_SLOT, SYMBOLS, all_space_groups
+from ..grammar import (EMPTY_SLOT, SYMBOLS, all_space_groups,
+                       lookup_space_group)
 
 CLS, MASK, PAD, EMPTY, UNK = "[CLS]", "[MASK]", "[PAD]", "[EMPTY]", "[UNK]"
 RESERVED = (CLS, MASK, PAD, EMPTY, UNK)
@@ -72,6 +75,8 @@ CATEGORY_ORDER = (SPECIAL, *dict.fromkeys(SG_CATEGORIES), *INFO_SCHEMA,
                   ELEMENT)
 
 N_VOLUME_BINS = 64
+ATOM_COUNT_MAX = 512  # counts above it share the overflow token
+POROSITY_BINS = 20
 
 
 def _check_informatics(field, value):
@@ -110,39 +115,33 @@ def _bin_token(field, k):
 class InformaticsBinning:
     """Bin layout for numeric informatics fields.
 
-    Volumes get log-spaced half-open bins [lo, hi) with the top bin
-    closed; porosity percentages get uniform bins over [0, 100]; atom
-    counts are direct integer tokens up to a cap plus one overflow bin.
+    Volumes get N_VOLUME_BINS log-spaced half-open bins [lo, hi) between
+    ``volume_edges``, with the top bin closed; porosity percentages get
+    POROSITY_BINS uniform bins over [0, 100]; atom counts are direct
+    integer tokens up to ATOM_COUNT_MAX plus one overflow bin.
     """
 
     volume_edges: tuple
-    atom_count_max: int = 512
-    porosity_bins: int = 20
+
+    def __post_init__(self):
+        edges = np.asarray(self.volume_edges, dtype=np.float64)
+        if not (edges.shape == (N_VOLUME_BINS + 1,)
+                and np.isfinite(edges).all()
+                and (np.diff(edges, prepend=0.0) > 0).all()):
+            raise VocabularyError(
+                f"volume edges must be {N_VOLUME_BINS + 1} finite, positive, "
+                "strictly increasing numbers")
 
     @classmethod
     def from_observations(cls, volumes=()):
         volumes = [v for v in volumes if v is not None and np.isfinite(v) and v > 0]
         lo = min(volumes) if volumes else 1.0
         hi = max(volumes) if volumes else 1e5
-        if hi <= lo:
+        if hi <= lo * (1.0 + 1e-9):  # too narrow for distinct edges
             hi = lo * 10.0
         edges = np.exp(np.linspace(math.log(lo), math.log(hi),
                                    N_VOLUME_BINS + 1))
         return cls(volume_edges=tuple(float(e) for e in edges))
-
-    @property
-    def n_volume_bins(self):
-        return len(self.volume_edges) - 1
-
-    def all_tokens(self, field):
-        kind = INFO_SCHEMA[field].kind if field in INFO_SCHEMA else None
-        if kind == COUNT:
-            return ([str(n) for n in range(1, self.atom_count_max + 1)]
-                    + [f">{self.atom_count_max}"])
-        if kind not in (VOLUME, PERCENT):
-            raise VocabularyError(f"{field!r} is not a binned field")
-        n_bins = self.n_volume_bins if kind == VOLUME else self.porosity_bins
-        return [_bin_token(field, k) for k in range(n_bins)]
 
 
 def quantize_informatics(value, field, binning):
@@ -156,23 +155,14 @@ def quantize_informatics(value, field, binning):
     if kind == TEXT:
         return value
     if kind == VOLUME:
-        edges = np.asarray(binning.volume_edges)
-        k = int(np.searchsorted(edges, value, side="right")) - 1
-        return _bin_token(field, min(max(k, 0), binning.n_volume_bins - 1))
+        k = int(np.searchsorted(binning.volume_edges, value,
+                                side="right")) - 1
+        return _bin_token(field, min(max(k, 0), N_VOLUME_BINS - 1))
     if kind == COUNT:
         n = int(value)
-        return str(n) if n <= binning.atom_count_max else f">{binning.atom_count_max}"
-    return _bin_token(field, min(int(value * binning.porosity_bins / 100.0),
-                                 binning.porosity_bins - 1))
-
-
-def _parsed(read, text, lineno, problem):
-    """``read(text)``; VocabularyError naming the line and the
-    ``problem`` when ``read`` refuses ``text``."""
-    try:
-        return read(text)
-    except (ValueError, OverflowError):
-        raise VocabularyError(f"line {lineno}: {problem}: {text!r}") from None
+        return str(n) if n <= ATOM_COUNT_MAX else f">{ATOM_COUNT_MAX}"
+    return _bin_token(field, min(int(value * POROSITY_BINS / 100.0),
+                                 POROSITY_BINS - 1))
 
 
 class TokenVocabulary:
@@ -196,6 +186,13 @@ class TokenVocabulary:
         self._by_key = {key: i for i, key in enumerate(self._by_id)}
         if len(self._by_key) != len(self._by_id):
             raise VocabularyError("duplicate (category, token) pair")
+        # each space group's 12 ids, in number order; an empty
+        # directional slot reads [EMPTY], an unseen token [UNK]
+        ids = {**self._by_key, ("directional", EMPTY_SLOT): EMPTY_ID}
+        self._group_ids = [
+            tuple([ids.get(pair, UNK_ID)
+                   for pair in zip(SG_CATEGORIES, record.token_strings())])
+            for record in all_space_groups()]
 
     @property
     def size(self):
@@ -217,66 +214,59 @@ class TokenVocabulary:
     def token_at(self, token_id):
         return self._by_id[token_id]
 
+    def space_group_ids(self, number):
+        """The ids of space group ``number``'s 12 tokens, [EMPTY] for an
+        empty directional slot."""
+        return self._group_ids[lookup_space_group(number).number - 1]
+
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        lines = ["# crysgram vocabulary format 1"]
-        lines.append("!info_layout\t" + ",".join(self.info_layout))
-        lines.append(f"!atom_count_max\t{self.binning.atom_count_max}")
-        lines.append(f"!porosity_bins\t{self.binning.porosity_bins}")
-        lines.append("!volume_edges\t" + ",".join(
-            float(e).hex() for e in self.binning.volume_edges))
-        for i, (category, token) in enumerate(self._by_id):
-            lines.append(f"{i}\t{category}\t{token}")
+        lines = ["# crysgram vocabulary format 1",
+                 "!info_layout\t" + ",".join(self.info_layout),
+                 f"!atom_count_max\t{ATOM_COUNT_MAX}",
+                 f"!porosity_bins\t{POROSITY_BINS}",
+                 "!volume_edges\t" + ",".join(
+                     float(e).hex() for e in self.binning.volume_edges)]
+        lines += [f"{i}\t{category}\t{token}"
+                  for i, (category, token) in enumerate(self._by_id)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        layout, edges, settings = (), (), {}
-        tokens_by_category = {}
-        token_lines = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("!"):
-                key, _, value = line[1:].partition("\t")
-                if key == "info_layout":
-                    layout = tuple(v for v in value.split(",") if v)
-                elif key in ("atom_count_max", "porosity_bins"):
-                    settings[key] = _parsed(int, value, lineno,
-                                            f"!{key} is not an integer")
-                elif key == "volume_edges":
-                    edges = tuple(_parsed(float.fromhex, v, lineno,
-                                          "!volume_edges holds a non-hex "
-                                          "float")
-                                  for v in value.split(","))
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise VocabularyError(
-                    f"line {lineno}: {len(fields)} tab-separated fields, "
-                    f"expected 3 (id, category, token)")
-            token_id, category, token = fields
-            expected = len(token_lines)
-            if _parsed(int, token_id, lineno,
-                       "token id is not an integer") != expected:
-                raise VocabularyError(
-                    f"non-dense id {token_id} (expected {expected})")
-            token_lines.append((lineno, category, token))
-            if category == SPECIAL:
-                if expected >= len(RESERVED) or token != RESERVED[expected]:
-                    raise VocabularyError(f"reserved slot mismatch: {line!r}")
-                continue
-            tokens_by_category.setdefault(category, []).append(token)
-        binning = InformaticsBinning(volume_edges=edges, **settings)
-        vocab = cls(tokens_by_category, layout, binning)
-        # ids follow category order: a block out of order moves them
-        for token_id, (lineno, category, token) in enumerate(token_lines):
-            if vocab.id_of(category, token) != token_id:
-                raise VocabularyError(
-                    f"line {lineno}: {category} token {token!r} has id "
-                    f"{token_id}, but the category order gives it "
-                    f"{vocab.id_of(category, token)}")
+        """The vocabulary whose ``to_text()`` is ``text``, byte for byte.
+
+        Only three things are read: the info layout (line 2), the volume
+        edges (line 5) and the text-field token lines; the vocabulary
+        built from them must write every line of ``text`` back, or
+        VocabularyError names the first line that differs (a missing
+        line reads as None).
+        """
+        lines = text.split("\n")
+        _, layout_line, _, _, edges_line = (lines + [""] * 5)[:5]
+        layout = tuple(field for field in layout_line.partition("\t")[2]
+                       .split(",") if field in INFO_SCHEMA)
+        edges = []
+        try:
+            for value in edges_line.partition("\t")[2].split(","):
+                edges.append(float.fromhex(value))
+            binning = InformaticsBinning(tuple(edges))
+        except (ValueError, OverflowError):
+            raise VocabularyError(f"line 5: !volume_edges holds a non-hex "
+                                  f"float: {value!r}") from None
+        except VocabularyError as exc:
+            raise VocabularyError(f"line 5: {exc}") from None
+        tokens = {}  # category -> its tokens in the file
+        for fields in (line.split("\t") for line in lines[5:]):
+            if (len(fields) == 3
+                    and "".join(fields[2].splitlines()) == fields[2]):
+                tokens.setdefault(fields[1], set()).add(fields[2])
+        vocab = _assemble(tokens, layout, binning)
+        for lineno, (found, expected) in enumerate(itertools.zip_longest(
+                lines, vocab.to_text().split("\n")), start=1):
+            if found != expected:
+                raise VocabularyError(f"line {lineno}: found {found!r}, "
+                                      f"expected {expected!r}")
         return vocab
 
     def save(self, path):
@@ -293,6 +283,41 @@ class TokenVocabulary:
             raise VocabularyError(f"{path}: {exc}") from None
 
 
+@functools.cache
+def _fixed_tokens():
+    """Category -> the tokens of every vocabulary: the knowledge base's
+    distinct space-group tokens in table order (without the empty
+    directional slot), the bin tokens and the elements."""
+    pairs = [pair for record in all_space_groups()
+             for pair in zip(SG_CATEGORIES, record.token_strings())
+             if pair != ("directional", EMPTY_SLOT)]
+    fixed = {category: tuple(dict.fromkeys(t for c, t in pairs
+                                           if c == category))
+             for category in dict.fromkeys(SG_CATEGORIES)}
+    for name, spec in INFO_SCHEMA.items():
+        if spec.kind == COUNT:
+            fixed[name] = (*map(str, range(1, ATOM_COUNT_MAX + 1)),
+                           f">{ATOM_COUNT_MAX}")
+        elif spec.kind != TEXT:
+            n_bins = N_VOLUME_BINS if spec.kind == VOLUME else POROSITY_BINS
+            fixed[name] = tuple(_bin_token(name, k) for k in range(n_bins))
+    fixed[ELEMENT] = SYMBOLS
+    return fixed
+
+
+def _assemble(texts, info_layout, binning):
+    """The vocabulary of the fixed tokens and the text fields' tokens in
+    ``texts`` (field -> tokens, sorted here; other keys are ignored). A
+    vocabulary file chooses ``info_layout``, the volume edges of
+    ``binning`` and the text tokens; every other line follows from
+    them."""
+    by_category = dict(_fixed_tokens())
+    for name, spec in INFO_SCHEMA.items():
+        if spec.kind == TEXT:
+            by_category[name] = sorted(set(texts.get(name, ())))
+    return TokenVocabulary(by_category, info_layout, binning)
+
+
 def build_vocabulary(datasets=(), info_layout=()):
     """Vocabulary covering the knowledge base plus observed dataset tokens.
 
@@ -301,21 +326,6 @@ def build_vocabulary(datasets=(), info_layout=()):
     organic-cation strings and the observed volume range for binning.
     Deterministic given identical inputs.
     """
-    by_category = {category: [] for category in CATEGORY_ORDER
-                   if category != SPECIAL}
-    seen = {category: set() for category in by_category}
-
-    def add(category, token):
-        if token not in seen[category]:
-            seen[category].add(token)
-            by_category[category].append(token)
-
-    for record in all_space_groups():
-        for category, token in zip(SG_CATEGORIES, record.token_strings()):
-            if category == "directional" and token == EMPTY_SLOT:
-                continue
-            add(category, token)
-
     observed = {name: set() for name in INFO_SCHEMA}
     for item in datasets:
         info = getattr(item, "informatics", item)
@@ -324,13 +334,4 @@ def build_vocabulary(datasets=(), info_layout=()):
                 values.add(getattr(info, name))
     binning = InformaticsBinning.from_observations(
         observed["unit_cell_volume"])
-
-    for name, spec in INFO_SCHEMA.items():
-        tokens = (sorted(observed[name]) if spec.kind == TEXT
-                  else binning.all_tokens(name))
-        for token in tokens:
-            add(name, token)
-    for symbol in SYMBOLS:
-        add(ELEMENT, symbol)
-
-    return TokenVocabulary(by_category, info_layout, binning)
+    return _assemble(observed, info_layout, binning)

@@ -187,11 +187,10 @@ class PreparedCorpus:
 
 def prepare_corpus(records, vocab, table):
     rows, compositions, ids, targets = [], [], [], []
-    group_ids = {}  # each space group's ids, looked up once per call
     for record in records:
         comp = record.composition
         rows.append(tokenize_crystal(record.spacegroup, comp,
-                                     record.informatics, vocab, group_ids))
+                                     record.informatics, vocab))
         compositions.append(comp)
         ids.append(record.id)
         targets.append(record.target)

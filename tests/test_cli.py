@@ -121,9 +121,15 @@ class TestTokenize:
         assert payload["labels"][13] == "[UNK]"
 
     @pytest.mark.parametrize("line,message", [
-        ("5\tnot_a_category\tP1", "unknown token categories"),
-        ("5\tfull_symbol\tP1\textra", "line 11: 4 tab-separated fields"),
-        ("x\tfull_symbol\tP1", "line 11: token id is not an integer")])
+        ("5\tnot_a_category\tP1",
+         "line 11: found '5\\tnot_a_category\\tP1', "
+         "expected '5\\tfull_symbol\\tP1'"),
+        ("5\tfull_symbol\tP1\textra",
+         "line 11: found '5\\tfull_symbol\\tP1\\textra', "
+         "expected '5\\tfull_symbol\\tP1'"),
+        ("x\tfull_symbol\tP1",
+         "line 11: found 'x\\tfull_symbol\\tP1', "
+         "expected '5\\tfull_symbol\\tP1'")])
     def test_damaged_vocabulary_exits_2_naming_file_and_fault(
             self, capsys, tmp_path, line, message):
         vocab = tmp_path / "vocab.txt"
@@ -134,11 +140,12 @@ class TestTokenize:
                              "--formula", "Si", "--vocab", str(vocab))
         assert code == 2
         assert out == ""
-        assert f"error: {vocab}: " in err and message in err
+        assert err == f"error: {vocab}: {message}\n"
 
     @pytest.mark.parametrize("prefix, line, message", [
         ("!atom_count_max\t", "!atom_count_max\tabc",
-         "line 3: !atom_count_max is not an integer"),
+         "line 3: found '!atom_count_max\\tabc', "
+         "expected '!atom_count_max\\t512'"),
         ("!volume_edges\t", "!volume_edges\t0x1p0,zz",
          "line 5: !volume_edges holds a non-hex float")])
     def test_unreadable_vocabulary_header_exits_2_naming_the_line(
@@ -153,6 +160,58 @@ class TestTokenize:
         assert code == 2
         assert out == ""
         assert f"error: {vocab}: {message}" in err
+
+    # files the vocabulary never writes: a bin count other than the fixed
+    # one, an id in other digits, a truncated file and a comment line
+    @pytest.mark.parametrize("case", [
+        "porosity-bins", "atom-count-max", "arabic-indic-id", "truncated",
+        "comment"])
+    def test_a_file_the_vocabulary_never_writes_exits_2(self, capsys,
+                                                         tmp_path, case):
+        lines = build_vocabulary().to_text().split("\n")
+        lineno, found = {
+            "porosity-bins": (4, "!porosity_bins\t-3"),
+            "atom-count-max": (3, "!atom_count_max\t0"),
+            "arabic-indic-id": (11, "\u0665\tfull_symbol\tP1"),
+            "truncated": (1224, None),
+            "comment": (7, "# a hand-written note")}[case]
+        expected = lines[lineno - 1]
+        if case == "truncated":
+            del lines[lineno - 1:]
+        elif case == "comment":
+            lines.insert(lineno - 1, found)
+        else:
+            lines[lineno - 1] = found
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = run(capsys, "tokenize", "--spacegroup", "1",
+                             "--formula", "Si", "--vocab", str(vocab))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {vocab}: line {lineno}: found {found!r}, "
+                       f"expected {expected!r}\n")
+
+
+CUBE = '"lattice": [10, 0, 0, 0, 10, 0, 0, 0, 10]'
+# structure files load_structure refuses, with the reason it gives
+BAD_STRUCTURES = {
+    "no-sites": (f"{{{CUBE}}}", "no 'sites' entry"),
+    "no-lattice": ('{"sites": [["C", 0.5, 0.5, 0.5]]}', "no 'lattice' entry"),
+    "short-lattice": ('{"lattice": [10, 0, 0, 0, 10, 0, 0, 0], "sites": []}',
+                      "cannot reshape array of size 8 into shape (3,3)"),
+    "two-coordinates": (f'{{{CUBE}, "sites": [["C", 0.5, 0.5, 0.5], '
+                        f'["O", 0.5, 0.5]]}}',
+                        "site 1 (O): fractional coordinates must be 3 "
+                        "finite numbers, got [0.5, 0.5]"),
+    "site-not-a-list": (f'{{{CUBE}, "sites": [7]}}',
+                        "'int' object is not subscriptable"),
+    "text-coordinate": (f'{{{CUBE}, "sites": [["C", 0.5, "x", 0.5]]}}',
+                        "could not convert string to float: 'x'"),
+    "overrides-not-a-map": (f'{{{CUBE}, "sites": [], '
+                            f'"radius_overrides": ["C"]}}',
+                            "'list' object has no attribute 'items'"),
+    "not-json": ("[1, 2", "Expecting ',' delimiter: line 1 column 6 (char 5)"),
+}
 
 
 class TestPorosity:
@@ -267,6 +326,31 @@ class TestPorosity:
         assert code == 2
         assert out == ""
         assert f"{radii}:3" in err
+
+    def test_unreadable_radius_exits_2_naming_file_and_line(self, capsys,
+                                                            tmp_path):
+        path, radii = tmp_path / "s.json", tmp_path / "radii.txt"
+        save_structure(PeriodicStructure(
+            lattice=np.eye(3) * 6.0,
+            sites=[("C", np.array([0.25, 0.25, 0.25]))]), path)
+        radii.write_text("C 1.7\nH x\n")
+        code, out, err = run(capsys, "porosity", str(path), "--radii",
+                             str(radii), "--rho-grid", "2")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {radii}:2: expected 'symbol radius', "
+                       f"got 'H x'\n")
+
+    @pytest.mark.parametrize("case", sorted(BAD_STRUCTURES))
+    def test_malformed_structure_file_exits_2_naming_file_and_site(
+            self, capsys, tmp_path, case):
+        text, message = BAD_STRUCTURES[case]
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "porosity", str(path), "--rho-grid", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
 
     def test_partial_radius_file_overrides_the_bundled_table(self, capsys,
                                                               tmp_path):

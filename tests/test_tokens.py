@@ -1,6 +1,7 @@
 """Vocabulary construction, tokenization layout, quantization, and the
 formula embedding path."""
 
+import math
 import re
 
 import numpy as np
@@ -8,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysgram.errors import EmbeddingError, VocabularyError
-from crysgram.grammar import parse_formula
+from crysgram.errors import (
+    EmbeddingError,
+    InvalidSpaceGroupError,
+    VocabularyError,
+)
+from crysgram.grammar import EMPTY_SLOT, lookup_space_group, parse_formula
 from crysgram.nn import Tensor
 from crysgram.tokens import (
     CLS_ID,
@@ -29,7 +34,7 @@ from crysgram.tokens import (
     sequence_length,
     tokenize_crystal,
 )
-from crysgram.tokens.vocab import CATEGORY_ORDER
+from crysgram.tokens.vocab import CATEGORY_ORDER, SG_CATEGORIES
 
 VOCAB = build_vocabulary()
 
@@ -79,6 +84,27 @@ def edited(text, line, new):
     return "\n".join(lines)
 
 
+INFO_TEXT = build_vocabulary(
+    datasets=[InformaticsFields(topology="pcu", organic_cation="CH3NH3",
+                                unit_cell_volume=900.0),
+              InformaticsFields(topology="dia", unit_cell_volume=4800.0)],
+    info_layout=("topology", "unit_cell_volume",
+                 "organic_cation")).to_text()
+
+EDGES = VOCAB.binning.volume_edges
+# volume edges InformaticsBinning refuses
+BAD_EDGES = {
+    "too-few": EDGES[:-1],
+    "swapped": EDGES[:3] + (EDGES[4], EDGES[3]) + EDGES[5:],
+    "repeated": EDGES[:4] + EDGES[3:-1],
+    "infinite": EDGES[:-1] + (math.inf,),
+    "nan": (math.nan,) + EDGES[1:],
+    "not-positive": (-EDGES[0],) + EDGES[1:],
+}
+EDGES_RULE = ("volume edges must be 65 finite, positive, strictly "
+              "increasing numbers")
+
+
 class TestVocabularyFileChecks:
     """A damaged ``vocab.txt`` is refused with the line at fault, not
     loaded with shifted ids."""
@@ -100,9 +126,10 @@ class TestVocabularyFileChecks:
     @pytest.mark.parametrize("line,fields", [
         ("5\tfull_symbol\tP1\textra", 4), ("5\tfull_symbol", 2)])
     def test_wrong_field_count_names_the_line(self, line, fields):
+        assert len(line.split("\t")) == fields
         text = edited(self.TEXT, self.LINE, line)
-        with pytest.raises(VocabularyError,
-                           match=f"^line 11: {fields} tab-separated fields"):
+        message = f"line 11: found {line!r}, expected '5\\tfull_symbol\\tP1'"
+        with pytest.raises(VocabularyError, match=f"^{re.escape(message)}$"):
             TokenVocabulary.from_text(text)
 
     def test_swapped_category_blocks_are_refused(self):
@@ -116,15 +143,18 @@ class TestVocabularyFileChecks:
                  + [r for r in rows if r[1] not in ("special", "number")])
         body = [f"{i}\t{c}\t{t}" for i, (_, c, t) in enumerate(order)]
         text = "\n".join(head + body) + "\n"
-        with pytest.raises(VocabularyError,
-                           match=r"^line 11: number token '1' has id 5"):
+        message = ("line 11: found '5\\tnumber\\t1', "
+                   "expected '5\\tfull_symbol\\tP1'")
+        with pytest.raises(VocabularyError, match=f"^{re.escape(message)}$"):
             TokenVocabulary.from_text(text)
 
     @pytest.mark.parametrize("prefix, line, message", [
         ("5\t", "x\tfull_symbol\tP1",
-         "line 11: token id is not an integer: 'x'"),
+         "line 11: found 'x\\tfull_symbol\\tP1', "
+         "expected '5\\tfull_symbol\\tP1'"),
         ("!atom_count_max\t", "!atom_count_max\tabc",
-         "line 3: !atom_count_max is not an integer: 'abc'"),
+         "line 3: found '!atom_count_max\\tabc', "
+         "expected '!atom_count_max\\t512'"),
         ("!volume_edges\t", "!volume_edges\t0x1p0,zz",
          "line 5: !volume_edges holds a non-hex float: 'zz'")])
     def test_unreadable_number_names_the_line(self, prefix, line, message):
@@ -139,6 +169,56 @@ class TestVocabularyFileChecks:
         with pytest.raises(VocabularyError,
                            match=f"^{re.escape(str(path))}: line 11: "):
             TokenVocabulary.load(path)
+
+
+    @pytest.mark.parametrize("case", sorted(BAD_EDGES))
+    def test_bad_volume_edges_name_line_5(self, case):
+        [old] = [ln for ln in self.TEXT.split("\n")
+                 if ln.startswith("!volume_edges\t")]
+        line = "!volume_edges\t" + ",".join(e.hex() for e in BAD_EDGES[case])
+        with pytest.raises(VocabularyError, match=f"^line 5: {EDGES_RULE}$"):
+            TokenVocabulary.from_text(edited(self.TEXT, old, line))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_single_line_edit_loads_only_as_written(self, data):
+        # a file that holds text tokens, so that their lines are read too
+        lines = INFO_TEXT.split("\n")
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kept = lines[i][:data.draw(st.integers(0, len(lines[i])))]
+        pieces = st.one_of(
+            st.characters(exclude_characters="\n"),
+            st.sampled_from(["\t", ",", "0", "5", "\u0665", "\r", "#",
+                             "topology", "organic_cation", "unit_cell_volume",
+                             "0x1.8p+10", "inf", "pcu", "zzz"]))
+        lines[i] = data.draw(st.one_of(
+            st.lists(pieces, max_size=4).map(lambda p: kept + "".join(p)),
+            st.sampled_from(lines)))
+        text = "\n".join(lines)
+        try:
+            vocab = TokenVocabulary.from_text(text)
+        except VocabularyError as exc:
+            # the first line that differs is never after the edited one
+            named = re.match(r"line (\d+): ", str(exc))
+            assert named and int(named.group(1)) <= i + 1, str(exc)
+        else:
+            assert vocab.to_text() == text
+
+
+class TestInformaticsBinning:
+    @pytest.mark.parametrize("case", sorted(BAD_EDGES))
+    def test_bad_volume_edges_are_refused(self, case):
+        with pytest.raises(VocabularyError, match=f"^{EDGES_RULE}$"):
+            InformaticsBinning(BAD_EDGES[case])
+
+    def test_a_too_narrow_observed_range_widens_to_a_decade(self):
+        # two volumes one ulp apart would give 65 equal edges
+        lo = 1000.0
+        assert (InformaticsBinning.from_observations(
+                    [lo, math.nextafter(lo, 2 * lo)])
+                == InformaticsBinning.from_observations([lo]))
+        assert InformaticsBinning.from_observations([lo]).volume_edges[
+            -1] == pytest.approx(10 * lo)
 
 
 class TestQuantization:
@@ -236,6 +316,23 @@ class TestTokenizeCrystal:
             ids = tokenize_crystal(sg, parse_formula(formula), None, VOCAB)
             assert len(ids) == 33
 
+    def test_space_group_ids_are_each_tokens_id_looked_up_once(self):
+        lacking = TokenVocabulary({"number": ["1", "2"], "centering": ["P"]},
+                                  (), VOCAB.binning)
+        for vocab in (VOCAB, lacking):
+            for number in range(1, 231):
+                record = lookup_space_group(number)
+                want = tuple(
+                    EMPTY_ID if category == "directional"
+                    and token == EMPTY_SLOT else vocab.id_of(category, token)
+                    for category, token in zip(SG_CATEGORIES,
+                                                record.token_strings()))
+                ids = vocab.space_group_ids(number)
+                assert ids == want and vocab.space_group_ids(number) is ids
+        # a cached group does not admit an invalid number equal to it
+        with pytest.raises(InvalidSpaceGroupError):
+            VOCAB.space_group_ids(True)
+
     def test_injective_on_distinct_groups(self):
         comp = parse_formula("Si")
         ids = {tokenize_crystal(n, comp, None, VOCAB) for n in range(1, 231)}
@@ -290,6 +387,13 @@ class TestFormulaEmbedding:
         path = tmp_path / "emb.txt"
         path.write_text("Fe 1.0 2.0\nO 1.0 2.0 3.0\n")
         with pytest.raises(EmbeddingError):
+            ElementEmbeddingTable.from_file(path)
+
+    def test_unreadable_number_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("H 0.1 0.2\nHe 0.1 zz\n")
+        message = f"{path}:2: could not convert string to float: 'zz'"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
             ElementEmbeddingTable.from_file(path)
 
 

@@ -20,7 +20,11 @@ one crystal's token sequence with a value for every informatics flag
 (``tokenize``, in text and json), whose ids, labels and attention mask
 must not move, and another read through the vocabulary that a pretrain
 run wrote (``tokenize --vocab``), so that labels read from a loaded
-vocabulary are compared too; and, in text and json, ``parse-formula``
+vocabulary are compared too. One more mlm pretrain runs on MOF-like
+records with topology and organic-cation values under
+``--info-layout topology,organic_cation``, so that a ``vocab.txt``
+holding text tokens is compared, and ``tokenize --vocab --topology``
+reads it back. And, in text and json, ``parse-formula``
 on four nested or decimal formulas and ``lookup`` on space groups of
 every crystal system and of every centering letter the table uses (P,
 A, C, I, R, F).
@@ -44,6 +48,20 @@ DATA = ("from crysgram.datasets import generate_synthetic_corpus as g, "
         "r = g(128, seed=21, task='regression'); w(r, 'reg.csv'); "
         "w(r, 'reg.tsv', fmt='delimited-table'); "
         "w(r, 'reg.jsonl', fmt='record-lines')")
+# MOF-like records with text informatics, whose tokens a vocabulary holds
+INFO_DATA = r"""
+from crysgram.datasets import CrystalRecord, write_dataset
+from crysgram.tokens import InformaticsFields
+
+formulas = ("CsPbI3", "ZnC8H4O4", "CuC9H3O6", "MgC8H2O6")
+topologies = ("pcu", "dia", "sql", "fcu", "pcu.cat0")
+cations = ("CH3NH3", "HC(NH2)2", "Cs")
+write_dataset([CrystalRecord(
+    id=f"mof-{i:02d}", formula=formulas[i % 4], spacegroup=1 + 7 * i,
+    informatics=InformaticsFields(topology=topologies[i % 5],
+                                  organic_cation=cations[i % 3]))
+    for i in range(24)], "info.csv")
+"""
 STRUCTURES = r"""
 import numpy as np
 from crysgram.porosity import PeriodicStructure, save_structure
@@ -86,6 +104,9 @@ TOKENIZE = ("tokenize", "--spacegroup", "1", "--formula", "C6H6CuN2O4",
             "--organic-cation", "CH3NH3")
 TOKENIZE_VOCAB = ("tokenize", "--vocab", "mlm-float32/vocab.txt",
                   "--spacegroup", "14", "--formula", "Fe2O3")
+TOKENIZE_INFO_VOCAB = ("tokenize", "--vocab", "mlm-info/vocab.txt",
+                       "--spacegroup", "221", "--formula", "CsPbI3",
+                       "--topology", "dia")
 FORMULAS = ("K(Al(OH)2)3", "Ba2(Ca(Nb0.333Ta0.667)O3)1.5",
             "Li0.33Fe0.5Mn0.17PO4", "(NH4)2SO4")
 LOOKUPS = ("1", "2", "5", "14", "38", "62", "88", "146", "166", "194",
@@ -119,6 +140,9 @@ def commands():
             for flood in ((), ("--no-floodfill",)):
                 yield ["porosity", f"{structure}.json", "--format", "json",
                        "--rho-grid", rho, *flood]
+    yield ["pretrain", "--data", "info.csv", "--objective", "mlm",
+           "--epochs", "1", "--seed", "3", "--info-layout",
+           "topology,organic_cation", "--out", "mlm-info"]
     yield ["porosity", "framework.json", "--format", "json", "--radii",
            "radii.txt"]
     yield ["porosity", "framework300.json", "--format", "json", "--rho-grid",
@@ -126,6 +150,7 @@ def commands():
     for fmt in ("text", "json"):
         yield [*TOKENIZE, "--format", fmt]
         yield [*TOKENIZE_VOCAB, "--format", fmt]
+        yield [*TOKENIZE_INFO_VOCAB, "--format", fmt]
         for formula in FORMULAS:
             yield ["parse-formula", formula, "--format", fmt]
         for number in LOOKUPS:
@@ -144,7 +169,7 @@ def run_all(checkout, work):
     checkout = Path(checkout).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     work.mkdir()
-    for script in (DATA, STRUCTURES):
+    for script in (DATA, INFO_DATA, STRUCTURES):
         subprocess.run([sys.executable, "-c", script], cwd=work, env=env,
                        check=True)
 
